@@ -9,8 +9,8 @@
 // the 61-bit ring schedule: 6·n^{1/3} rounds at b = 64); the full APSP runs
 // on weighted gnp / path / polarity-expander instances against the
 // n^{1/3}·log n series with per-source Dijkstra as ground truth plus the
-// derived diameter/radius; and the local-kernel ablation (blocked i-k-j vs
-// schoolbook), which must leave the metered schedule untouched.
+// derived diameter/radius. (That the local kernel cannot change the metered
+// schedule is pinned by kernel_dispatch_test and CI's scalar/avx2 probe.)
 #include "bench_util.h"
 #include "comm/clique_unicast.h"
 #include "core/apsp.h"
@@ -111,37 +111,6 @@ int main(int argc, char** argv) {
   std::printf("squaring preserves the data-independent plan: every squaring\n"
               "ships the same globally-known length matrix (weights change\n"
               "values, never payload sizes), so APSP rounds are exactly\n"
-              "squarings * product rounds + 1 ecc-exchange round.\n\n");
-
-  // --- Kernel ablation: the triple players' local distance product run by
-  // the blocked i-k-j kernel vs the schoolbook reference. The network
-  // schedule is a function of (n, w, b) alone, so both kernels must meter
-  // identically and agree on every distance — the ablation is a check that
-  // local compute choices cannot leak into the measured model costs.
-  Table ab({"graph", "n", "kernel", "rounds", "bits", "dist equal",
-            "stats equal"},
-           {kP, kP, kP, kM, kM, kM, kM});
-  for (int n : benchutil::grid({27, 64})) {
-    Graph g = gnp(n, 6.0 / n, rng);
-    std::vector<std::uint32_t> w(g.num_edges());
-    for (auto& x : w) x = static_cast<std::uint32_t>(rng.uniform(1 << 10));
-    CliqueUnicast net_b(n, 64);
-    const ApspResult rb = apsp_run(net_b, g, w, TropicalKernel::kBlocked);
-    CliqueUnicast net_s(n, 64);
-    const ApspResult rs = apsp_run(net_s, g, w, TropicalKernel::kSchoolbook);
-    const bool dist_equal = rb.dist == rs.dist;
-    const bool stats_equal = net_b.stats() == net_s.stats();
-    ab.add_row({cell("gnp_%d", n), cell("%d", n), "blocked",
-                cell("%d", rb.total_rounds),
-                cell("%llu", static_cast<unsigned long long>(rb.total_bits)),
-                dist_equal ? "yes" : "NO", stats_equal ? "yes" : "NO"});
-    ab.add_row({cell("gnp_%d", n), cell("%d", n), "schoolbook",
-                cell("%d", rs.total_rounds),
-                cell("%llu", static_cast<unsigned long long>(rs.total_bits)),
-                dist_equal ? "yes" : "NO", stats_equal ? "yes" : "NO"});
-  }
-  ab.print();
-  std::printf("note: wall-clock kernel speed is bench_micro territory; here the\n"
-              "claim is that the kernel cannot change the metered schedule.\n");
+              "squarings * product rounds + 1 ecc-exchange round.\n");
   return benchutil::finish();
 }

@@ -1,6 +1,6 @@
-// E19 — the sparse & sharded matrix substrate: nnz-declared sparse MM
-// schedules vs the dense oblivious plan, the crossover-routed counting and
-// APSP backends, and the O(n + m) sparse workload pipeline.
+// E19 — the sparse matrix substrate: nnz-declared sparse MM schedules vs
+// the dense oblivious plan, the crossover-routed counting and APSP
+// backends, and the O(n + m) sparse workload pipeline.
 //
 // The dense block-decomposed product (E17/E18) prices every operand entry
 // whether or not it is zero; for an operand with nnz ≪ n² almost all of that
@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
   // --- Adaptive APSP: distance matrices densify under min-plus squaring,
   // so a sparse instance starts on the sparse branch and crosses to dense
   // once fill-in closes the neighborhood growth. "schedule" spells out the
-  // per-squaring branch choices in order.
+  // per-squaring branch choices in order; rounds/bits include the closing
+  // eccentricity exchange, as the dense run's do.
   Table ap({"graph", "n", "sq", "schedule", "rounds", "bits", "ok",
             "dense-run bits"},
            {kP, kP, kM, kD, kM, kM, kM, kD});
@@ -141,15 +142,15 @@ int main(int argc, char** argv) {
       std::vector<std::uint32_t> w(inst.g.num_edges());
       for (auto& x : w) x = static_cast<std::uint32_t>(rng.uniform(1 << 12));
       CliqueUnicast net(nn, 64);
-      const ApspSparseResult r = apsp_run_sparse(net, inst.g, w);
+      const ApspResult r = apsp_run(net, inst.g, w, CountBackend::kAuto);
       const bool ok = r.dist == apsp_dijkstra_reference(inst.g, w);
       std::string schedule;
-      for (const ApspSparseStep& s : r.steps) {
+      for (const ApspStep& s : r.steps) {
         schedule += s.used_sparse ? 'S' : 'D';
       }
       CliqueUnicast net_dense(nn, 64);
       const ApspResult rd = apsp_run(net_dense, inst.g, w);
-      const bool dense_ok = r.dist == rd.dist;
+      const bool dense_ok = r.dist == rd.dist && r.diameter == rd.diameter;
       ap.add_row({inst.name, cell("%d", nn),
                   cell("%zu", r.steps.size()), schedule,
                   cell("%d", r.total_rounds),

@@ -193,7 +193,7 @@ void BM_ApspEndToEnd(benchmark::State& state) {
   }
   for (auto _ : state) {
     CliqueUnicast net(n, 64);
-    benchmark::DoNotOptimize(apsp_run(net, g, weights, TropicalKernel::kBlocked));
+    benchmark::DoNotOptimize(apsp_run(net, g, weights));
   }
 }
 BENCHMARK(BM_ApspEndToEnd)->Arg(32)->Arg(64);

@@ -27,8 +27,8 @@
 //    source_touch while a SinkScope is active throws ModelViolation naming
 //    the source site and the sink site.
 //
-//  * DeclaredDependence — the explicit escape hatch the ROADMAP's sparse /
-//    sharded-matrix refactor will use: schedules whose lengths legitimately
+//  * DeclaredDependence — the explicit escape hatch the sparse matrix
+//    schedules (core/sparse_mm) use: schedules whose lengths legitimately
 //    depend on data-derived but common-knowledge quantities (nnz counts,
 //    live-fragment counts) open `auto dd = oblivious::declared_dependence(
 //    CC_OBLIVIOUS_SITE("..."))` around the dependent computation. Declared

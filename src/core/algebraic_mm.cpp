@@ -91,6 +91,75 @@ int share_partials(CliqueUnicast& net, const std::vector<std::vector<std::uint64
   return rounds;
 }
 
+/// The per-player counting statistics, in the combined share's wire order.
+enum class CountField {
+  kTrace3,  ///< (A³)_vv = ⟨row_v(A²), row_v(A)⟩; sums to trace(A³) = 6·#triangles
+  kTrace4,  ///< ‖row_v(A²)‖²; sums to trace(A⁴)
+  kDeg2,    ///< deg(v)²
+  kDeg,     ///< deg(v); sums to 2|E|
+};
+
+/// Player v's local share of one statistic, from its own rows of A² and A
+/// (both symmetric). True values stay below p, so mod-p sums are exact.
+std::uint64_t local_share(CountField f, const Graph& g, const Mat61& a2, int v) {
+  std::uint64_t acc = 0;
+  switch (f) {
+    case CountField::kTrace3:
+      for (int j : g.neighbors(v)) acc = Mersenne61::add(acc, a2.get(v, j));
+      return acc;
+    case CountField::kTrace4:
+      for (int j = 0; j < a2.n(); ++j) {
+        const std::uint64_t e = a2.get(v, j);
+        acc = Mersenne61::add(acc, Mersenne61::mul(e, e));
+      }
+      return acc;
+    case CountField::kDeg2: {
+      const std::uint64_t d = static_cast<std::uint64_t>(g.degree(v));
+      return Mersenne61::mul(d, d);
+    }
+    case CountField::kDeg:
+      return static_cast<std::uint64_t>(g.degree(v));
+  }
+  CC_CHECK(false, "unreachable counting field");
+  return 0;
+}
+
+/// The closing exchange of every counting protocol: each player computes
+/// its shares of `fields` (one 61-bit field each, in the given order) and
+/// share_partials ships them in one message per ordered pair. *totals gets
+/// the clique-wide sums in `fields` order; returns the rounds used.
+int share_counting_fields(CliqueUnicast& net, const Graph& g, const Mat61& a2,
+                          const std::vector<CountField>& fields,
+                          std::vector<std::uint64_t>* totals) {
+  const int n = g.num_vertices();
+  std::vector<std::vector<std::uint64_t>> shares;
+  shares.reserve(fields.size());
+  for (CountField f : fields) {
+    // Each share is player-private until the exchange ships it.
+    locality::PerPlayer<std::uint64_t> share(
+        n, CC_LOCALITY_SITE("local counting share"));
+    for (int v = 0; v < n; ++v) share[v] = local_share(f, g, a2, v);
+    shares.push_back(share.take());
+  }
+  return share_partials(net, shares, totals);
+}
+
+/// #triangles = trace(A^3) / 6: each triangle closes six 3-walks.
+std::uint64_t triangles_from_trace(std::uint64_t trace3) {
+  CC_CHECK(trace3 % 6 == 0, "trace(A^3) must be 6 * #triangles");
+  return trace3 / 6;
+}
+
+/// #C4 = (trace(A^4) - 2*sum_v deg(v)^2 + 2|E|) / 8: the degenerate closed
+/// 4-walks (back-and-forth along one or two edges) removed.
+std::uint64_t four_cycles_from_trace(std::uint64_t trace4, std::uint64_t sum_deg2,
+                                     std::uint64_t twice_edges) {
+  CC_CHECK(trace4 + twice_edges >= 2 * sum_deg2, "closed-walk identity violated");
+  const std::uint64_t numerator = trace4 + twice_edges - 2 * sum_deg2;
+  CC_CHECK(numerator % 8 == 0, "trace identity must yield 8 * #C4");
+  return numerator / 8;
+}
+
 }  // namespace
 
 AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
@@ -112,23 +181,6 @@ AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
   return run_mm<M61Ops>(net, a, b, c);
 }
 
-AlgebraicMmPlan sharded_mm_plan(int n, int word_bits, int bandwidth,
-                                const blockmm::ShardLayout& layout) {
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("sharded_mm_plan"));
-  AlgebraicMmPlan plan;
-  blockmm::fill_plan_schedule(&plan, n, word_bits, bandwidth, layout);
-  return plan;
-}
-
-AlgebraicMmResult algebraic_mm_m61_sharded(CliqueUnicast& net, const Mat61& a,
-                                           const Mat61& b, Mat61* c,
-                                           const blockmm::ShardLayout& layout) {
-  const AlgebraicMmPlan plan =
-      sharded_mm_plan(a.n(), M61Ops::kWordBits, net.bandwidth(), layout);
-  return blockmm::run_block_mm<M61Ops, AlgebraicMmResult>(net, a, b, c, plan,
-                                                          layout);
-}
-
 AlgebraicCountResult triangle_count_algebraic(CliqueUnicast& net, const Graph& g) {
   const int n = g.num_vertices();
   CC_REQUIRE(net.n() == n, "one player per vertex");
@@ -138,20 +190,10 @@ AlgebraicCountResult triangle_count_algebraic(CliqueUnicast& net, const Graph& g
   AlgebraicCountResult out;
   out.mm = algebraic_mm_m61(net, a, a, &a2);
 
-  // Player v's local share of trace(A^3): (A^3)_vv = <row_v(A^2), row_v(A)>
-  // (A is symmetric). True value < n^3 < p, so mod-p arithmetic is exact.
-  locality::PerPlayer<std::uint64_t> diag(
-      n, CC_LOCALITY_SITE("local trace(A^3) share"));
-  for (int v = 0; v < n; ++v) {
-    std::uint64_t acc = 0;
-    for (int j : g.neighbors(v)) acc = Mersenne61::add(acc, a2.get(v, j));
-    diag[v] = acc;
-  }
   std::vector<std::uint64_t> totals;
-  out.share_rounds = share_partials(net, {diag.raw()}, &totals);
-  const std::uint64_t trace = totals[0];
-  CC_CHECK(trace % 6 == 0, "trace(A^3) must be 6 * #triangles");
-  out.count = trace / 6;
+  out.share_rounds =
+      share_counting_fields(net, g, a2, {CountField::kTrace3}, &totals);
+  out.count = triangles_from_trace(totals[0]);
   out.total_rounds = out.mm.total_rounds + out.share_rounds;
   return out;
 }
@@ -187,35 +229,10 @@ AlgebraicCountResult four_cycle_count_algebraic(CliqueUnicast& net, const Graph&
     }
   }
 
-  // trace(A^4) = sum_v ||row_v(A^2)||^2 (A^2 is symmetric); each player also
-  // contributes deg(v)^2 and deg(v) for the degenerate-walk correction
-  //   #C4 = (trace(A^4) - 2*sum_v deg(v)^2 + 2|E|) / 8.
-  locality::PerPlayer<std::uint64_t> walk(
-      n, CC_LOCALITY_SITE("local trace(A^4) share"));
-  locality::PerPlayer<std::uint64_t> deg2(
-      n, CC_LOCALITY_SITE("local squared-degree share"));
-  locality::PerPlayer<std::uint64_t> deg(
-      n, CC_LOCALITY_SITE("local degree share"));
-  for (int v = 0; v < n; ++v) {
-    std::uint64_t acc = 0;
-    for (int j = 0; j < n; ++j) {
-      const std::uint64_t e = a2.get(v, j);
-      acc = Mersenne61::add(acc, Mersenne61::mul(e, e));
-    }
-    walk[v] = acc;
-    const std::uint64_t d = static_cast<std::uint64_t>(g.degree(v));
-    deg2[v] = Mersenne61::mul(d, d);
-    deg[v] = d;
-  }
   std::vector<std::uint64_t> totals;
-  out.share_rounds = share_partials(net, {walk.raw(), deg2.raw(), deg.raw()}, &totals);
-  const std::uint64_t trace4 = totals[0];  // < n^4 < p: exact
-  const std::uint64_t sum_deg2 = totals[1];
-  const std::uint64_t twice_edges = totals[2];  // sum of degrees = 2|E|
-  CC_CHECK(trace4 + twice_edges >= 2 * sum_deg2, "closed-walk identity violated");
-  const std::uint64_t numerator = trace4 + twice_edges - 2 * sum_deg2;
-  CC_CHECK(numerator % 8 == 0, "trace identity must yield 8 * #C4");
-  out.count = numerator / 8;
+  out.share_rounds = share_counting_fields(
+      net, g, a2, {CountField::kTrace4, CountField::kDeg2, CountField::kDeg}, &totals);
+  out.count = four_cycles_from_trace(totals[0], totals[1], totals[2]);
   out.total_rounds = mm_rounds + out.share_rounds;
   return out;
 }
@@ -252,47 +269,18 @@ CountingArtifact counting_artifacts_run(CliqueUnicast& net, const Graph& g) {
   const std::uint64_t bits_before = net.stats().total_bits;
 
   const Mat61 a = Mat61::adjacency(g);
-  const AlgebraicMmResult mm = algebraic_mm_m61(net, a, a, &out.a2);
-  (void)mm;
+  // The product runs against the plan priced above instead of re-pricing it.
+  blockmm::run_block_mm<M61Ops, AlgebraicMmResult>(net, a, a, &out.a2, out.plan.product);
 
-  // Per-player shares of all four counting statistics, shipped in one
-  // exchange: trace(A³) diagonal, trace(A⁴) walk norm, deg², deg (see the
-  // standalone protocols above for the identities).
-  locality::PerPlayer<std::uint64_t> diag(
-      n, CC_LOCALITY_SITE("local trace(A^3) share"));
-  locality::PerPlayer<std::uint64_t> walk(
-      n, CC_LOCALITY_SITE("local trace(A^4) share"));
-  locality::PerPlayer<std::uint64_t> deg2(
-      n, CC_LOCALITY_SITE("local squared-degree share"));
-  locality::PerPlayer<std::uint64_t> deg(
-      n, CC_LOCALITY_SITE("local degree share"));
-  for (int v = 0; v < n; ++v) {
-    std::uint64_t acc3 = 0;
-    for (int j : g.neighbors(v)) acc3 = Mersenne61::add(acc3, out.a2.get(v, j));
-    diag[v] = acc3;
-    std::uint64_t acc4 = 0;
-    for (int j = 0; j < n; ++j) {
-      const std::uint64_t e = out.a2.get(v, j);
-      acc4 = Mersenne61::add(acc4, Mersenne61::mul(e, e));
-    }
-    walk[v] = acc4;
-    const std::uint64_t d = static_cast<std::uint64_t>(g.degree(v));
-    deg2[v] = Mersenne61::mul(d, d);
-    deg[v] = d;
-  }
+  // All four counting statistics in one exchange (see the standalone
+  // protocols above for the identities).
   std::vector<std::uint64_t> totals;
-  const int share_rounds = share_partials(
-      net, {diag.raw(), walk.raw(), deg2.raw(), deg.raw()}, &totals);
-  const std::uint64_t trace3 = totals[0];
-  const std::uint64_t trace4 = totals[1];
-  const std::uint64_t sum_deg2 = totals[2];
-  const std::uint64_t twice_edges = totals[3];
-  CC_CHECK(trace3 % 6 == 0, "trace(A^3) must be 6 * #triangles");
-  out.triangles = trace3 / 6;
-  CC_CHECK(trace4 + twice_edges >= 2 * sum_deg2, "closed-walk identity violated");
-  const std::uint64_t numerator = trace4 + twice_edges - 2 * sum_deg2;
-  CC_CHECK(numerator % 8 == 0, "trace identity must yield 8 * #C4");
-  out.four_cycles = numerator / 8;
+  const int share_rounds = share_counting_fields(
+      net, g, out.a2,
+      {CountField::kTrace3, CountField::kTrace4, CountField::kDeg2, CountField::kDeg},
+      &totals);
+  out.triangles = triangles_from_trace(totals[0]);
+  out.four_cycles = four_cycles_from_trace(totals[1], totals[2], totals[3]);
 
   out.total_rounds = net.stats().rounds - rounds_before;
   out.total_bits = net.stats().total_bits - bits_before;

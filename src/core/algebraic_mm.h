@@ -44,10 +44,6 @@
 
 namespace cclique {
 
-namespace blockmm {
-class ShardLayout;  // core/block_mm.h — operand-ownership policy
-}
-
 /// The data-independent cost schedule of one distributed product — a pure
 /// function of (n, word_bits, bandwidth), shared by every semiring the
 /// block driver runs (the min-plus product of core/apsp reuses this struct
@@ -93,24 +89,8 @@ AlgebraicMmResult algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
 AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
                                    const Mat61& b, Mat61* c);
 
-/// Schedule for a product whose operands/outputs live under an arbitrary
-/// common-knowledge shard layout (core/block_mm.h): same [m]^3 grid and
-/// relay, but every payload length is priced from the layout's per-entry
-/// ownership instead of whole rows. sharded_mm_plan(n, w, b, RowShardLayout)
-/// == algebraic_mm_plan(n, w, b) exactly.
-AlgebraicMmPlan sharded_mm_plan(int n, int word_bits, int bandwidth,
-                                const blockmm::ShardLayout& layout);
-
-/// Distributed C = A·B over F_{2^61-1} with operands/outputs owned per
-/// `layout` (e.g. blockmm::BlockShardLayout — O(n^2/p) words per player,
-/// no whole rows anywhere). Values are identical to algebraic_mm_m61;
-/// rounds/bits follow sharded_mm_plan and are CC_CHECKed against it.
-AlgebraicMmResult algebraic_mm_m61_sharded(CliqueUnicast& net, const Mat61& a,
-                                           const Mat61& b, Mat61* c,
-                                           const blockmm::ShardLayout& layout);
-
-/// Which distributed-product backend a counting protocol runs its A·A
-/// product through.
+/// Which distributed-product backend a protocol runs its squarings through
+/// (the counting protocols' A·A product, apsp_run's distance squarings).
 enum class CountBackend {
   kDense,   ///< the oblivious dense schedule, unconditionally (the PR 3
             ///< behavior — and the one every committed baseline measures)

@@ -16,12 +16,12 @@ namespace cclique {
 
 namespace {
 
-/// Tropical-semiring adapters for the shared block-MM driver. Both kernels
-/// serialize elements as 61-bit words (kTropicalInf = all-ones round-trips
-/// through push_uint/read_uint unchanged) and pad blocks with
-/// TropicalMat(n)'s all-+inf fill — the semiring zero, so padding never
-/// changes a product entry.
-struct TropicalOpsBlocked {
+/// Tropical-semiring adapter for the shared block-MM driver. Elements
+/// serialize as 61-bit words (kTropicalInf = all-ones round-trips through
+/// push_uint/read_uint unchanged) and blocks pad with TropicalMat(n)'s
+/// all-+inf fill — the semiring zero, so padding never changes a product
+/// entry.
+struct TropicalOps {
   using Matrix = TropicalMat;
   static constexpr int kWordBits = 61;
   static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
@@ -34,19 +34,6 @@ struct TropicalOpsBlocked {
     return tropical_multiply_dispatch(a, b);
   }
 };
-
-struct TropicalOpsSchoolbook : TropicalOpsBlocked {
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    return tropical_multiply_schoolbook(a, b);
-  }
-};
-
-/// Smallest s with 2^s >= x (x >= 1).
-int ceil_log2(std::uint64_t x) {
-  int s = 0;
-  while ((1ULL << s) < x) ++s;
-  return s;
-}
 
 }  // namespace
 
@@ -64,50 +51,61 @@ ApspPlan apsp_plan(int n, int bandwidth) {
   // ceil(61 / b) chunked rounds (nothing to exchange on a 1-clique).
   plan.ecc_rounds =
       n >= 2 ? static_cast<int>(ceil_div(61, static_cast<std::uint64_t>(bandwidth))) : 0;
+  plan.ecc_bits = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 61u;
   plan.total_rounds = plan.squarings * plan.product.total_rounds + plan.ecc_rounds;
   plan.total_bits =
-      static_cast<std::uint64_t>(plan.squarings) * plan.product.total_bits +
-      (n >= 2 ? static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 61u
-              : 0u);
+      static_cast<std::uint64_t>(plan.squarings) * plan.product.total_bits + plan.ecc_bits;
   plan.series_rounds =
       plan.product.series_rounds * static_cast<double>(ceil_log2(static_cast<std::uint64_t>(n)));
   return plan;
 }
 
+MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
+                          const TropicalMat& b, TropicalMat* c) {
+  const AlgebraicMmPlan plan = algebraic_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth());
+  return blockmm::run_block_mm<TropicalOps, MinPlusResult>(net, a, b, c, plan);
+}
+
 namespace {
 
-/// Product driver with the (expensive to recompute) plan passed in, so
-/// apsp_run prices the schedule once instead of once per squaring.
-MinPlusResult run_product(CliqueUnicast& net, const TropicalMat& a,
-                          const TropicalMat& b, TropicalMat* c,
-                          TropicalKernel kernel, const AlgebraicMmPlan& plan) {
-  if (kernel == TropicalKernel::kSchoolbook) {
-    return blockmm::run_block_mm<TropicalOpsSchoolbook, MinPlusResult>(net, a, b, c, plan);
+/// One squaring *next = d ⊗ d on `backend`'s schedule. The dense product
+/// runs against `dense` (priced once per run by apsp_plan); the adaptive
+/// backends declare d's nnz profile first, and kAuto pays the announcement
+/// even when the crossover sends it back to the dense schedule.
+ApspStep square(CliqueUnicast& net, const TropicalMat& d, TropicalMat* next,
+                CountBackend backend, const AlgebraicMmPlan& dense) {
+  ApspStep step;
+  step.planned_rounds = dense.total_rounds;
+  step.planned_bits = dense.total_bits;
+  if (backend != CountBackend::kDense) {
+    // D_s's finite entries are this squaring's explicit structure, so the
+    // crossover is priced against the *current* fill, not the input graph's.
+    const Csr61 cur = Csr61::from_dense(d);
+    const SparseNnzProfile profile = declared_nnz_profile(cur, cur);
+    const SparseMmPlan plan =
+        sparse_mm_plan(d.n(), /*word_bits=*/61, net.bandwidth(), profile);
+    step.declared_nnz = plan.a_nnz;
+    step.used_sparse =
+        backend == CountBackend::kSparse || sparse_backend_preferred(plan);
+    if (step.used_sparse) {
+      sparse_min_plus_mm(net, cur, cur, next);
+      step.planned_rounds = plan.total_rounds;
+      step.planned_bits = plan.total_bits;
+      return step;
+    }
+    run_nnz_announcement(net, profile, plan.count_bits);
+    step.planned_rounds += plan.announce_rounds;
+    step.planned_bits += plan.announce_bits;
   }
-  return blockmm::run_block_mm<TropicalOpsBlocked, MinPlusResult>(net, a, b, c, plan);
+  blockmm::run_block_mm<TropicalOps, MinPlusResult>(net, d, d, next, dense);
+  return step;
 }
 
 }  // namespace
 
-MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
-                          const TropicalMat& b, TropicalMat* c,
-                          TropicalKernel kernel) {
-  const AlgebraicMmPlan plan = algebraic_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth());
-  return run_product(net, a, b, c, kernel, plan);
-}
-
-MinPlusResult min_plus_mm_sharded(CliqueUnicast& net, const TropicalMat& a,
-                                  const TropicalMat& b, TropicalMat* c,
-                                  const blockmm::ShardLayout& layout) {
-  const AlgebraicMmPlan plan =
-      sharded_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), layout);
-  return blockmm::run_block_mm<TropicalOpsBlocked, MinPlusResult>(net, a, b, c,
-                                                                  plan, layout);
-}
-
 ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
                     const std::vector<std::uint32_t>& weights,
-                    TropicalKernel kernel, ApspArtifacts* artifacts) {
+                    CountBackend backend, ApspArtifacts* artifacts) {
   const int n = g.num_vertices();
   CC_REQUIRE(n >= 1, "need at least one vertex");
   CC_REQUIRE(net.n() == n, "one player per vertex");
@@ -120,10 +118,10 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   // ---- Repeated squaring: D_0 = W (0 diagonal), D_{s+1} = D_s ⊗ D_s.
   // D_s is the exact shortest-path distance over walks of <= 2^s edges, and
   // simple shortest paths have <= n-1 edges, so ⌈log2(n-1)⌉ squarings reach
-  // the closure. Every squaring is one full distributed product of the
-  // globally-known geometry — weights only change entry *values*, never a
-  // payload length — which is what keeps the whole run on the planned
-  // data-independent schedule.
+  // the closure. On kDense every squaring is one full distributed product
+  // of the globally-known geometry — weights only change entry *values*,
+  // never a payload length — which keeps the run on the data-independent
+  // apsp_plan.
   out.dist = TropicalMat::from_weighted_graph(g, weights);
   if (artifacts != nullptr) {
     // Artifact retention is a local copy per squaring: the power chain is
@@ -133,11 +131,14 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
     artifacts->powers.reserve(static_cast<std::size_t>(out.plan.squarings) + 1);
     artifacts->powers.push_back(out.dist);
   }
-  out.products.reserve(static_cast<std::size_t>(out.plan.squarings));
+  out.steps.reserve(static_cast<std::size_t>(out.plan.squarings));
+  int planned_rounds = out.plan.ecc_rounds;
+  std::uint64_t planned_bits = out.plan.ecc_bits;
   for (int s = 0; s < out.plan.squarings; ++s) {
     TropicalMat next;
-    out.products.push_back(
-        run_product(net, out.dist, out.dist, &next, kernel, out.plan.product));
+    out.steps.push_back(square(net, out.dist, &next, backend, out.plan.product));
+    planned_rounds += out.steps.back().planned_rounds;
+    planned_bits += out.steps.back().planned_bits;
     out.dist = std::move(next);
     if (artifacts != nullptr) artifacts->powers.push_back(out.dist);
   }
@@ -178,60 +179,17 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   out.diameter = *std::max_element(out.eccentricity.begin(), out.eccentricity.end());
   out.radius = *std::min_element(out.eccentricity.begin(), out.eccentricity.end());
 
+  // ---- One whole-run check for every backend: the measured totals equal
+  // the per-squaring plans plus the exchange (on kDense that sum is
+  // apsp_plan's total by construction).
   out.total_rounds = net.stats().rounds - rounds_before;
   out.total_bits = net.stats().total_bits - bits_before;
   CC_CHECK(out.ecc_rounds == out.plan.ecc_rounds,
            "eccentricity exchange left the planned schedule");
-  CC_CHECK(out.total_rounds == out.plan.total_rounds,
+  CC_CHECK(out.total_rounds == planned_rounds,
            "APSP rounds diverged from the planned schedule");
-  CC_CHECK(out.total_bits == out.plan.total_bits,
+  CC_CHECK(out.total_bits == planned_bits,
            "APSP bits diverged from the planned schedule");
-  return out;
-}
-
-ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
-                                 const std::vector<std::uint32_t>& weights) {
-  const int n = g.num_vertices();
-  CC_REQUIRE(n >= 1, "need at least one vertex");
-  CC_REQUIRE(net.n() == n, "one player per vertex");
-
-  ApspSparseResult out;
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
-  const int squarings =
-      n >= 2 ? ceil_log2(static_cast<std::uint64_t>(n) - 1) : 0;
-
-  out.dist = TropicalMat::from_weighted_graph(g, weights);
-  out.steps.reserve(static_cast<std::size_t>(squarings));
-  for (int s = 0; s < squarings; ++s) {
-    // Re-sparsify and re-declare each squaring: D_s's finite entries are
-    // this round's explicit structure, so the crossover is priced against
-    // the *current* fill, not the input graph's.
-    const int step_rounds_before = net.stats().rounds;
-    const Csr61 cur = Csr61::from_dense(out.dist);
-    const SparseNnzProfile profile = declared_nnz_profile(cur, cur);
-    const SparseMmPlan plan =
-        sparse_mm_plan(n, /*word_bits=*/61, net.bandwidth(), profile);
-    ApspSparseStep step;
-    step.declared_nnz = plan.a_nnz;
-    step.dense_bits = plan.dense_bits;
-    TropicalMat next;
-    if (sparse_backend_preferred(plan)) {
-      const SparseMmResult r = sparse_min_plus_mm(net, cur, cur, &next);
-      step.used_sparse = true;
-      step.planned_bits = r.plan.total_bits;
-    } else {
-      run_nnz_announcement(net, profile, plan.count_bits);
-      const MinPlusResult r = min_plus_mm(net, out.dist, out.dist, &next);
-      step.planned_bits = plan.announce_bits + r.plan.total_bits;
-    }
-    step.rounds = net.stats().rounds - step_rounds_before;
-    out.dist = std::move(next);
-    out.steps.push_back(step);
-  }
-
-  out.total_rounds = net.stats().rounds - rounds_before;
-  out.total_bits = net.stats().total_bits - bits_before;
   return out;
 }
 

@@ -27,8 +27,9 @@
 //    and from them diameter and radius, all exact and +infinity-aware
 //    (disconnected inputs yield infinite eccentricities).
 //
-// The protocol CC_CHECKs measured rounds and bits against apsp_plan on
-// every run, the same contract as algebraic_mm_plan / mst_phase_plan.
+// The dense run CC_CHECKs measured rounds and bits against apsp_plan on
+// every run, the same contract as algebraic_mm_plan / mst_phase_plan; the
+// adaptive backends check against their declared per-squaring plans.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +42,6 @@
 
 namespace cclique {
 
-/// Which local kernel the triple players run for their block distance
-/// products. Both compute the identical product; the metered schedule is
-/// kernel-independent (the bench_e18 ablation asserts exactly that).
-enum class TropicalKernel {
-  kBlocked,     ///< i-k-j row-streaming kernel with +inf-lane skipping (default)
-  kSchoolbook,  ///< per-entry reference kernel (ablation / cross-check)
-};
-
 /// The data-independent cost schedule of one APSP run: `squarings` distance
 /// products (each with the shared block-MM schedule) plus the final
 /// eccentricity exchange. A function of (n, bandwidth) alone — never of
@@ -58,6 +51,7 @@ struct ApspPlan {
   int squarings = 0;      ///< ⌈log2(n-1)⌉ for n >= 2, else 0
   AlgebraicMmPlan product;  ///< per-squaring schedule (word_bits = 61)
   int ecc_rounds = 0;     ///< final 61-bit eccentricity all-to-all exchange
+  std::uint64_t ecc_bits = 0;  ///< n(n-1) · 61: one value per ordered pair
   int total_rounds = 0;   ///< squarings * product.total_rounds + ecc_rounds
   std::uint64_t total_bits = 0;
   /// Asymptotic reference the measured series is printed against:
@@ -77,19 +71,11 @@ using MinPlusResult = AlgebraicMmResult;
 /// Distributed distance product C = A ⊗ B over (min, +): player v holds
 /// row v of A and B and ends holding row v of C; `*c` assembles all rows.
 /// Runs the identical [m]^3 relay schedule as algebraic_mm_m61 (61-bit
-/// words). Throws ModelViolation/InvariantError if the run leaves the
-/// planned schedule.
+/// words). The local block kernel is the CC_KERNEL / CC_THREADS dispatch
+/// (linalg/kernels.h), which never changes values or CommStats. Throws
+/// ModelViolation/InvariantError if the run leaves the planned schedule.
 MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
-                          const TropicalMat& b, TropicalMat* c,
-                          TropicalKernel kernel = TropicalKernel::kBlocked);
-
-/// Distance product with operands/outputs owned per `layout`
-/// (core/block_mm.h) — the tropical twin of algebraic_mm_m61_sharded.
-/// Values match min_plus_mm; rounds/bits follow sharded_mm_plan(n, 61, b,
-/// layout) and are CC_CHECKed against it.
-MinPlusResult min_plus_mm_sharded(CliqueUnicast& net, const TropicalMat& a,
-                                  const TropicalMat& b, TropicalMat* c,
-                                  const blockmm::ShardLayout& layout);
+                          const TropicalMat& b, TropicalMat* c);
 
 /// Retained intermediate state of one APSP run — the squaring chain the
 /// serving layer (core/query_service) caches so hop-bounded queries are
@@ -102,20 +88,33 @@ struct ApspArtifacts {
   std::vector<TropicalMat> powers;  ///< squarings + 1 matrices
 };
 
+/// One squaring D_{s+1} = D_s ⊗ D_s of apsp_run: which schedule carried
+/// it and what that schedule was planned to cost.
+struct ApspStep {
+  bool used_sparse = false;  ///< the sparse schedule carried this squaring
+  /// Finite entries of D_s as declared to the sparse planner (the
+  /// profile's a_nnz); 0 on kDense, which declares nothing.
+  std::uint64_t declared_nnz = 0;
+  int planned_rounds = 0;          ///< chosen branch's plan, announcement included
+  std::uint64_t planned_bits = 0;  ///< chosen branch's plan, announcement included
+};
+
 /// Outcome of the APSP protocol.
 struct ApspResult {
+  /// The oblivious dense schedule. A kDense run follows it exactly; the
+  /// adaptive backends follow their per-step plans instead.
   ApspPlan plan;
   /// Exact shortest-path distances: dist.get(u, v) = d_w(u, v),
   /// kTropicalInf iff v is unreachable from u. Row v is what player v holds.
   TropicalMat dist;
-  std::vector<MinPlusResult> products;  ///< one entry per squaring
+  std::vector<ApspStep> steps;  ///< one entry per squaring
   /// ecc[v] = max_u d(v, u); kTropicalInf iff the graph is disconnected.
   std::vector<std::uint64_t> eccentricity;
   std::uint64_t diameter = 0;  ///< max eccentricity (kTropicalInf if disconnected)
   std::uint64_t radius = 0;    ///< min eccentricity
   int ecc_rounds = 0;     ///< measured; equals plan.ecc_rounds
-  int total_rounds = 0;   ///< measured; equals plan.total_rounds
-  std::uint64_t total_bits = 0;  ///< measured; equals plan.total_bits
+  int total_rounds = 0;   ///< measured; steps' planned rounds + ecc_rounds
+  std::uint64_t total_bits = 0;  ///< measured; steps' planned bits + the exchange
 };
 
 /// Runs exact APSP over the clique: player v initially holds row v of the
@@ -123,46 +122,26 @@ struct ApspResult {
 /// weights[e] indexed by g.edges() order, the core/mst convention) and ends
 /// holding row v of the distance matrix plus the clique-wide eccentricity
 /// spectrum. Weights are non-negative 32-bit values, so no finite distance
-/// can saturate (see linalg/tropical.h). Measured rounds/bits are
-/// CC_CHECKed against apsp_plan(n, net.bandwidth()) on every run.
+/// can saturate (see linalg/tropical.h).
+///
+/// `backend` picks the schedule of every squaring, as for the counting
+/// protocols: kDense runs the oblivious product and declares nothing, so
+/// the run follows apsp_plan(n, net.bandwidth()) exactly. kSparse and
+/// kAuto re-declare the current matrix's nnz profile each squaring
+/// (core/sparse_mm.h); kSparse always takes the sparse schedule, kAuto
+/// whichever the crossover rule prices cheaper — distance matrices
+/// *densify* under squaring, so a sparse input typically starts sparse and
+/// crosses to dense. Every backend ends with the same eccentricity
+/// exchange, and the whole run's measured rounds/bits are CC_CHECKed
+/// against the sum of the step plans plus that exchange.
+///
 /// When `artifacts` is non-null the full squaring chain is retained in it
 /// (local copies only — the schedule and every CommStats counter are
 /// identical with or without retention).
 ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
                     const std::vector<std::uint32_t>& weights,
-                    TropicalKernel kernel = TropicalKernel::kBlocked,
+                    CountBackend backend = CountBackend::kDense,
                     ApspArtifacts* artifacts = nullptr);
-
-/// One squaring of the adaptive sparse APSP run.
-struct ApspSparseStep {
-  bool used_sparse = false;      ///< which branch the crossover picked
-  std::uint64_t declared_nnz = 0;  ///< finite entries of D_s (the profile's a_nnz)
-  std::uint64_t planned_bits = 0;  ///< chosen branch's planned bits (announcement included)
-  std::uint64_t dense_bits = 0;    ///< the oblivious schedule's bits, for reference
-  int rounds = 0;                  ///< measured rounds of this squaring
-};
-
-/// Outcome of the adaptive sparse APSP run (distances only — the
-/// eccentricity exchange is identical to apsp_run's and orthogonal to the
-/// backend question).
-struct ApspSparseResult {
-  TropicalMat dist;  ///< exact distances, identical to apsp_run's
-  std::vector<ApspSparseStep> steps;  ///< one per squaring
-  int total_rounds = 0;
-  std::uint64_t total_bits = 0;
-};
-
-/// Repeated distance-product squaring where every squaring re-declares the
-/// current matrix's nnz profile (core/sparse_mm.h) and routes through the
-/// sparse schedule iff the crossover rule prices it cheaper — distance
-/// matrices *densify* as powers close the graph's transitive closure, so a
-/// typical sparse input starts on the sparse branch and crosses to dense
-/// once fill-in wins. Distances are identical to apsp_run's; every product
-/// is still CC_CHECKed against its own (dense or sparse) plan, and the
-/// dense branch additionally pays the announcement that made the decision
-/// common knowledge.
-ApspSparseResult apsp_run_sparse(CliqueUnicast& net, const Graph& g,
-                                 const std::vector<std::uint32_t>& weights);
 
 /// Reference single-machine APSP: one Dijkstra per source over an
 /// adjacency-indexed weight table (non-negative weights; zero-weight edges

@@ -11,6 +11,8 @@
 // matrices and relay cost replay, and the generic protocol driver
 // (run_block_mm) out of algebraic_mm.cpp so the min-plus/APSP workload
 // (core/apsp) runs the identical schedule over the tropical semiring.
+// Ownership is whole-row throughout: player v holds row v of A, B and C,
+// and the sparse driver (core/sparse_mm.h) shares the aggregation phase.
 //
 // The Ops concept run_block_mm consumes:
 //
@@ -69,132 +71,50 @@ struct BlockGrid {
   int tk(int p) const { return p % m; }
 };
 
-/// Operand-ownership policy: which player holds entry (i, j) of the input
-/// operands and of the output matrix. PR 3 hardcoded whole-row ownership
-/// (player i holds row i) into the payload builders and length matrices;
-/// the policy factors that decision out so the same [m]^3 decomposition,
-/// relay schedule, and plan accounting run over any data placement that is
-/// common knowledge (a pure function of (n, i, j)).
-///
-/// Contract: owner(i, j) in [0, n) and every player evaluates the same
-/// function — the relay needs globally agreed payload lengths, so ownership
-/// can never be data-dependent. The driver reads entry (i, j) locally iff
-/// its player owns it, and the length matrices below price exactly the
-/// entries whose owner differs from the consuming triple player.
-class ShardLayout {
- public:
-  virtual ~ShardLayout() = default;
-  /// The player holding entry (i, j) of A, B, and C.
-  virtual int owner(int i, int j) const = 0;
-  /// Short stable label for plans, benches, and error messages.
-  virtual const char* name() const = 0;
-};
-
-/// The classic whole-row placement: player i owns row i of every operand —
-/// Θ(n) words of state per player, and the layout every committed baseline
-/// was measured under (the generic driver reproduces PR 3's byte stream
-/// exactly under this instance; see tests/sparse_test).
-class RowShardLayout final : public ShardLayout {
- public:
-  int owner(int i, int /*j*/) const override { return i; }
-  const char* name() const override { return "row"; }
-};
-
-/// Square-tile placement: the matrix is cut into ~sqrt(n) x sqrt(n) tiles
-/// of side ceil(n / floor(sqrt(n))) and tile (ti, tj) lands on player
-/// (ti * grid + tj) mod n. Each player then holds O(n^2 / n) = O(n) words
-/// — the same per-player footprint as row ownership — but no player holds
-/// any full row, which is the placement regime sharded inputs arrive in
-/// (e.g. when an upstream protocol leaves C block-distributed).
-class BlockShardLayout final : public ShardLayout {
- public:
-  explicit BlockShardLayout(int n) : n_(n) {
-    CC_REQUIRE(n >= 1, "need at least one player");
-    int s = static_cast<int>(isqrt(static_cast<std::uint64_t>(n)));
-    if (s < 1) s = 1;
-    tile_ = static_cast<int>(ceil_div(static_cast<std::uint64_t>(n),
-                                      static_cast<std::uint64_t>(s)));
-    grid_ = static_cast<int>(ceil_div(static_cast<std::uint64_t>(n),
-                                      static_cast<std::uint64_t>(tile_)));
-  }
-  int owner(int i, int j) const override {
-    return ((i / tile_) * grid_ + (j / tile_)) % n_;
-  }
-  const char* name() const override { return "block"; }
-  int tile() const { return tile_; }
-
- private:
-  int n_ = 1;
-  int tile_ = 1;
-  int grid_ = 1;
-};
-
 using LengthMatrix = std::vector<std::vector<std::size_t>>;
 
-/// Distribution-phase payload lengths in bits: for each triple player p =
-/// (i, j, k), every entry of A over I_i x K_k and of B over K_k x J_j that
-/// p does not own itself travels from the entry's owner to p (A entries
-/// before B entries, row-major within each block — the decode order). Under
-/// RowShardLayout this is exactly PR 3's "row owner v ships its row slices"
-/// matrix: |K_k| * w bits per A-row and |J_j| * w per B-row.
-inline LengthMatrix distribute_lengths(const BlockGrid& g, int w,
-                                       const ShardLayout& layout) {
+/// Distribution-phase payload lengths in bits under whole-row ownership
+/// (player v holds row v of A, B and C): for each triple player p =
+/// (i, j, k), row owner v in I_i ships its |K_k|-wide slice of A and row
+/// owner v in K_k its |J_j|-wide slice of B — except p's own rows, which it
+/// reads directly.
+inline LengthMatrix distribute_lengths(const BlockGrid& g, int w) {
   // Length computation is a sink: the matrix must be a function of the grid
-  // geometry, the element width, and the (common-knowledge) layout alone,
-  // never of matrix entries.
+  // geometry and the element width alone, never of matrix entries.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("distribute_lengths"));
   LengthMatrix len(static_cast<std::size_t>(g.n),
                    std::vector<std::size_t>(static_cast<std::size_t>(g.n), 0));
   for (int p = 0; p < g.triples(); ++p) {
     const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int col = g.lo(k); col < g.hi(k); ++col) {
-        const int v = layout.owner(r, col);
-        if (v == p) continue;
-        len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-            static_cast<std::size_t>(w);
-      }
+    for (int v = g.lo(i); v < g.hi(i); ++v) {
+      if (v == p) continue;
+      len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
+          static_cast<std::size_t>(g.len(k)) * static_cast<std::size_t>(w);
     }
-    for (int r = g.lo(k); r < g.hi(k); ++r) {
-      for (int col = g.lo(j); col < g.hi(j); ++col) {
-        const int v = layout.owner(r, col);
-        if (v == p) continue;
-        len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-            static_cast<std::size_t>(w);
-      }
+    for (int v = g.lo(k); v < g.hi(k); ++v) {
+      if (v == p) continue;
+      len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
+          static_cast<std::size_t>(g.len(j)) * static_cast<std::size_t>(w);
     }
   }
   return len;
 }
 
-inline LengthMatrix distribute_lengths(const BlockGrid& g, int w) {
-  return distribute_lengths(g, w, RowShardLayout());
-}
-
-/// Aggregation-phase payload lengths: triple (i, j, k) ships each entry of
-/// its partial block C_ij (over I_i x J_j) to that output entry's owner.
-/// Under RowShardLayout: one |J_j|-element row slice per output row owner.
-inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w,
-                                      const ShardLayout& layout) {
+/// Aggregation-phase payload lengths: triple (i, j, k) ships one
+/// |J_j|-wide partial row slice to each output row owner in I_i.
+inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("aggregate_lengths"));
   LengthMatrix len(static_cast<std::size_t>(g.n),
                    std::vector<std::size_t>(static_cast<std::size_t>(g.n), 0));
   for (int p = 0; p < g.triples(); ++p) {
     const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int col = g.lo(j); col < g.hi(j); ++col) {
-        const int d = layout.owner(r, col);
-        if (d == p) continue;
-        len[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)] +=
-            static_cast<std::size_t>(w);
-      }
+    for (int v = g.lo(i); v < g.hi(i); ++v) {
+      if (v == p) continue;
+      len[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)] +=
+          static_cast<std::size_t>(g.len(j)) * static_cast<std::size_t>(w);
     }
   }
   return len;
-}
-
-inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
-  return aggregate_lengths(g, w, RowShardLayout());
 }
 
 /// Cost of shipping a length matrix through unicast_payloads_relayed:
@@ -245,21 +165,65 @@ inline RelayCost relay_cost(const LengthMatrix& len, int n, int bandwidth) {
   return out;
 }
 
+/// The aggregation phase both product drivers end with (run_block_mm here,
+/// run_sparse_mm in core/sparse_mm.h): triple (i, j, k) ships each row
+/// slice of its partial block C_ij to the row's owner, who ⊕-combines the
+/// m contributions (one per k) into `*c`. Returns the relay rounds used;
+/// the payload lengths are exactly aggregate_lengths(g, Ops::kWordBits).
+template <typename Ops>
+int aggregate_partials(CliqueUnicast& net, const BlockGrid& g,
+                       const locality::PerPlayer<typename Ops::Matrix>& partial,
+                       typename Ops::Matrix* c) {
+  constexpr int w = Ops::kWordBits;
+  const int n = g.n;
+  std::vector<std::vector<Message>> payload(
+      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  for (int p = 0; p < g.triples(); ++p) {
+    const int i = g.ti(p), j = g.tj(p);
+    for (int r = g.lo(i); r < g.hi(i); ++r) {
+      if (r == p) continue;  // the triple player keeps its own row slice
+      Message& msg = payload[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
+      for (int t = 0; t < g.len(j); ++t) {
+        msg.push_uint(Ops::get(partial[p], r - g.lo(i), t), w);
+      }
+    }
+  }
+  std::vector<std::vector<Message>> recv;
+  const int rounds = unicast_payloads_relayed(net, payload, &recv);
+
+  *c = typename Ops::Matrix(n);
+  for (int p = 0; p < g.triples(); ++p) {
+    const int i = g.ti(p), j = g.tj(p);
+    for (int r = g.lo(i); r < g.hi(i); ++r) {
+      for (int t = 0; t < g.len(j); ++t) {
+        std::uint64_t v;
+        if (r == p) {
+          v = Ops::get(partial[p], r - g.lo(i), t);
+        } else {
+          const Message& src =
+              recv[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
+          v = src.read_uint(static_cast<std::size_t>(t) * static_cast<std::size_t>(w), w);
+        }
+        Ops::accumulate(*c, r, g.lo(j) + t, v);
+      }
+    }
+  }
+  return rounds;
+}
+
 /// One distributed semiring product C = A ⊗ B over the grid: distribution
-/// (entry owners ship block entries to triple players through the relay),
-/// local block products, aggregation (partial entries back to the output
-/// owners, ⊕-accumulated). Ownership of every operand/output entry comes
-/// from `layout`; under RowShardLayout the payload byte streams are
-/// identical to PR 3's row-sliced messages (A entries then B entries per
-/// (owner, triple) pair, row-major within each block), which is what keeps
-/// the committed baselines byte-stable across this refactor. `Plan` /
-/// `Result` are the caller's plan/result structs (AlgebraicMmPlan /
-/// AlgebraicMmResult for both current semirings); the measured schedule is
-/// CC_CHECKed against `plan` on every run.
+/// (row owners ship block row slices to triple players through the relay),
+/// local block products, aggregation (partial row slices back to the
+/// output row owners, ⊕-accumulated). Player v holds row v of A, B and C.
+/// Per (owner, triple) pair the payload carries the A slices, then the B
+/// slices — the decode order. `Plan` / `Result` are the caller's
+/// plan/result structs (AlgebraicMmPlan / AlgebraicMmResult for every
+/// semiring); the measured schedule is CC_CHECKed against `plan` on every
+/// run.
 template <typename Ops, typename Result, typename Plan>
 Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
                     const typename Ops::Matrix& b, typename Ops::Matrix* c,
-                    const Plan& plan, const ShardLayout& layout) {
+                    const Plan& plan) {
   using Matrix = typename Ops::Matrix;
   constexpr int w = Ops::kWordBits;
   const int n = a.n();
@@ -273,26 +237,20 @@ Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   const int rounds_before = net.stats().rounds;
   const std::uint64_t bits_before = net.stats().total_bits;
 
-  // ---- Distribution: entry owners ship block entries to triple players.
+  // ---- Distribution: row owners ship block row slices to triple players.
   std::vector<std::vector<Message>> payload(
       static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
   for (int p = 0; p < g.triples(); ++p) {
     const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
     for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int col = g.lo(k); col < g.hi(k); ++col) {
-        const int v = layout.owner(r, col);
-        if (v == p) continue;  // the triple player reads its own entries directly
-        payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)]
-            .push_uint(Ops::get(a, r, col), w);
-      }
+      if (r == p) continue;  // the triple player reads its own rows directly
+      Message& msg = payload[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
+      for (int col = g.lo(k); col < g.hi(k); ++col) msg.push_uint(Ops::get(a, r, col), w);
     }
     for (int r = g.lo(k); r < g.hi(k); ++r) {
-      for (int col = g.lo(j); col < g.hi(j); ++col) {
-        const int v = layout.owner(r, col);
-        if (v == p) continue;
-        payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)]
-            .push_uint(Ops::get(b, r, col), w);
-      }
+      if (r == p) continue;
+      Message& msg = payload[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
+      for (int col = g.lo(j); col < g.hi(j); ++col) msg.push_uint(Ops::get(b, r, col), w);
     }
   }
   std::vector<std::vector<Message>> recv;
@@ -302,88 +260,37 @@ Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   // zero — Matrix(n)'s fill — so padding rows/columns contribute nothing).
   // Each triple player's block product is its private state until the
   // aggregation hop ships the partial entries out (ownership-tagged).
-  // Decode mirrors the build exactly: same (triple, entry) iteration order,
-  // one sequential cursor per source owner.
+  // Decode mirrors the build exactly: same (triple, row) iteration order,
+  // one sequential cursor per source row owner.
   locality::PerPlayer<Matrix> partial(
       g.triples(), CC_LOCALITY_SITE("triple player's block product"));
   for (int p = 0; p < g.triples(); ++p) {
     const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
     Matrix ablk(g.bs), bblk(g.bs);
     std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(k); ++t) {
-        const int col = g.lo(k) + t;
-        const int src_owner = layout.owner(r, col);
-        std::uint64_t v;
-        if (src_owner == p) {
-          v = Ops::get(a, r, col);
-        } else {
-          const Message& src =
-              recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(src_owner)];
-          v = src.read_uint(cur[static_cast<std::size_t>(src_owner)], w);
-          cur[static_cast<std::size_t>(src_owner)] += static_cast<std::size_t>(w);
+    auto load = [&](const Matrix& src_mat, Matrix* blk, int row_t, int col_t) {
+      for (int r = g.lo(row_t); r < g.hi(row_t); ++r) {
+        const Message& src = recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
+        std::size_t& off = cur[static_cast<std::size_t>(r)];
+        for (int t = 0; t < g.len(col_t); ++t) {
+          std::uint64_t v;
+          if (r == p) {
+            v = Ops::get(src_mat, r, g.lo(col_t) + t);
+          } else {
+            v = src.read_uint(off, w);
+            off += static_cast<std::size_t>(w);
+          }
+          Ops::set(*blk, r - g.lo(row_t), t, v);
         }
-        Ops::set(ablk, r - g.lo(i), t, v);
       }
-    }
-    for (int r = g.lo(k); r < g.hi(k); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        const int col = g.lo(j) + t;
-        const int src_owner = layout.owner(r, col);
-        std::uint64_t v;
-        if (src_owner == p) {
-          v = Ops::get(b, r, col);
-        } else {
-          const Message& src =
-              recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(src_owner)];
-          v = src.read_uint(cur[static_cast<std::size_t>(src_owner)], w);
-          cur[static_cast<std::size_t>(src_owner)] += static_cast<std::size_t>(w);
-        }
-        Ops::set(bblk, r - g.lo(k), t, v);
-      }
-    }
+    };
+    load(a, &ablk, i, k);
+    load(b, &bblk, k, j);
     partial[p] = Ops::multiply(ablk, bblk);
   }
 
-  // ---- Aggregation: partial entries travel to the output owners, who
-  // ⊕-combine the m contributions (one per k) for each output entry.
-  std::vector<std::vector<Message>> payload2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        const int d = layout.owner(r, g.lo(j) + t);
-        if (d == p) continue;
-        payload2[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)]
-            .push_uint(Ops::get(partial[p], r - g.lo(i), t), w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv2;
-  res.aggregate_rounds = unicast_payloads_relayed(net, payload2, &recv2);
-
-  *c = Matrix(n);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    std::vector<std::size_t> cur2(static_cast<std::size_t>(n), 0);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        const int col = g.lo(j) + t;
-        const int d = layout.owner(r, col);
-        std::uint64_t v;
-        if (d == p) {
-          v = Ops::get(partial[p], r - g.lo(i), t);
-        } else {
-          const Message& src =
-              recv2[static_cast<std::size_t>(d)][static_cast<std::size_t>(p)];
-          v = src.read_uint(cur2[static_cast<std::size_t>(d)], w);
-          cur2[static_cast<std::size_t>(d)] += static_cast<std::size_t>(w);
-        }
-        Ops::accumulate(*c, r, col, v);
-      }
-    }
-  }
+  // ---- Aggregation: partial row slices travel to the output row owners.
+  res.aggregate_rounds = aggregate_partials<Ops>(net, g, partial, c);
 
   res.total_rounds = net.stats().rounds - rounds_before;
   res.total_bits = net.stats().total_bits - bits_before;
@@ -396,21 +303,13 @@ Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   return res;
 }
 
-template <typename Ops, typename Result, typename Plan>
-Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
-                    const typename Ops::Matrix& b, typename Ops::Matrix* c,
-                    const Plan& plan) {
-  return run_block_mm<Ops, Result, Plan>(net, a, b, c, plan, RowShardLayout());
-}
-
 /// Fills the shared schedule fields of a plan struct (AlgebraicMmPlan
 /// shape): grid geometry, per-phase relay rounds/bits, and the heaviest
 /// pre-relay per-player payload load. The schedule is a pure function of
-/// (n, w, b) and the common-knowledge layout.
+/// (n, w, b).
 template <typename Plan>
-void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth,
-                        const ShardLayout& layout) {
-  // Plan-function sink: the whole schedule is priced from (n, w, b, layout).
+void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth) {
+  // Plan-function sink: the whole schedule is priced from (n, w, b).
   // Note run_block_mm above is deliberately NOT a sink — it is the executor,
   // and its payload building legitimately reads matrix entries.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("fill_plan_schedule"));
@@ -422,8 +321,8 @@ void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth,
   plan->block = g.bs;
   plan->word_bits = word_bits;
   plan->bandwidth = bandwidth;
-  const LengthMatrix dist = distribute_lengths(g, word_bits, layout);
-  const LengthMatrix agg = aggregate_lengths(g, word_bits, layout);
+  const LengthMatrix dist = distribute_lengths(g, word_bits);
+  const LengthMatrix agg = aggregate_lengths(g, word_bits);
   const RelayCost dc = relay_cost(dist, n, bandwidth);
   const RelayCost ac = relay_cost(agg, n, bandwidth);
   plan->distribute_rounds = dc.rounds;
@@ -442,11 +341,6 @@ void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth,
   const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(n)));
   plan->series_rounds = 6.0 * cbrt_n * static_cast<double>(word_bits) /
                         static_cast<double>(bandwidth);
-}
-
-template <typename Plan>
-void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth) {
-  fill_plan_schedule(plan, n, word_bits, bandwidth, RowShardLayout());
 }
 
 }  // namespace blockmm

@@ -6,6 +6,7 @@
 #include "analysis/oblivious_guard.h"
 #include "comm/engine.h"
 #include "util/check.h"
+#include "util/math_util.h"
 
 namespace cclique {
 
@@ -18,13 +19,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// Smallest s with 2^s >= x (x >= 1).
-int ceil_log2(std::uint64_t x) {
-  int s = 0;
-  while ((1ULL << s) < x) ++s;
-  return s;
 }
 
 std::uint64_t edge_key(int u, int v) {
@@ -226,7 +220,6 @@ void QueryService::rebuild_derived() {
   std::uint64_t fp = mix(0x636c697175650000ULL,  // arbitrary domain tag
                          static_cast<std::uint64_t>(graph_.num_vertices()));
   fp = mix(fp, static_cast<std::uint64_t>(config_.bandwidth));
-  fp = mix(fp, static_cast<std::uint64_t>(config_.kernel));
   for (const Edge& e : edges) {
     const auto it = weight_by_edge_.find(edge_key(e.u, e.v));
     CC_CHECK(it != weight_by_edge_.end(), "edge without a stored weight");
@@ -340,7 +333,7 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
   const int rounds_before = net_->stats().rounds;
   const std::uint64_t bits_before = net_->stats().total_bits;
   if (plan.run_apsp) {
-    ApspResult r = apsp_run(*net_, graph_, weights_, config_.kernel);
+    ApspResult r = apsp_run(*net_, graph_, weights_);
     ApspServingArtifact a;
     a.dist = std::move(r.dist);
     a.eccentricity = std::move(r.eccentricity);
@@ -354,7 +347,7 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
   if (plan.run_hops) {
     const std::vector<std::uint32_t> unit(graph_.num_edges(), 1);
     ApspArtifacts arts;
-    apsp_run(*net_, graph_, unit, config_.kernel, &arts);
+    apsp_run(*net_, graph_, unit, CountBackend::kDense, &arts);
     HopArtifact h;
     h.powers = std::move(arts.powers);
     cache_.put_hops(fingerprint_, std::move(h));

@@ -248,9 +248,8 @@ struct BatchResult {
 class QueryService {
  public:
   struct Config {
-    int bandwidth = 64;                               ///< per-edge bits/round
-    TropicalKernel kernel = TropicalKernel::kBlocked; ///< APSP local kernel
-    std::size_t capacity_words = 0;                   ///< cache cap; 0 = unbounded
+    int bandwidth = 64;              ///< per-edge bits/round
+    std::size_t capacity_words = 0;  ///< cache cap; 0 = unbounded
   };
 
   /// Weighted service: weights indexed by g.edges() order (the core/mst

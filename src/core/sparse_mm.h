@@ -147,8 +147,9 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
 /// Phases: announce counts; relay each owner's explicit (local-index,
 /// value) pairs per block (A pairs before B pairs per (owner, triple), CSR
 /// column order within each block — the decode order); local sparse·dense
-/// block products; dense-width aggregation identical to run_block_mm's
-/// row layout. Measured rounds/bits are CC_CHECKed against `plan`.
+/// block products; dense-width aggregation (blockmm::aggregate_partials,
+/// shared with run_block_mm). Measured rounds/bits are CC_CHECKed against
+/// `plan`.
 template <typename Ops>
 SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                              typename Ops::Matrix* c,
@@ -278,41 +279,10 @@ SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
     partial[p] = Ops::spmm(ablk, bblk);
   }
 
-  // ---- Phase 3: dense-width aggregation, identical to run_block_mm's row
-  // layout (output sparsity is fill-in dependent and deliberately unpriced;
-  // see header comment).
-  std::vector<std::vector<Message>> payload2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      if (r == p) continue;
-      Message& msg = payload2[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
-      for (int t = 0; t < g.len(j); ++t) {
-        msg.push_uint(Ops::get(partial[p], r - g.lo(i), t), w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv2;
-  res.aggregate_rounds = unicast_payloads_relayed(net, payload2, &recv2);
-
-  *c = Matrix(n);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        std::uint64_t v;
-        if (r == p) {
-          v = Ops::get(partial[p], r - g.lo(i), t);
-        } else {
-          const Message& src =
-              recv2[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
-          v = src.read_uint(static_cast<std::size_t>(t) * static_cast<std::size_t>(w), w);
-        }
-        Ops::accumulate(*c, r, g.lo(j) + t, v);
-      }
-    }
-  }
+  // ---- Phase 3: dense-width aggregation, the dense driver's own phase
+  // (output sparsity is fill-in dependent and deliberately unpriced; see
+  // header comment).
+  res.aggregate_rounds = blockmm::aggregate_partials<Ops>(net, g, partial, c);
 
   res.total_rounds = net.stats().rounds - rounds_before;
   res.total_bits = net.stats().total_bits - bits_before;

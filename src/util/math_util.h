@@ -27,6 +27,14 @@ inline int floor_log2(std::uint64_t x) {
   return l;
 }
 
+/// ceil(log2(x)) for x >= 1: the smallest s with 2^s >= x.
+inline int ceil_log2(std::uint64_t x) {
+  int s = 0;
+  // Capped like bits_for: x > 2^63 needs 64, and 1ULL << 64 is UB.
+  while (s < 64 && (1ULL << s) < x) ++s;
+  return s;
+}
+
 /// Integer square root: the largest r with r*r <= x.
 inline std::uint64_t isqrt(std::uint64_t x) {
   if (x == 0) return 0;

@@ -310,6 +310,39 @@ TEST(AlgebraicCounting, FourCycleCountStructuredGraphs) {
   }
 }
 
+TEST(AlgebraicCounting, WireFormatsArePinned) {
+  // The closing exchange ships one 61-bit field per ordered pair for
+  // triangles, three for 4-cycles (trace(A^4), deg^2, deg) and four for the
+  // combined artifact; the measured bits pin each field count exactly.
+  Rng rng(71);
+  for (int n : {1, 2, 27, 30}) {
+    const Graph g = gnp(n, 0.3, rng);
+    const std::uint64_t dense = algebraic_mm_plan(n, 61, 64).total_bits;
+    const std::uint64_t pair_field =
+        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 61;
+
+    CliqueUnicast tri_net(n, 64);
+    const AlgebraicCountResult tri = triangle_count_algebraic(tri_net, g);
+    EXPECT_EQ(tri_net.stats().total_bits, dense + pair_field) << "n=" << n;
+    EXPECT_EQ(tri.count, count_triangles(g)) << "n=" << n;
+
+    CliqueUnicast c4_net(n, 64);
+    const AlgebraicCountResult c4 =
+        four_cycle_count_algebraic(c4_net, g, CountBackend::kDense);
+    EXPECT_EQ(c4_net.stats().total_bits, dense + 3 * pair_field) << "n=" << n;
+    EXPECT_EQ(c4.count, count_four_cycles(g)) << "n=" << n;
+
+    CliqueUnicast art_net(n, 64);
+    const CountingArtifact art = counting_artifacts_run(art_net, g);
+    const CountingArtifactPlan plan = counting_artifacts_plan(n, 64);
+    EXPECT_EQ(art_net.stats().total_bits, plan.total_bits) << "n=" << n;
+    EXPECT_EQ(art_net.stats().rounds, plan.total_rounds) << "n=" << n;
+    EXPECT_EQ(plan.total_bits, dense + 4 * pair_field) << "n=" << n;
+    EXPECT_EQ(art.triangles, count_triangles(g)) << "n=" << n;
+    EXPECT_EQ(art.four_cycles, count_four_cycles(g)) << "n=" << n;
+  }
+}
+
 TEST(AlgebraicBackend, AgreesWithCircuitBackendAndTruth) {
   Rng rng(61);
   for (int trial = 0; trial < 3; ++trial) {

@@ -5,13 +5,15 @@
 // generators (including disconnected and zero-weight-edge graphs), exact
 // agreement between the measured schedule and apsp_plan, the degenerate
 // m = 1 decomposition, the derived eccentricity/diameter/radius queries,
-// and scheduler-independence of the stats.
+// agreement of the dense, sparse and adaptive squaring backends, and
+// scheduler-independence of the stats.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "analysis/oblivious_guard.h"
 #include "core/apsp.h"
 #include "graph/generators.h"
 #include "linalg/tropical.h"
@@ -29,6 +31,39 @@ std::vector<std::uint32_t> random_weights(const Graph& g, Rng& rng,
 
 std::vector<std::uint32_t> unit_weights(const Graph& g) {
   return std::vector<std::uint32_t>(g.num_edges(), 1);
+}
+
+/// Scoped environment override (kernel_dispatch_test's idiom): the kernel
+/// dispatcher re-reads CC_KERNEL on every call.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+/// The local reference APSP: ceil(log2(n-1)) schoolbook squarings of W.
+TropicalMat schoolbook_squarings(const Graph& g, const std::vector<std::uint32_t>& w) {
+  TropicalMat d = TropicalMat::from_weighted_graph(g, w);
+  for (int s = 0; s < apsp_plan(g.num_vertices(), 64).squarings; ++s) {
+    d = tropical_multiply_schoolbook(d, d);
+  }
+  return d;
 }
 
 // ---------------------------------------------------------------- tropical
@@ -153,21 +188,25 @@ TEST(MinPlusMm, ScheduleMatchesM61Product) {
 }
 
 TEST(MinPlusMm, KernelChoiceDoesNotChangeScheduleOrOutput) {
+  // The triple players' local kernel is the CC_KERNEL dispatch: every
+  // kernel this host runs must reproduce the schoolbook product and meter
+  // the identical schedule.
   const int n = 11;
   Rng rng(77);
   const TropicalMat a = TropicalMat::random(n, rng, 1u << 16, 0.4);
   const TropicalMat b = TropicalMat::random(n, rng, 1u << 16, 0.4);
-  CliqueUnicast net_blocked(n, 32);
-  CliqueUnicast net_school(n, 32);
-  TropicalMat c_blocked, c_school;
-  const MinPlusResult rb =
-      min_plus_mm(net_blocked, a, b, &c_blocked, TropicalKernel::kBlocked);
-  const MinPlusResult rs =
-      min_plus_mm(net_school, a, b, &c_school, TropicalKernel::kSchoolbook);
-  EXPECT_EQ(c_blocked, c_school);
-  EXPECT_EQ(rb.total_rounds, rs.total_rounds);
-  EXPECT_EQ(rb.total_bits, rs.total_bits);
-  EXPECT_EQ(net_blocked.stats(), net_school.stats());
+  const TropicalMat ref = tropical_multiply_schoolbook(a, b);
+  std::vector<CommStats> stats;
+  for (const char* kernel : {"scalar", "avx2"}) {
+    ScopedEnv e("CC_KERNEL", kernel);
+    CliqueUnicast net(n, 32);
+    TropicalMat c;
+    const MinPlusResult r = min_plus_mm(net, a, b, &c);
+    EXPECT_EQ(c, ref) << "CC_KERNEL=" << kernel;
+    EXPECT_EQ(r.total_bits, r.plan.total_bits) << "CC_KERNEL=" << kernel;
+    stats.push_back(net.stats());
+  }
+  EXPECT_EQ(stats[0], stats[1]);
 }
 
 // ------------------------------------------------------------------- APSP
@@ -248,18 +287,105 @@ TEST(Apsp, MatchesDijkstraOnAllGenerators) {
     EXPECT_EQ(r.total_rounds, r.plan.total_rounds) << c.name;
     EXPECT_EQ(r.total_bits, r.plan.total_bits) << c.name;
     EXPECT_EQ(net.stats().rounds, r.total_rounds) << c.name;
-    EXPECT_EQ(static_cast<int>(r.products.size()), r.plan.squarings) << c.name;
+    EXPECT_EQ(static_cast<int>(r.steps.size()), r.plan.squarings) << c.name;
   }
 }
 
 TEST(Apsp, SchoolbookKernelAgreesEverywhere) {
+  // Every distributed squaring must equal the schoolbook squaring of the
+  // same matrix, so the whole chain equals the local schoolbook chain.
   for (const ApspCase& c : apsp_cases()) {
-    CliqueUnicast net_b(c.g.num_vertices(), 64);
-    CliqueUnicast net_s(c.g.num_vertices(), 64);
-    const ApspResult rb = apsp_run(net_b, c.g, c.weights, TropicalKernel::kBlocked);
-    const ApspResult rs = apsp_run(net_s, c.g, c.weights, TropicalKernel::kSchoolbook);
-    EXPECT_EQ(rb.dist, rs.dist) << c.name;
-    EXPECT_EQ(net_b.stats(), net_s.stats()) << c.name;
+    CliqueUnicast net(c.g.num_vertices(), 64);
+    const ApspResult r = apsp_run(net, c.g, c.weights);
+    EXPECT_EQ(r.dist, schoolbook_squarings(c.g, c.weights)) << c.name;
+    EXPECT_EQ(net.stats().total_bits, r.plan.total_bits) << c.name;
+  }
+}
+
+TEST(Apsp, BackendsAgreeOnAllGenerators) {
+  // kAuto and kSparse compute the same distances and eccentricity spectrum
+  // as kDense and Dijkstra, and every backend's CommStats delta is exactly
+  // its per-step plans plus the eccentricity exchange.
+  for (const ApspCase& c : apsp_cases()) {
+    const int n = c.g.num_vertices();
+    CliqueUnicast net_dense(n, 64);
+    const ApspResult dense = apsp_run(net_dense, c.g, c.weights, CountBackend::kDense);
+    EXPECT_EQ(dense.dist, apsp_dijkstra_reference(c.g, c.weights)) << c.name;
+    for (CountBackend backend : {CountBackend::kDense, CountBackend::kAuto,
+                                 CountBackend::kSparse}) {
+      CliqueUnicast net(n, 64);
+      const ApspResult r = apsp_run(net, c.g, c.weights, backend);
+      EXPECT_EQ(r.dist, dense.dist) << c.name;
+      EXPECT_EQ(r.eccentricity, dense.eccentricity) << c.name;
+      EXPECT_EQ(r.diameter, dense.diameter) << c.name;
+      EXPECT_EQ(r.radius, dense.radius) << c.name;
+      ASSERT_EQ(static_cast<int>(r.steps.size()), r.plan.squarings) << c.name;
+      int rounds = r.plan.ecc_rounds;
+      std::uint64_t bits = r.plan.ecc_bits;
+      for (const ApspStep& s : r.steps) {
+        if (backend == CountBackend::kSparse) {
+          EXPECT_TRUE(s.used_sparse) << c.name;
+        }
+        rounds += s.planned_rounds;
+        bits += s.planned_bits;
+      }
+      EXPECT_EQ(net.stats().rounds, rounds) << c.name;
+      EXPECT_EQ(net.stats().total_bits, bits) << c.name;
+      EXPECT_EQ(r.total_bits, bits) << c.name;
+    }
+  }
+}
+
+TEST(Apsp, DenseBackendDeclaresNothing) {
+  // The dense path never prices a sparse schedule: no nnz profile is
+  // declared (the oblivious guard's counted escape hatch stays untouched)
+  // and every step is the plain dense product.
+  Rng rng(90);
+  const Graph g = gnp(20, 0.2, rng);
+  const std::vector<std::uint32_t> w = random_weights(g, rng, 1000);
+  CliqueUnicast net(20, 64);
+  const std::uint64_t before = oblivious::declared_use_count();
+  const ApspResult r = apsp_run(net, g, w, CountBackend::kDense);
+  EXPECT_EQ(oblivious::declared_use_count(), before);
+  for (const ApspStep& s : r.steps) {
+    EXPECT_FALSE(s.used_sparse);
+    EXPECT_EQ(s.declared_nnz, 0u);
+    EXPECT_EQ(s.planned_bits, r.plan.product.total_bits);
+  }
+  EXPECT_EQ(r.total_bits, r.plan.total_bits);
+  EXPECT_EQ(r.total_rounds, r.plan.total_rounds);
+  if (oblivious::enabled()) {
+    // The counter is live in this build: the sparse backend does move it.
+    CliqueUnicast sparse_net(20, 64);
+    apsp_run(sparse_net, g, w, CountBackend::kSparse);
+    EXPECT_GT(oblivious::declared_use_count(), before);
+  }
+}
+
+TEST(Apsp, AutoBackendStartsSparseOnSparseInputs) {
+  Rng rng(503);
+  for (const Graph& g : {random_tree(22, rng), gnp(22, 0.1, rng)}) {
+    const std::vector<std::uint32_t> w = random_weights(g, rng, 50);
+    CliqueUnicast net(g.num_vertices(), 64);
+    const ApspResult r = apsp_run(net, g, w, CountBackend::kAuto);
+    EXPECT_EQ(r.dist, apsp_dijkstra_reference(g, w));
+    ASSERT_FALSE(r.steps.empty());
+    // A tree / sparse G(n, p) one-step matrix sits far below the crossover.
+    EXPECT_TRUE(r.steps.front().used_sparse);
+  }
+}
+
+TEST(Apsp, AutoStepsRecordDensification) {
+  Rng rng(504);
+  const Graph g = gnp(33, 0.15, rng);
+  CliqueUnicast net(33, 64);
+  const ApspResult r = apsp_run(net, g, unit_weights(g), CountBackend::kAuto);
+  // nnz is monotone under min-plus squaring (an entry once finite stays
+  // finite), and every step records the profile it declared.
+  ASSERT_FALSE(r.steps.empty());
+  EXPECT_GT(r.steps.front().declared_nnz, 0u);
+  for (std::size_t s = 1; s < r.steps.size(); ++s) {
+    EXPECT_GE(r.steps[s].declared_nnz, r.steps[s - 1].declared_nnz);
   }
 }
 

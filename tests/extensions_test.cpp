@@ -16,6 +16,7 @@
 #include "graph/extremal.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace cclique {
@@ -44,12 +45,6 @@ class ScopedThreads {
   bool had_old_ = false;
   std::string old_;
 };
-
-int ceil_log2(int n) {
-  int p = 0;
-  while ((1 << p) < n) ++p;
-  return p;
-}
 
 void expect_tree_equals(const std::vector<WeightedEdge>& got,
                         const std::vector<WeightedEdge>& ref,

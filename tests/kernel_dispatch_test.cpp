@@ -242,7 +242,7 @@ TEST(KernelDispatchProtocol, AlgebraicMmAndApspStatsAreKernelIndependent) {
     Run r;
     r.tri = triangle_count_algebraic(net1, g);
     CliqueUnicast net2(24, /*bandwidth=*/64);
-    r.apsp = apsp_run(net2, g, weights, TropicalKernel::kBlocked);
+    r.apsp = apsp_run(net2, g, weights);
     return r;
   };
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -239,9 +240,13 @@ TEST(ObliviousGuard, NofReductionInheritsBroadcastSink) {
   const int n = 3;
   CliqueBroadcast net(n, 16);
   NofBlackboard board;
+  // The callbacks run in parallel and the board is shared, so writes are
+  // serialized (a data race under TSan at CC_THREADS > 1 otherwise).
+  std::mutex board_mu;
   const Mat61 payload = counting_matrix(n);
   const auto leaky_reduction = [&](int i) {
     Message m = bits_of(0, 1 + static_cast<int>(payload.get(i, 0) % 3));
+    const std::lock_guard<std::mutex> lock(board_mu);
     board.write(i, m);
     return m;
   };

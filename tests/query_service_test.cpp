@@ -305,7 +305,8 @@ TEST(QueryService, HopChainAnswersExactHopBudgets) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  QueryService heavy(g, {1000000, 1000000});
+  // Spelled-out vector: a bare two-number list would also initialize Config.
+  QueryService heavy(g, std::vector<std::uint32_t>{1000000, 1000000});
   EXPECT_EQ(heavy.answer_one(Query::reach(0, 2, 2)), 1u);
   EXPECT_EQ(heavy.answer_one(Query::reach(0, 2, 1)), 0u);
   EXPECT_EQ(heavy.answer_one(Query::dist(0, 2)), 2000000u);

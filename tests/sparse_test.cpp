@@ -1,12 +1,10 @@
-// Tests for the sparse & sharded matrix substrate: CSR storage over both
-// carriers (linalg/sparse), the sparse local kernels and their CC_THREADS
-// determinism (linalg/kernels), the ShardLayout generalization of the block
-// decomposition (core/block_mm.h — the row instance must reproduce PR 3's
-// schedule bit-for-bit, the block instance must agree on values), the
-// nnz-declared sparse MM schedule with its announcement phase and crossover
-// rule (core/sparse_mm), the backend-routed counting/APSP entry points, the
-// O(n + m) G(n, p) edge sampler, and the oblivious-guard contract around
-// declared nnz dependence.
+// Tests for the sparse matrix substrate: CSR storage over both carriers
+// (linalg/sparse), the sparse local kernels and their CC_THREADS
+// determinism (linalg/kernels), the nnz-declared sparse MM schedule with
+// its announcement phase and crossover rule (core/sparse_mm), the
+// backend-routed counting entry points (the APSP backends are tested in
+// apsp_test), the O(n + m) G(n, p) edge sampler, and the oblivious-guard
+// contract around declared nnz dependence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,8 +13,6 @@
 
 #include "analysis/oblivious_guard.h"
 #include "core/algebraic_mm.h"
-#include "core/apsp.h"
-#include "core/block_mm.h"
 #include "core/sparse_mm.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
@@ -206,83 +202,6 @@ TEST(SparseKernels, ThreadCountNeverChangesABit) {
   }
 }
 
-// ----------------------------------------------------------- shard layouts
-
-TEST(ShardLayout, RowInstanceReproducesDensePlanExactly) {
-  for (int n : {5, 27, 64}) {
-    const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, 64);
-    const AlgebraicMmPlan sharded =
-        sharded_mm_plan(n, 61, 64, blockmm::RowShardLayout());
-    EXPECT_EQ(sharded.total_rounds, dense.total_rounds);
-    EXPECT_EQ(sharded.total_bits, dense.total_bits);
-    EXPECT_EQ(sharded.distribute_rounds, dense.distribute_rounds);
-    EXPECT_EQ(sharded.aggregate_rounds, dense.aggregate_rounds);
-    EXPECT_EQ(sharded.max_player_send_bits, dense.max_player_send_bits);
-  }
-}
-
-TEST(ShardLayout, RowShardedRunMatchesDenseRunByteForByte) {
-  Rng rng(301);
-  const int n = 27;
-  const Mat61 a = Mat61::random(n, rng);
-  const Mat61 b = Mat61::random(n, rng);
-  CliqueUnicast net_dense(n, 64), net_sharded(n, 64);
-  Mat61 c_dense, c_sharded;
-  const AlgebraicMmResult rd = algebraic_mm_m61(net_dense, a, b, &c_dense);
-  const AlgebraicMmResult rs = algebraic_mm_m61_sharded(
-      net_sharded, a, b, &c_sharded, blockmm::RowShardLayout());
-  EXPECT_TRUE(c_dense == c_sharded);
-  EXPECT_EQ(rd.total_rounds, rs.total_rounds);
-  EXPECT_EQ(rd.total_bits, rs.total_bits);
-  EXPECT_EQ(net_dense.stats().total_bits, net_sharded.stats().total_bits);
-  EXPECT_EQ(net_dense.stats().rounds, net_sharded.stats().rounds);
-}
-
-TEST(ShardLayout, BlockShardedProductAgreesOnValues) {
-  Rng rng(302);
-  for (int n : {8, 27, 50}) {
-    const blockmm::BlockShardLayout layout(n);
-    const Mat61 a = Mat61::random(n, rng);
-    const Mat61 b = Mat61::random(n, rng);
-    CliqueUnicast net(n, 64);
-    Mat61 c;
-    const AlgebraicMmResult r = algebraic_mm_m61_sharded(net, a, b, &c, layout);
-    EXPECT_TRUE(c == m61_multiply_schoolbook(a, b));
-    EXPECT_EQ(r.total_rounds, r.plan.total_rounds);  // CC_CHECKed inside too
-    EXPECT_GT(r.total_bits, 0u);
-  }
-}
-
-TEST(ShardLayout, BlockShardedMinPlusAgreesWithDense) {
-  Rng rng(303);
-  const int n = 27;
-  const TropicalMat a = TropicalMat::random(n, rng, 1000, 0.4);
-  const TropicalMat b = TropicalMat::random(n, rng, 1000, 0.4);
-  CliqueUnicast net(n, 64);
-  TropicalMat c;
-  min_plus_mm_sharded(net, a, b, &c, blockmm::BlockShardLayout(n));
-  EXPECT_TRUE(c == tropical_multiply_schoolbook(a, b));
-}
-
-TEST(ShardLayout, BlockLayoutBalancesOwnership) {
-  for (int n : {16, 100, 216}) {
-    const blockmm::BlockShardLayout layout(n);
-    std::vector<std::int64_t> held(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        const int o = layout.owner(i, j);
-        ASSERT_GE(o, 0);
-        ASSERT_LT(o, n);
-        ++held[static_cast<std::size_t>(o)];
-      }
-    }
-    // O(n^2 / p) per player: one square tile plus rounding slack.
-    const std::int64_t cap =
-        4 * static_cast<std::int64_t>(layout.tile()) * layout.tile();
-    for (int v = 0; v < n; ++v) EXPECT_LE(held[static_cast<std::size_t>(v)], cap);
-  }
-}
-
 // ------------------------------------------------------ sparse MM schedule
 
 TEST(SparseMm, ProductMatchesDenseBothRings) {
@@ -402,37 +321,6 @@ TEST(CountBackend, DefaultBackendScheduleIsUnchanged) {
   EXPECT_EQ(net.stats().total_bits,
             r.mm.plan.total_bits +
                 static_cast<std::uint64_t>(30) * 29 * 3 * 61);
-}
-
-TEST(ApspSparse, DistancesMatchDijkstraAndDenseRun) {
-  Rng rng(503);
-  for (const Graph& g : {random_tree(22, rng), gnp(22, 0.1, rng)}) {
-    std::vector<std::uint32_t> w(g.num_edges());
-    for (auto& x : w) x = static_cast<std::uint32_t>(rng.uniform(50));
-    CliqueUnicast net(g.num_vertices(), 64);
-    const ApspSparseResult sparse = apsp_run_sparse(net, g, w);
-    EXPECT_TRUE(sparse.dist == apsp_dijkstra_reference(g, w));
-    CliqueUnicast net_dense(g.num_vertices(), 64);
-    const ApspResult dense = apsp_run(net_dense, g, w);
-    EXPECT_TRUE(sparse.dist == dense.dist);
-    ASSERT_FALSE(sparse.steps.empty());
-    // A tree / sparse G(n, p) one-step matrix sits far below the crossover.
-    EXPECT_TRUE(sparse.steps.front().used_sparse);
-  }
-}
-
-TEST(ApspSparse, StepsRecordDensification) {
-  Rng rng(504);
-  const Graph g = gnp(33, 0.15, rng);
-  std::vector<std::uint32_t> w(g.num_edges(), 1);
-  CliqueUnicast net(33, 64);
-  const ApspSparseResult r = apsp_run_sparse(net, g, w);
-  // nnz is monotone under min-plus squaring (an entry once finite stays
-  // finite), and every step records the profile it declared.
-  for (std::size_t s = 1; s < r.steps.size(); ++s) {
-    EXPECT_GE(r.steps[s].declared_nnz, r.steps[s - 1].declared_nnz);
-  }
-  EXPECT_GT(r.total_bits, 0u);
 }
 
 // ------------------------------------------------------------- gnp_edges

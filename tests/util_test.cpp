@@ -261,6 +261,16 @@ TEST(MathUtil, FloorLog2) {
   EXPECT_EQ(floor_log2(1024), 10);
 }
 
+TEST(MathUtil, CeilLog2) {
+  EXPECT_EQ(ceil_log2(1), 0);
+  EXPECT_EQ(ceil_log2(2), 1);
+  EXPECT_EQ(ceil_log2(3), 2);
+  EXPECT_EQ(ceil_log2(4), 2);
+  EXPECT_EQ(ceil_log2(5), 3);
+  EXPECT_EQ(ceil_log2((1ULL << 31) - 1), 31);
+  EXPECT_EQ(ceil_log2(1ULL << 31), 31);
+}
+
 TEST(MathUtil, Isqrt) {
   EXPECT_EQ(isqrt(0), 0u);
   EXPECT_EQ(isqrt(15), 3u);
