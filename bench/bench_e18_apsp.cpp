@@ -46,19 +46,18 @@ int main(int argc, char** argv) {
     const TropicalMat b = TropicalMat::random(n, rng, 1u << 24, 0.3);
     CliqueUnicast net(n, 64);
     TropicalMat c;
-    const MinPlusResult r = min_plus_mm(net, a, b, &c);
+    const AlgebraicMmPlan plan = min_plus_mm(net, a, b, &c);
     const bool ok = c == tropical_multiply_schoolbook(a, b);
     const AlgebraicMmPlan m61 = algebraic_mm_plan(n, 61, 64);
-    mm.add_row({cell("%d", n), "64", cell("%d", r.plan.grid),
-                cell("%d", r.plan.block), cell("%d", r.total_rounds),
-                cell("%d", r.distribute_rounds), cell("%d", r.aggregate_rounds),
-                cell("%llu", static_cast<unsigned long long>(r.total_bits)),
-                ok ? "yes" : "NO", cell("%d", r.plan.total_rounds),
-                (r.plan.total_rounds == m61.total_rounds &&
-                 r.plan.total_bits == m61.total_bits)
+    mm.add_row({cell("%d", n), "64", cell("%d", plan.grid),
+                cell("%d", plan.block), cell("%d", net.stats().rounds),
+                cell("%d", plan.distribute_rounds), cell("%d", plan.aggregate_rounds),
+                cell("%llu", static_cast<unsigned long long>(net.stats().total_bits)),
+                ok ? "yes" : "NO", cell("%d", plan.total_rounds),
+                (plan.total_rounds == m61.total_rounds && plan.total_bits == m61.total_bits)
                     ? "yes"
                     : "NO",
-                cell("%.1f", r.plan.series_rounds)});
+                cell("%.1f", plan.series_rounds)});
   }
   mm.print();
   std::printf("one distance product rides the E17 ring schedule verbatim: the\n"

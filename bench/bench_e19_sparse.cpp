@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   // backends below decide by. "sparse/dense" < 1 means the sparse branch
   // wins even after paying its announcement.
   const int n = 125;
+  const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, 64);
   Table sw({"n", "density", "nnz", "rounds", "bits", "announce bits",
             "dense bits", "ok", "sparse/dense", "preferred"},
            {kP, kP, kM, kM, kM, kM, kM, kM, kD, kD});
@@ -65,19 +66,20 @@ int main(int argc, char** argv) {
     const Csr61 sa = Csr61::from_dense(a);
     CliqueUnicast net(n, 64);
     Mat61 c;
-    const SparseMmResult r = sparse_mm_m61(net, sa, sa, &c);
+    const SparseMmPlan plan = sparse_mm_m61(net, sa, sa, &c);
     const bool ok = c == m61_multiply_schoolbook(a, a);
+    const CommStats& st = net.stats();
     sw.add_row(
         {cell("%d", n), cell("%.2f", d),
-         cell("%llu", static_cast<unsigned long long>(r.plan.a_nnz)),
-         cell("%d", r.total_rounds),
-         cell("%llu", static_cast<unsigned long long>(r.total_bits)),
-         cell("%llu", static_cast<unsigned long long>(r.plan.announce_bits)),
-         cell("%llu", static_cast<unsigned long long>(r.plan.dense_bits)),
+         cell("%llu", static_cast<unsigned long long>(plan.a_nnz)),
+         cell("%d", st.rounds),
+         cell("%llu", static_cast<unsigned long long>(st.total_bits)),
+         cell("%llu", static_cast<unsigned long long>(plan.announce_bits)),
+         cell("%llu", static_cast<unsigned long long>(dense.total_bits)),
          ok ? "yes" : "NO",
-         cell("%.3f", static_cast<double>(r.total_bits) /
-                          static_cast<double>(r.plan.dense_bits)),
-         sparse_backend_preferred(r.plan) ? "sparse" : "dense"});
+         cell("%.3f", static_cast<double>(st.total_bits) /
+                          static_cast<double>(dense.total_bits)),
+         sparse_backend_preferred(plan, dense) ? "sparse" : "dense"});
   }
   sw.print();
   std::printf("a stored entry costs index_bits + 61 vs 61 on the dense path,\n"
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
       const ApspResult r = apsp_run(net, inst.g, w, CountBackend::kAuto);
       const bool ok = r.dist == apsp_dijkstra_reference(inst.g, w);
       std::string schedule;
-      for (const ApspStep& s : r.steps) {
+      for (const ProductStep& s : r.steps) {
         schedule += s.used_sparse ? 'S' : 'D';
       }
       CliqueUnicast net_dense(nn, 64);

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "util/bitvec.h"
+#include "util/check.h"
 
 namespace cclique {
 
@@ -73,6 +74,30 @@ struct CommStats {
            per_player_recv_bits == o.per_player_recv_bits;
   }
   bool operator!=(const CommStats& o) const { return !(*this == o); }
+};
+
+/// The rounds and bits an engine charged since this snapshot of its live
+/// stats() — the one measured-versus-plan check every planned protocol
+/// ends with. Holds a reference: the engine must outlive the snapshot.
+class ChargedSince {
+ public:
+  explicit ChargedSince(const CommStats& live)
+      : live_(live), rounds_(live.rounds), bits_(live.total_bits) {}
+
+  int rounds() const { return live_.rounds - rounds_; }
+  std::uint64_t bits() const { return live_.total_bits - bits_; }
+
+  /// CC_CHECKs that exactly the planned rounds and bits were charged;
+  /// `what` is the InvariantError message otherwise.
+  void check(int planned_rounds, std::uint64_t planned_bits, const char* what) const {
+    CC_CHECK(rounds() == planned_rounds, what);
+    CC_CHECK(bits() == planned_bits, what);
+  }
+
+ private:
+  const CommStats& live_;
+  int rounds_;
+  std::uint64_t bits_;
 };
 
 }  // namespace cclique

@@ -1,95 +1,17 @@
 #include "core/algebraic_mm.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "core/block_mm.h"
-#include "linalg/kernels.h"
+#include "core/sparse_mm.h"
 #include "util/math_util.h"
 
 namespace cclique {
 
 namespace {
-
-/// Ring adapters: everything run_block_mm needs from an element type.
-/// Elements travel as word_bits-wide fields (push_uint/read_uint
-/// round-trip); Matrix(n) is the all-zero matrix — the additive identity
-/// both rings pad blocks with.
-struct F2Ops {
-  using Matrix = F2Matrix;
-  static constexpr int kWordBits = 1;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j) ? 1 : 0; }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, (v & 1ULL) != 0); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) {
-    if ((v & 1ULL) != 0) m.set(i, j, !m.get(i, j));
-  }
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    return f2_multiply_naive(a, b);
-  }
-};
-
-struct M61Ops {
-  using Matrix = Mat61;
-  static constexpr int kWordBits = 61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    // Local compute between metered phases: the kernel/thread choice (the
-    // CC_KERNEL / CC_THREADS knobs) changes wall-clock only, never the
-    // product values or any CommStats counter.
-    return m61_multiply_dispatch(a, b);
-  }
-};
-
-template <typename Ops>
-AlgebraicMmResult run_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
-                         const typename Ops::Matrix& b, typename Ops::Matrix* c) {
-  const AlgebraicMmPlan plan =
-      algebraic_mm_plan(a.n(), Ops::kWordBits, net.bandwidth());
-  return blockmm::run_block_mm<Ops, AlgebraicMmResult>(net, a, b, c, plan);
-}
-
-/// Shares a tuple of 61-bit local partials per player with everyone (the
-/// clique-wide sum exchange ending both counting protocols) and sums each
-/// field mod p into *totals. Returns the rounds used.
-int share_partials(CliqueUnicast& net, const std::vector<std::vector<std::uint64_t>>& fields,
-                   std::vector<std::uint64_t>* totals) {
-  const int n = net.n();
-  const std::size_t nf = fields.size();
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    Message m;
-    for (std::size_t f = 0; f < nf; ++f) m.push_uint(fields[f][static_cast<std::size_t>(v)], 61);
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = m;
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads(net, payload, &recv);
-  totals->assign(nf, 0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    for (int v = 0; v < n; ++v) {
-      (*totals)[f] = Mersenne61::add((*totals)[f], fields[f][static_cast<std::size_t>(v)]);
-    }
-  }
-  // Every player can reproduce the same totals from its inbox; the check
-  // below asserts the exchange actually delivered the fields intact for
-  // player 0 (cheap representative of the clique-wide agreement).
-  if (n > 1) {
-    for (int v = 1; v < n; ++v) {
-      const Message& m = recv[0][static_cast<std::size_t>(v)];
-      for (std::size_t f = 0; f < nf; ++f) {
-        CC_CHECK(m.read_uint(f * 61, 61) == fields[f][static_cast<std::size_t>(v)],
-                 "partial-sum exchange corrupted a field");
-      }
-    }
-  }
-  return rounds;
-}
 
 /// The per-player counting statistics, in the combined share's wire order.
 enum class CountField {
@@ -125,9 +47,9 @@ std::uint64_t local_share(CountField f, const Graph& g, const Mat61& a2, int v) 
 }
 
 /// The closing exchange of every counting protocol: each player computes
-/// its shares of `fields` (one 61-bit field each, in the given order) and
-/// share_partials ships them in one message per ordered pair. *totals gets
-/// the clique-wide sums in `fields` order; returns the rounds used.
+/// its 61-bit shares of `fields` and ships them, in `fields` order, in one
+/// message per ordered pair. *totals gets the clique-wide sums mod p in
+/// `fields` order; returns the rounds used.
 int share_counting_fields(CliqueUnicast& net, const Graph& g, const Mat61& a2,
                           const std::vector<CountField>& fields,
                           std::vector<std::uint64_t>* totals) {
@@ -141,7 +63,30 @@ int share_counting_fields(CliqueUnicast& net, const Graph& g, const Mat61& a2,
     for (int v = 0; v < n; ++v) share[v] = local_share(f, g, a2, v);
     shares.push_back(share.take());
   }
-  return share_partials(net, shares, totals);
+  std::vector<std::vector<Message>> payload(
+      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  for (int v = 0; v < n; ++v) {
+    Message m;
+    for (const auto& share : shares) m.push_uint(share[static_cast<std::size_t>(v)], 61);
+    for (int j = 0; j < n; ++j) {
+      if (j != v) payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = m;
+    }
+  }
+  std::vector<std::vector<Message>> recv;
+  const int rounds = unicast_payloads(net, payload, &recv);
+  totals->assign(shares.size(), 0);
+  for (std::size_t f = 0; f < shares.size(); ++f) {
+    for (int v = 0; v < n; ++v) {
+      const std::uint64_t share = shares[f][static_cast<std::size_t>(v)];
+      (*totals)[f] = Mersenne61::add((*totals)[f], share);
+      // Every player can reproduce the same totals from its inbox; player
+      // 0's must hold every field intact (cheap representative of the
+      // clique-wide agreement).
+      CC_CHECK(v == 0 || recv[0][static_cast<std::size_t>(v)].read_uint(f * 61, 61) == share,
+               "partial-sum exchange corrupted a field");
+    }
+  }
+  return rounds;
 }
 
 /// #triangles = trace(A^3) / 6: each triangle closes six 3-walks.
@@ -160,80 +105,125 @@ std::uint64_t four_cycles_from_trace(std::uint64_t trace4, std::uint64_t sum_deg
   return numerator / 8;
 }
 
+/// The closing exchange's schedule: one `fields`-wide 61-bit message per
+/// ordered pair, chunked like every unicast_payloads exchange (nothing to
+/// share on a 1-clique).
+struct ShareCost {
+  int rounds = 0;
+  std::uint64_t bits = 0;
+};
+
+ShareCost share_cost(int n, int bandwidth, std::size_t fields) {
+  if (n < 2) return {};
+  const std::uint64_t len = 61u * fields;
+  return {static_cast<int>(ceil_div(len, static_cast<std::uint64_t>(bandwidth))),
+          static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * len};
+}
+
+/// Preconditions of every counting entry point, checked before any pricing.
+void require_countable(const CliqueUnicast& net, const Graph& g) {
+  const int n = g.num_vertices();
+  CC_REQUIRE(net.n() == n, "one player per vertex");
+  CC_REQUIRE(n >= 1 && n <= (1 << 15), "exact counting needs trace(A^4) < 2^61");
+}
+
+/// The counting body behind all three entry points: the A·A product routed
+/// on `backend` against the dense plan `dense`, then one exchange of
+/// `fields`. *a2 gets the product and *totals the clique-wide sums in
+/// `fields` order; the returned result carries everything but `count`. The
+/// whole run is CC_CHECKed against the product step's plan plus the
+/// exchange.
+AlgebraicCountResult run_counting(CliqueUnicast& net, const Graph& g, CountBackend backend,
+                                  const AlgebraicMmPlan& dense,
+                                  const std::vector<CountField>& fields, Mat61* a2,
+                                  std::vector<std::uint64_t>* totals) {
+  const ChargedSince charged(net.stats());
+  AlgebraicCountResult out;
+  ProductStep& product = out;
+  product = run_routed_square<blockmm::M61Ops>(net, Mat61::adjacency(g), a2, backend, dense);
+  out.share_rounds = share_counting_fields(net, g, *a2, fields, totals);
+  out.total_rounds = out.planned_rounds + out.share_rounds;
+  const ShareCost share = share_cost(g.num_vertices(), net.bandwidth(), fields.size());
+  CC_CHECK(out.share_rounds == share.rounds, "counting share left the planned schedule");
+  charged.check(out.planned_rounds + share.rounds, out.planned_bits + share.bits,
+                "counting left the planned schedule");
+  return out;
+}
+
 }  // namespace
 
 AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
   // Plan functions are length sinks: the schedule is a function of
   // (n, w, b) alone, and the guard proves no payload read sneaks in.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("algebraic_mm_plan"));
+  CC_REQUIRE(word_bits >= 1 && word_bits <= 64, "word width out of range");
+  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
+  const blockmm::BlockGrid g(n);
   AlgebraicMmPlan plan;
-  blockmm::fill_plan_schedule(&plan, n, word_bits, bandwidth);
+  plan.n = n;
+  plan.grid = g.m;
+  plan.block = g.bs;
+  plan.word_bits = word_bits;
+  plan.bandwidth = bandwidth;
+  const blockmm::LengthMatrix dist = blockmm::distribute_lengths(g, word_bits);
+  const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
+  const blockmm::RelayCost dc = blockmm::relay_cost(dist, n, bandwidth);
+  const blockmm::RelayCost ac = blockmm::relay_cost(agg, n, bandwidth);
+  plan.distribute_rounds = dc.rounds;
+  plan.aggregate_rounds = ac.rounds;
+  plan.total_rounds = dc.rounds + ac.rounds;
+  plan.total_bits = dc.bits + ac.bits;
+  for (int v = 0; v < n; ++v) {
+    std::uint64_t send = 0;
+    for (int p = 0; p < n; ++p) {
+      send += dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +
+              agg[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+    }
+    plan.max_player_send_bits = std::max(plan.max_player_send_bits, send);
+  }
+  const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(n)));
+  plan.series_rounds = 6.0 * cbrt_n * static_cast<double>(word_bits) /
+                       static_cast<double>(bandwidth);
   return plan;
 }
 
-AlgebraicMmResult algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
-                                  const F2Matrix& b, F2Matrix* c) {
-  return run_mm<F2Ops>(net, a, b, c);
+AlgebraicMmPlan algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
+                                const F2Matrix& b, F2Matrix* c) {
+  const AlgebraicMmPlan plan =
+      algebraic_mm_plan(a.n(), blockmm::F2Ops::kWordBits, net.bandwidth());
+  blockmm::run_block_mm<blockmm::F2Ops>(net, a, b, c, plan);
+  return plan;
 }
 
-AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
-                                   const Mat61& b, Mat61* c) {
-  return run_mm<M61Ops>(net, a, b, c);
+AlgebraicMmPlan algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
+                                 const Mat61& b, Mat61* c) {
+  const AlgebraicMmPlan plan =
+      algebraic_mm_plan(a.n(), blockmm::M61Ops::kWordBits, net.bandwidth());
+  blockmm::run_block_mm<blockmm::M61Ops>(net, a, b, c, plan);
+  return plan;
 }
 
 AlgebraicCountResult triangle_count_algebraic(CliqueUnicast& net, const Graph& g) {
-  const int n = g.num_vertices();
-  CC_REQUIRE(net.n() == n, "one player per vertex");
-  CC_REQUIRE(n >= 1 && n <= (1 << 15), "exact counting needs trace(A^3) < 2^61");
-  const Mat61 a = Mat61::adjacency(g);
+  require_countable(net, g);
   Mat61 a2;
-  AlgebraicCountResult out;
-  out.mm = algebraic_mm_m61(net, a, a, &a2);
-
   std::vector<std::uint64_t> totals;
-  out.share_rounds =
-      share_counting_fields(net, g, a2, {CountField::kTrace3}, &totals);
+  const AlgebraicMmPlan dense = algebraic_mm_plan(net.n(), /*word_bits=*/61, net.bandwidth());
+  AlgebraicCountResult out = run_counting(net, g, CountBackend::kDense, dense,
+                                          {CountField::kTrace3}, &a2, &totals);
   out.count = triangles_from_trace(totals[0]);
-  out.total_rounds = out.mm.total_rounds + out.share_rounds;
   return out;
 }
 
 AlgebraicCountResult four_cycle_count_algebraic(CliqueUnicast& net, const Graph& g,
                                                 CountBackend backend) {
-  const int n = g.num_vertices();
-  CC_REQUIRE(net.n() == n, "one player per vertex");
-  CC_REQUIRE(n >= 1 && n <= (1 << 15), "exact counting needs trace(A^4) < 2^61");
-  const Mat61 a = Mat61::adjacency(g);
+  require_countable(net, g);
   Mat61 a2;
-  AlgebraicCountResult out;
-  int mm_rounds = 0;
-  if (backend == CountBackend::kDense) {
-    out.mm = algebraic_mm_m61(net, a, a, &a2);
-    mm_rounds = out.mm.total_rounds;
-  } else {
-    const Csr61 sa = Csr61::from_dense(a);
-    const SparseNnzProfile profile = declared_nnz_profile(sa, sa);
-    const SparseMmPlan splan =
-        sparse_mm_plan(n, /*word_bits=*/61, net.bandwidth(), profile);
-    out.used_sparse =
-        backend == CountBackend::kSparse || sparse_backend_preferred(splan);
-    if (out.used_sparse) {
-      out.sparse_mm = sparse_mm_m61(net, sa, sa, &a2);
-      mm_rounds = out.sparse_mm.total_rounds;
-    } else {
-      // kAuto chose dense: the decision itself consumed the announcement,
-      // then the oblivious schedule runs unchanged.
-      out.announce_rounds = run_nnz_announcement(net, profile, splan.count_bits);
-      out.mm = algebraic_mm_m61(net, a, a, &a2);
-      mm_rounds = out.announce_rounds + out.mm.total_rounds;
-    }
-  }
-
   std::vector<std::uint64_t> totals;
-  out.share_rounds = share_counting_fields(
-      net, g, a2, {CountField::kTrace4, CountField::kDeg2, CountField::kDeg}, &totals);
+  const AlgebraicMmPlan dense = algebraic_mm_plan(net.n(), /*word_bits=*/61, net.bandwidth());
+  AlgebraicCountResult out =
+      run_counting(net, g, backend, dense,
+                   {CountField::kTrace4, CountField::kDeg2, CountField::kDeg}, &a2, &totals);
   out.count = four_cycles_from_trace(totals[0], totals[1], totals[2]);
-  out.total_rounds = mm_rounds + out.share_rounds;
   return out;
 }
 
@@ -246,50 +236,26 @@ CountingArtifactPlan counting_artifacts_plan(int n, int bandwidth) {
   CountingArtifactPlan plan;
   plan.n = n;
   plan.product = algebraic_mm_plan(n, /*word_bits=*/61, bandwidth);
-  // One 4-field 61-bit message per ordered pair, chunked like every
-  // unicast_payloads exchange (nothing to share on a 1-clique).
-  plan.share_rounds =
-      n >= 2 ? static_cast<int>(ceil_div(4 * 61, static_cast<std::uint64_t>(bandwidth)))
-             : 0;
-  plan.total_rounds = plan.product.total_rounds + plan.share_rounds;
-  plan.total_bits =
-      plan.product.total_bits +
-      (n >= 2 ? static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 4 * 61u
-              : 0u);
+  const ShareCost share = share_cost(n, bandwidth, 4);
+  plan.share_rounds = share.rounds;
+  plan.total_rounds = plan.product.total_rounds + share.rounds;
+  plan.total_bits = plan.product.total_bits + share.bits;
   return plan;
 }
 
 CountingArtifact counting_artifacts_run(CliqueUnicast& net, const Graph& g) {
-  const int n = g.num_vertices();
-  CC_REQUIRE(net.n() == n, "one player per vertex");
-  CC_REQUIRE(n >= 1 && n <= (1 << 15), "exact counting needs trace(A^4) < 2^61");
+  require_countable(net, g);
   CountingArtifact out;
-  out.plan = counting_artifacts_plan(n, net.bandwidth());
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
-
-  const Mat61 a = Mat61::adjacency(g);
-  // The product runs against the plan priced above instead of re-pricing it.
-  blockmm::run_block_mm<M61Ops, AlgebraicMmResult>(net, a, a, &out.a2, out.plan.product);
-
+  out.plan = counting_artifacts_plan(net.n(), net.bandwidth());
   // All four counting statistics in one exchange (see the standalone
-  // protocols above for the identities).
+  // protocols above for the identities); the product runs against the plan
+  // priced above instead of re-pricing it.
   std::vector<std::uint64_t> totals;
-  const int share_rounds = share_counting_fields(
-      net, g, out.a2,
-      {CountField::kTrace3, CountField::kTrace4, CountField::kDeg2, CountField::kDeg},
-      &totals);
+  run_counting(net, g, CountBackend::kDense, out.plan.product,
+               {CountField::kTrace3, CountField::kTrace4, CountField::kDeg2, CountField::kDeg},
+               &out.a2, &totals);
   out.triangles = triangles_from_trace(totals[0]);
   out.four_cycles = four_cycles_from_trace(totals[1], totals[2], totals[3]);
-
-  out.total_rounds = net.stats().rounds - rounds_before;
-  out.total_bits = net.stats().total_bits - bits_before;
-  CC_CHECK(share_rounds == out.plan.share_rounds,
-           "counting share left the planned schedule");
-  CC_CHECK(out.total_rounds == out.plan.total_rounds,
-           "counting-artifact rounds diverged from the planned schedule");
-  CC_CHECK(out.total_bits == out.plan.total_bits,
-           "counting-artifact bits diverged from the planned schedule");
   return out;
 }
 

@@ -24,7 +24,8 @@
 // The decomposition itself is algebra-agnostic and lives in the shared
 // driver core/block_mm.h; this module instantiates it for the two rings
 // (GF(2), F_{2^61-1}), and core/apsp instantiates the same driver — and
-// the same plan shape below — for the tropical (min, +) semiring.
+// the same plan below — for the tropical (min, +) semiring. Every product
+// returns the plan it was checked against.
 //
 // On top of the product: exact triangle and 4-cycle counting over
 // F_{2^61-1} (linalg/mat61). One distributed product A² suffices for both —
@@ -37,7 +38,6 @@
 #include <cstdint>
 
 #include "comm/clique_unicast.h"
-#include "core/sparse_mm.h"
 #include "graph/graph.h"
 #include "linalg/f2matrix.h"
 #include "linalg/mat61.h"
@@ -69,25 +69,17 @@ struct AlgebraicMmPlan {
 /// word_bits-bit elements at the given per-edge bandwidth.
 AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth);
 
-/// Outcome of one distributed product.
-struct AlgebraicMmResult {
-  AlgebraicMmPlan plan;
-  int distribute_rounds = 0;  ///< measured; equals plan.distribute_rounds
-  int aggregate_rounds = 0;   ///< measured; equals plan.aggregate_rounds
-  int total_rounds = 0;       ///< measured; equals plan.total_rounds
-  std::uint64_t total_bits = 0;  ///< measured; equals plan.total_bits
-};
-
 /// Distributed C = A·B over GF(2) (word-packed F2Matrix; 1 bit/element).
 /// Player v holds row v of A and B and ends holding row v of C; `*c`
-/// assembles all rows. Throws ModelViolation/InvariantError if the run
-/// leaves the planned schedule.
-AlgebraicMmResult algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
-                                  const F2Matrix& b, F2Matrix* c);
+/// assembles all rows. Returns the plan the run was CC_CHECKed against
+/// (the measured CommStats delta equals its rounds and bits); throws
+/// ModelViolation/InvariantError if the run leaves it.
+AlgebraicMmPlan algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,
+                                const F2Matrix& b, F2Matrix* c);
 
 /// Distributed C = A·B over F_{2^61-1} (61 bits/element).
-AlgebraicMmResult algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
-                                   const Mat61& b, Mat61* c);
+AlgebraicMmPlan algebraic_mm_m61(CliqueUnicast& net, const Mat61& a,
+                                 const Mat61& b, Mat61* c);
 
 /// Which distributed-product backend a protocol runs its squarings through
 /// (the counting protocols' A·A product, apsp_run's distance squarings).
@@ -99,18 +91,26 @@ enum class CountBackend {
             ///< crossover rule (sparse_backend_preferred) prices cheaper
 };
 
-/// Outcome of an exact counting protocol (triangles or 4-cycles).
-struct AlgebraicCountResult {
+/// One routed product (run_routed_square, core/sparse_mm.h) — an APSP
+/// squaring or a counting protocol's A·A: which schedule carried it and
+/// what that schedule was planned to cost.
+struct ProductStep {
+  bool used_sparse = false;  ///< the sparse schedule carried this product
+  /// Explicit entries of the operand as declared to the sparse planner (the
+  /// profile's a_nnz); 0 on kDense, which declares nothing.
+  std::uint64_t declared_nnz = 0;
+  int planned_rounds = 0;          ///< chosen branch's plan, announcement included
+  std::uint64_t planned_bits = 0;  ///< chosen branch's plan, announcement included
+};
+
+/// Outcome of an exact counting protocol (triangles or 4-cycles): the A·A
+/// product's step record — branch, declared nnz, the product's planned
+/// rounds/bits — plus the closing partial-sum exchange. The run's CommStats
+/// delta is CC_CHECKed to equal the product's plan plus the exchange.
+struct AlgebraicCountResult : ProductStep {
   std::uint64_t count = 0;
-  AlgebraicMmResult mm;   ///< the dense A·A product (when !used_sparse)
-  SparseMmResult sparse_mm;  ///< the sparse A·A product (when used_sparse)
-  bool used_sparse = false;  ///< which branch ran
-  /// Standalone announcement cost — nonzero only when kAuto priced the
-  /// profile and then chose the dense branch (the sparse branch's
-  /// announcement is inside sparse_mm).
-  int announce_rounds = 0;
   int share_rounds = 0;   ///< final 61-bit partial-sum exchange
-  int total_rounds = 0;   ///< product (+ announcement) + share_rounds
+  int total_rounds = 0;   ///< planned_rounds + share_rounds
 };
 
 /// Exact number of triangles of g via diag(A³) over F_{2^61-1}:
@@ -125,7 +125,7 @@ AlgebraicCountResult triangle_count_algebraic(CliqueUnicast& net, const Graph& g
 /// backend-independent; kDense (the default) reproduces the committed
 /// baseline schedule bit-for-bit, kAuto routes the product through the
 /// sparse schedule when the graph's density is below the crossover
-/// (core/sparse_mm.h).
+/// (core/sparse_mm.h), declaring and pricing the profile once.
 AlgebraicCountResult four_cycle_count_algebraic(
     CliqueUnicast& net, const Graph& g,
     CountBackend backend = CountBackend::kDense);
@@ -155,18 +155,16 @@ CountingArtifactPlan counting_artifacts_plan(int n, int bandwidth);
 /// separately this saves a full A·A product and folds the two partial-sum
 /// exchanges into one.
 struct CountingArtifact {
-  CountingArtifactPlan plan;
+  CountingArtifactPlan plan;       ///< what the run was CC_CHECKed against
   Mat61 a2;                        ///< the distributed A·A product
   std::uint64_t triangles = 0;     ///< trace(A³) / 6
   std::uint64_t four_cycles = 0;   ///< (trace(A⁴) − 2Σdeg² + 2|E|) / 8
-  int total_rounds = 0;            ///< measured; equals plan.total_rounds
-  std::uint64_t total_bits = 0;    ///< measured; equals plan.total_bits
 };
 
 /// Runs one A·A product and the combined 4-field share, returning the
 /// artifact above. Counts are identical to the standalone protocols'.
-/// Requires n <= 2^15 (trace(A⁴) <= n^4 < p, exactness). Measured
-/// rounds/bits are CC_CHECKed against counting_artifacts_plan on every run.
+/// Requires n <= 2^15 (trace(A⁴) <= n^4 < p, exactness). The run's
+/// CommStats delta is CC_CHECKed against counting_artifacts_plan.
 CountingArtifact counting_artifacts_run(CliqueUnicast& net, const Graph& g);
 
 }  // namespace cclique

@@ -9,33 +9,9 @@
 #include "analysis/oblivious_guard.h"
 #include "core/block_mm.h"
 #include "core/sparse_mm.h"
-#include "linalg/kernels.h"
 #include "util/math_util.h"
 
 namespace cclique {
-
-namespace {
-
-/// Tropical-semiring adapter for the shared block-MM driver. Elements
-/// serialize as 61-bit words (kTropicalInf = all-ones round-trips through
-/// push_uint/read_uint unchanged) and blocks pad with TropicalMat(n)'s
-/// all-+inf fill — the semiring zero, so padding never changes a product
-/// entry.
-struct TropicalOps {
-  using Matrix = TropicalMat;
-  static constexpr int kWordBits = 61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
-  static Matrix multiply(const Matrix& a, const Matrix& b) {
-    // Local compute between metered phases: the kernel/thread choice (the
-    // CC_KERNEL / CC_THREADS knobs) changes wall-clock only, never the
-    // product values or any CommStats counter.
-    return tropical_multiply_dispatch(a, b);
-  }
-};
-
-}  // namespace
 
 ApspPlan apsp_plan(int n, int bandwidth) {
   // Plan-function sink: the full squaring schedule is priced from (n, b)
@@ -60,48 +36,13 @@ ApspPlan apsp_plan(int n, int bandwidth) {
   return plan;
 }
 
-MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
-                          const TropicalMat& b, TropicalMat* c) {
-  const AlgebraicMmPlan plan = algebraic_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth());
-  return blockmm::run_block_mm<TropicalOps, MinPlusResult>(net, a, b, c, plan);
+AlgebraicMmPlan min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
+                            const TropicalMat& b, TropicalMat* c) {
+  const AlgebraicMmPlan plan =
+      algebraic_mm_plan(a.n(), blockmm::TropicalOps::kWordBits, net.bandwidth());
+  blockmm::run_block_mm<blockmm::TropicalOps>(net, a, b, c, plan);
+  return plan;
 }
-
-namespace {
-
-/// One squaring *next = d ⊗ d on `backend`'s schedule. The dense product
-/// runs against `dense` (priced once per run by apsp_plan); the adaptive
-/// backends declare d's nnz profile first, and kAuto pays the announcement
-/// even when the crossover sends it back to the dense schedule.
-ApspStep square(CliqueUnicast& net, const TropicalMat& d, TropicalMat* next,
-                CountBackend backend, const AlgebraicMmPlan& dense) {
-  ApspStep step;
-  step.planned_rounds = dense.total_rounds;
-  step.planned_bits = dense.total_bits;
-  if (backend != CountBackend::kDense) {
-    // D_s's finite entries are this squaring's explicit structure, so the
-    // crossover is priced against the *current* fill, not the input graph's.
-    const Csr61 cur = Csr61::from_dense(d);
-    const SparseNnzProfile profile = declared_nnz_profile(cur, cur);
-    const SparseMmPlan plan =
-        sparse_mm_plan(d.n(), /*word_bits=*/61, net.bandwidth(), profile);
-    step.declared_nnz = plan.a_nnz;
-    step.used_sparse =
-        backend == CountBackend::kSparse || sparse_backend_preferred(plan);
-    if (step.used_sparse) {
-      sparse_min_plus_mm(net, cur, cur, next);
-      step.planned_rounds = plan.total_rounds;
-      step.planned_bits = plan.total_bits;
-      return step;
-    }
-    run_nnz_announcement(net, profile, plan.count_bits);
-    step.planned_rounds += plan.announce_rounds;
-    step.planned_bits += plan.announce_bits;
-  }
-  blockmm::run_block_mm<TropicalOps, MinPlusResult>(net, d, d, next, dense);
-  return step;
-}
-
-}  // namespace
 
 ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
                     const std::vector<std::uint32_t>& weights,
@@ -112,8 +53,7 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
 
   ApspResult out;
   out.plan = apsp_plan(n, net.bandwidth());
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
+  const ChargedSince charged(net.stats());
 
   // ---- Repeated squaring: D_0 = W (0 diagonal), D_{s+1} = D_s ⊗ D_s.
   // D_s is the exact shortest-path distance over walks of <= 2^s edges, and
@@ -121,7 +61,8 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   // the closure. On kDense every squaring is one full distributed product
   // of the globally-known geometry — weights only change entry *values*,
   // never a payload length — which keeps the run on the data-independent
-  // apsp_plan.
+  // apsp_plan. The adaptive backends declare and price D_s's profile once
+  // per squaring, since the crossover depends on the *current* fill.
   out.dist = TropicalMat::from_weighted_graph(g, weights);
   if (artifacts != nullptr) {
     // Artifact retention is a local copy per squaring: the power chain is
@@ -136,7 +77,8 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   std::uint64_t planned_bits = out.plan.ecc_bits;
   for (int s = 0; s < out.plan.squarings; ++s) {
     TropicalMat next;
-    out.steps.push_back(square(net, out.dist, &next, backend, out.plan.product));
+    out.steps.push_back(run_routed_square<blockmm::TropicalOps>(
+        net, out.dist, &next, backend, out.plan.product));
     planned_rounds += out.steps.back().planned_rounds;
     planned_bits += out.steps.back().planned_bits;
     out.dist = std::move(next);
@@ -165,7 +107,9 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
     }
   }
   std::vector<std::vector<Message>> recv;
-  out.ecc_rounds = unicast_payloads(net, payload, &recv);
+  const int ecc_rounds = unicast_payloads(net, payload, &recv);
+  CC_CHECK(ecc_rounds == out.plan.ecc_rounds,
+           "eccentricity exchange left the planned schedule");
   out.eccentricity = ecc.take();
   if (n > 1) {
     // Player 0's inbox must reproduce the spectrum (cheap representative of
@@ -182,14 +126,9 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   // ---- One whole-run check for every backend: the measured totals equal
   // the per-squaring plans plus the exchange (on kDense that sum is
   // apsp_plan's total by construction).
-  out.total_rounds = net.stats().rounds - rounds_before;
-  out.total_bits = net.stats().total_bits - bits_before;
-  CC_CHECK(out.ecc_rounds == out.plan.ecc_rounds,
-           "eccentricity exchange left the planned schedule");
-  CC_CHECK(out.total_rounds == planned_rounds,
-           "APSP rounds diverged from the planned schedule");
-  CC_CHECK(out.total_bits == planned_bits,
-           "APSP bits diverged from the planned schedule");
+  out.total_rounds = charged.rounds();
+  out.total_bits = charged.bits();
+  charged.check(planned_rounds, planned_bits, "APSP left the planned schedule");
   return out;
 }
 

@@ -64,18 +64,15 @@ struct ApspPlan {
 /// bandwidth >= 1.
 ApspPlan apsp_plan(int n, int bandwidth);
 
-/// Outcome of one distributed distance product (min_plus_mm): the shared
-/// block-MM result shape — measured rounds/bits, equal to the plan.
-using MinPlusResult = AlgebraicMmResult;
-
 /// Distributed distance product C = A ⊗ B over (min, +): player v holds
 /// row v of A and B and ends holding row v of C; `*c` assembles all rows.
 /// Runs the identical [m]^3 relay schedule as algebraic_mm_m61 (61-bit
-/// words). The local block kernel is the CC_KERNEL / CC_THREADS dispatch
-/// (linalg/kernels.h), which never changes values or CommStats. Throws
-/// ModelViolation/InvariantError if the run leaves the planned schedule.
-MinPlusResult min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
-                          const TropicalMat& b, TropicalMat* c);
+/// words) and returns the plan it was CC_CHECKed against. The local block
+/// kernel is the CC_KERNEL / CC_THREADS dispatch (linalg/kernels.h), which
+/// never changes values or CommStats. Throws ModelViolation/InvariantError
+/// if the run leaves the planned schedule.
+AlgebraicMmPlan min_plus_mm(CliqueUnicast& net, const TropicalMat& a,
+                            const TropicalMat& b, TropicalMat* c);
 
 /// Retained intermediate state of one APSP run — the squaring chain the
 /// serving layer (core/query_service) caches so hop-bounded queries are
@@ -88,17 +85,6 @@ struct ApspArtifacts {
   std::vector<TropicalMat> powers;  ///< squarings + 1 matrices
 };
 
-/// One squaring D_{s+1} = D_s ⊗ D_s of apsp_run: which schedule carried
-/// it and what that schedule was planned to cost.
-struct ApspStep {
-  bool used_sparse = false;  ///< the sparse schedule carried this squaring
-  /// Finite entries of D_s as declared to the sparse planner (the
-  /// profile's a_nnz); 0 on kDense, which declares nothing.
-  std::uint64_t declared_nnz = 0;
-  int planned_rounds = 0;          ///< chosen branch's plan, announcement included
-  std::uint64_t planned_bits = 0;  ///< chosen branch's plan, announcement included
-};
-
 /// Outcome of the APSP protocol.
 struct ApspResult {
   /// The oblivious dense schedule. A kDense run follows it exactly; the
@@ -107,14 +93,15 @@ struct ApspResult {
   /// Exact shortest-path distances: dist.get(u, v) = d_w(u, v),
   /// kTropicalInf iff v is unreachable from u. Row v is what player v holds.
   TropicalMat dist;
-  std::vector<ApspStep> steps;  ///< one entry per squaring
+  /// One entry per squaring D_{s+1} = D_s ⊗ D_s; declared_nnz counts the
+  /// finite entries of D_s.
+  std::vector<ProductStep> steps;
   /// ecc[v] = max_u d(v, u); kTropicalInf iff the graph is disconnected.
   std::vector<std::uint64_t> eccentricity;
   std::uint64_t diameter = 0;  ///< max eccentricity (kTropicalInf if disconnected)
   std::uint64_t radius = 0;    ///< min eccentricity
-  int ecc_rounds = 0;     ///< measured; equals plan.ecc_rounds
-  int total_rounds = 0;   ///< measured; steps' planned rounds + ecc_rounds
-  std::uint64_t total_bits = 0;  ///< measured; steps' planned bits + the exchange
+  int total_rounds = 0;   ///< measured; steps' planned rounds + plan.ecc_rounds
+  std::uint64_t total_bits = 0;  ///< measured; steps' planned bits + plan.ecc_bits
 };
 
 /// Runs exact APSP over the clique: player v initially holds row v of the
@@ -127,8 +114,8 @@ struct ApspResult {
 /// `backend` picks the schedule of every squaring, as for the counting
 /// protocols: kDense runs the oblivious product and declares nothing, so
 /// the run follows apsp_plan(n, net.bandwidth()) exactly. kSparse and
-/// kAuto re-declare the current matrix's nnz profile each squaring
-/// (core/sparse_mm.h); kSparse always takes the sparse schedule, kAuto
+/// kAuto declare and price the current matrix's nnz profile once per
+/// squaring (core/sparse_mm.h); kSparse always takes the sparse schedule, kAuto
 /// whichever the crossover rule prices cheaper — distance matrices
 /// *densify* under squaring, so a sparse input typically starts sparse and
 /// crosses to dense. Every backend ends with the same eccentricity

@@ -7,14 +7,14 @@
 // shipped through the two-hop balanced relay (unicast_payloads_relayed).
 // Nothing in the decomposition, the relay schedule, or the plan accounting
 // depends on the *algebra* — only on (n, element width w, bandwidth b). This
-// header factors the geometry (BlockGrid), the data-independent length
-// matrices and relay cost replay, and the generic protocol driver
-// (run_block_mm) out of algebraic_mm.cpp so the min-plus/APSP workload
-// (core/apsp) runs the identical schedule over the tropical semiring.
-// Ownership is whole-row throughout: player v holds row v of A, B and C,
-// and the sparse driver (core/sparse_mm.h) shares the aggregation phase.
+// header holds the geometry (BlockGrid), the data-independent length
+// matrices and relay cost replay, the generic protocol driver
+// (run_block_mm), and the one Ops adapter per carrier, so the ring products
+// (core/algebraic_mm), the min-plus/APSP workload (core/apsp) and the sparse
+// driver (core/sparse_mm.h) run the identical schedule. Ownership is
+// whole-row throughout: player v holds row v of A, B and C.
 //
-// The Ops concept run_block_mm consumes:
+// The Ops concept the drivers consume:
 //
 //   struct Ops {
 //     using Matrix = ...;               // Matrix(int n) = the semiring-zero
@@ -25,10 +25,16 @@
 //     static void set(Matrix&, int i, int j, std::uint64_t v);
 //     static void accumulate(Matrix&, int i, int j, std::uint64_t v);  // ⊕=
 //     static Matrix multiply(const Matrix&, const Matrix&);    // local ⊗
+//     // Sparse carriers only (run_sparse_mm, run_routed_square):
+//     static constexpr SparseRing kRing;                       // CSR ring
+//     static Matrix spmm(const Csr61& a_blk, const Matrix& b_blk);
 //   };
 //
 // Block padding relies on Matrix(n) being the semiring zero so padding rows
-// and columns contribute nothing to any block product.
+// and columns contribute nothing to any block product. The local kernels are
+// the CC_KERNEL / CC_THREADS dispatch (linalg/kernels.h): local compute
+// between metered phases, which changes wall-clock only, never the product
+// values or any CommStats counter.
 #pragma once
 
 #include <algorithm>
@@ -38,11 +44,61 @@
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "comm/clique_unicast.h"
+#include "core/algebraic_mm.h"
+#include "linalg/f2matrix.h"
+#include "linalg/kernels.h"
+#include "linalg/sparse.h"
+#include "linalg/tropical.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
 namespace cclique {
 namespace blockmm {
+
+/// GF(2): one bit per element, XOR accumulation.
+struct F2Ops {
+  using Matrix = F2Matrix;
+  static constexpr int kWordBits = 1;
+  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j) ? 1 : 0; }
+  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, (v & 1ULL) != 0); }
+  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) {
+    if ((v & 1ULL) != 0) m.set(i, j, !m.get(i, j));
+  }
+  static Matrix multiply(const Matrix& a, const Matrix& b) {
+    return f2_multiply_naive(a, b);
+  }
+};
+
+/// F_{2^61-1}: 61-bit words, field addition.
+struct M61Ops {
+  using Matrix = Mat61;
+  static constexpr int kWordBits = 61;
+  static constexpr SparseRing kRing = SparseRing::kM61;
+  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
+  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
+  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
+  static Matrix multiply(const Matrix& a, const Matrix& b) {
+    return m61_multiply_dispatch(a, b);
+  }
+  static Matrix spmm(const Csr61& a, const Matrix& b) { return m61_spmm_dispatch(a, b); }
+};
+
+/// (min, +): 61-bit words (kTropicalInf = all-ones round-trips through
+/// push_uint/read_uint unchanged), min accumulation.
+struct TropicalOps {
+  using Matrix = TropicalMat;
+  static constexpr int kWordBits = 61;
+  static constexpr SparseRing kRing = SparseRing::kTropical;
+  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
+  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
+  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
+  static Matrix multiply(const Matrix& a, const Matrix& b) {
+    return tropical_multiply_dispatch(a, b);
+  }
+  static Matrix spmm(const Csr61& a, const Matrix& b) {
+    return tropical_spmm_dispatch(a, b);
+  }
+};
 
 /// The [m]^3 block grid: interval t covers rows [lo(t), hi(t)), triple
 /// (i, j, k) lives at player (i*m + j)*m + k. All of it is a function of n
@@ -216,26 +272,24 @@ int aggregate_partials(CliqueUnicast& net, const BlockGrid& g,
 /// local block products, aggregation (partial row slices back to the
 /// output row owners, ⊕-accumulated). Player v holds row v of A, B and C.
 /// Per (owner, triple) pair the payload carries the A slices, then the B
-/// slices — the decode order. `Plan` / `Result` are the caller's
-/// plan/result structs (AlgebraicMmPlan / AlgebraicMmResult for every
-/// semiring); the measured schedule is CC_CHECKed against `plan` on every
-/// run.
-template <typename Ops, typename Result, typename Plan>
-Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
-                    const typename Ops::Matrix& b, typename Ops::Matrix* c,
-                    const Plan& plan) {
+/// slices — the decode order. `plan` must be algebraic_mm_plan(n,
+/// Ops::kWordBits, net.bandwidth()) (PreconditionError before any bit moves
+/// otherwise); each phase's rounds and the total rounds/bits are CC_CHECKed
+/// against it on every run.
+template <typename Ops>
+void run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
+                  const typename Ops::Matrix& b, typename Ops::Matrix* c,
+                  const AlgebraicMmPlan& plan) {
   using Matrix = typename Ops::Matrix;
   constexpr int w = Ops::kWordBits;
   const int n = a.n();
   CC_REQUIRE(net.n() == n, "one player per matrix row");
   CC_REQUIRE(b.n() == n, "size mismatch");
   CC_REQUIRE(c != nullptr, "output matrix required");
+  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() && plan.word_bits == w,
+             "plan priced for another engine or carrier");
   const BlockGrid g(n);
-
-  Result res;
-  res.plan = plan;
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
+  const ChargedSince charged(net.stats());
 
   // ---- Distribution: row owners ship block row slices to triple players.
   std::vector<std::vector<Message>> payload(
@@ -254,7 +308,9 @@ Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
     }
   }
   std::vector<std::vector<Message>> recv;
-  res.distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  const int distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  CC_CHECK(distribute_rounds == plan.distribute_rounds,
+           "block MM distribution left the planned schedule");
 
   // ---- Local block products (blocks padded to bs x bs with the semiring
   // zero — Matrix(n)'s fill — so padding rows/columns contribute nothing).
@@ -290,57 +346,10 @@ Result run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   }
 
   // ---- Aggregation: partial row slices travel to the output row owners.
-  res.aggregate_rounds = aggregate_partials<Ops>(net, g, partial, c);
-
-  res.total_rounds = net.stats().rounds - rounds_before;
-  res.total_bits = net.stats().total_bits - bits_before;
-  CC_CHECK(res.total_rounds == res.distribute_rounds + res.aggregate_rounds,
-           "round accounting out of sync");
-  CC_CHECK(res.total_rounds == res.plan.total_rounds,
-           "block MM rounds diverged from the planned schedule");
-  CC_CHECK(res.total_bits == res.plan.total_bits,
-           "block MM bits diverged from the planned schedule");
-  return res;
-}
-
-/// Fills the shared schedule fields of a plan struct (AlgebraicMmPlan
-/// shape): grid geometry, per-phase relay rounds/bits, and the heaviest
-/// pre-relay per-player payload load. The schedule is a pure function of
-/// (n, w, b).
-template <typename Plan>
-void fill_plan_schedule(Plan* plan, int n, int word_bits, int bandwidth) {
-  // Plan-function sink: the whole schedule is priced from (n, w, b).
-  // Note run_block_mm above is deliberately NOT a sink — it is the executor,
-  // and its payload building legitimately reads matrix entries.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("fill_plan_schedule"));
-  CC_REQUIRE(word_bits >= 1 && word_bits <= 64, "word width out of range");
-  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
-  const BlockGrid g(n);
-  plan->n = n;
-  plan->grid = g.m;
-  plan->block = g.bs;
-  plan->word_bits = word_bits;
-  plan->bandwidth = bandwidth;
-  const LengthMatrix dist = distribute_lengths(g, word_bits);
-  const LengthMatrix agg = aggregate_lengths(g, word_bits);
-  const RelayCost dc = relay_cost(dist, n, bandwidth);
-  const RelayCost ac = relay_cost(agg, n, bandwidth);
-  plan->distribute_rounds = dc.rounds;
-  plan->aggregate_rounds = ac.rounds;
-  plan->total_rounds = dc.rounds + ac.rounds;
-  plan->total_bits = dc.bits + ac.bits;
-  plan->max_player_send_bits = 0;
-  for (int v = 0; v < n; ++v) {
-    std::uint64_t send = 0;
-    for (int p = 0; p < n; ++p) {
-      send += dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +
-              agg[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-    }
-    plan->max_player_send_bits = std::max(plan->max_player_send_bits, send);
-  }
-  const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(n)));
-  plan->series_rounds = 6.0 * cbrt_n * static_cast<double>(word_bits) /
-                        static_cast<double>(bandwidth);
+  const int aggregate_rounds = aggregate_partials<Ops>(net, g, partial, c);
+  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
+           "block MM aggregation left the planned schedule");
+  charged.check(plan.total_rounds, plan.total_bits, "block MM left the planned schedule");
 }
 
 }  // namespace blockmm

@@ -656,8 +656,7 @@ MstResult clique_mst(CliqueUnicast& net, const Graph& g,
     if (engine.live_roots.size() <= 1) break;
     const int live = static_cast<int>(engine.live_roots.size());
     const MstPhasePlan plan = mst_phase_plan(algorithm, n, live, net.bandwidth());
-    const int rounds_before = net.stats().rounds;
-    const std::uint64_t bits_before = net.stats().total_bits;
+    const ChargedSince charged(net.stats());
     if (algorithm == MstAlgorithm::kBoruvka) {
       engine.run_boruvka_phase();
     } else {
@@ -665,8 +664,8 @@ MstResult clique_mst(CliqueUnicast& net, const Graph& g,
     }
     MstPhaseCost cost;
     cost.fragments = live;
-    cost.rounds = net.stats().rounds - rounds_before;
-    cost.bits = net.stats().total_bits - bits_before;
+    cost.rounds = charged.rounds();
+    cost.bits = charged.bits();
     cost.plan = plan;
     // The cap is computed from (n, F, b) alone before the phase runs; a
     // violation means the schedule left its data-independent budget.

@@ -330,8 +330,7 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
   // query order, so the engine's round trace is a function of the plan
   // alone. Resident classes run nothing — the CC_CHECKs below pin their
   // cost to exactly zero.
-  const int rounds_before = net_->stats().rounds;
-  const std::uint64_t bits_before = net_->stats().total_bits;
+  const ChargedSince charged(net_->stats());
   if (plan.run_apsp) {
     ApspResult r = apsp_run(*net_, graph_, weights_);
     ApspServingArtifact a;
@@ -355,14 +354,10 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
 
   BatchResult out;
   out.plan = plan;
-  out.rounds = net_->stats().rounds - rounds_before;
-  out.bits = net_->stats().total_bits - bits_before;
-  CC_CHECK(out.rounds == plan.total_rounds,
-           "serving left the planned schedule (rounds) — a cache hit must "
-           "charge exactly zero");
-  CC_CHECK(out.bits == plan.total_bits,
-           "serving left the planned schedule (bits) — a cache hit must "
-           "charge exactly zero");
+  out.rounds = charged.rounds();
+  out.bits = charged.bits();
+  charged.check(plan.total_rounds, plan.total_bits,
+                "serving left the planned schedule — a cache hit must charge exactly zero");
 
   // ---- Hit/miss accounting per needed class (a class built this batch
   // counts as the miss that built it).

@@ -2,9 +2,6 @@
 
 #include <vector>
 
-#include "core/algebraic_mm.h"
-#include "linalg/kernels.h"
-
 namespace cclique {
 
 SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b) {
@@ -121,7 +118,6 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   plan.aggregate_rounds = ac.rounds;
   plan.total_rounds = plan.announce_rounds + dc.rounds + ac.rounds;
   plan.total_bits = plan.announce_bits + dc.bits + ac.bits;
-  plan.dense_bits = algebraic_mm_plan(n, word_bits, bandwidth).total_bits;
   return plan;
 }
 
@@ -174,51 +170,22 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
   return rounds;
 }
 
-namespace {
-
-/// Sparse-Ops adapters: the dense block-MM adapters plus the ring tag and
-/// the sparse·dense local kernel (linalg/kernels.h dispatch — CC_KERNEL /
-/// CC_THREADS change wall-clock only, never values or CommStats).
-struct SparseM61Ops {
-  using Matrix = Mat61;
-  static constexpr int kWordBits = 61;
-  static constexpr SparseRing kRing = SparseRing::kM61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
-  static Matrix spmm(const Csr61& a, const Matrix& b) {
-    return m61_spmm_dispatch(a, b);
-  }
-};
-
-struct SparseTropicalOps {
-  using Matrix = TropicalMat;
-  static constexpr int kWordBits = 61;
-  static constexpr SparseRing kRing = SparseRing::kTropical;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
-  static Matrix spmm(const Csr61& a, const Matrix& b) {
-    return tropical_spmm_dispatch(a, b);
-  }
-};
-
-}  // namespace
-
-SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
-                             Mat61* c) {
+SparseMmPlan sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
+                           Mat61* c) {
   const SparseNnzProfile profile = declared_nnz_profile(a, b);
   const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile);
-  return run_sparse_mm<SparseM61Ops>(net, a, b, c, profile, plan);
+      sparse_mm_plan(a.n(), blockmm::M61Ops::kWordBits, net.bandwidth(), profile);
+  run_sparse_mm<blockmm::M61Ops>(net, a, b, c, profile, plan);
+  return plan;
 }
 
-SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
-                                  const Csr61& b, TropicalMat* c) {
+SparseMmPlan sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
+                                const Csr61& b, TropicalMat* c) {
   const SparseNnzProfile profile = declared_nnz_profile(a, b);
   const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), /*word_bits=*/61, net.bandwidth(), profile);
-  return run_sparse_mm<SparseTropicalOps>(net, a, b, c, profile, plan);
+      sparse_mm_plan(a.n(), blockmm::TropicalOps::kWordBits, net.bandwidth(), profile);
+  run_sparse_mm<blockmm::TropicalOps>(net, a, b, c, profile, plan);
+  return plan;
 }
 
 }  // namespace cclique

@@ -26,8 +26,8 @@
 //     input, not a hidden oracle.
 //  3. The run is *checked*: sparse_mm_plan() prices all three phases
 //     (announce, distribute, aggregate) from (n, w, b) plus the declared
-//     profile, and run_sparse_mm CC_CHECKs measured rounds and bits against
-//     it on every run, like every other plan in the repo.
+//     profile, and run_sparse_mm CC_CHECKs each phase's rounds and the
+//     total bits against it on every run, like every other plan in the repo.
 //
 // Aggregation stays dense-width: the output's sparsity is fill-in dependent
 // (a product of sparse blocks need not be sparse, and pricing it would need
@@ -35,7 +35,8 @@
 // travel at w bits per entry exactly like the dense schedule. The sparse
 // win is the distribution phase plus nothing else — which is why the
 // crossover (sparse_backend_preferred) is a genuine tradeoff and not a
-// foregone conclusion.
+// foregone conclusion. run_routed_square is the one place that rule is
+// applied: counting and APSP route every product through it.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,7 @@
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "comm/clique_unicast.h"
+#include "core/algebraic_mm.h"
 #include "core/block_mm.h"
 #include "linalg/sparse.h"
 #include "util/check.h"
@@ -92,9 +94,6 @@ struct SparseMmPlan {
   int total_rounds = 0;
   std::uint64_t announce_bits = 0;
   std::uint64_t total_bits = 0;  ///< all three phases
-  /// Dense reference: algebraic_mm_plan(n, word_bits, bandwidth).total_bits,
-  /// the cost of running the oblivious schedule on the same input.
-  std::uint64_t dense_bits = 0;
 };
 
 /// Prices the three-phase sparse schedule for the declared profile.
@@ -106,19 +105,14 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
 /// The adaptive-protocol crossover rule (DESIGN.md §2.8): both branches of
 /// an adaptive protocol must pay the announcement before choosing, so
 /// sparse wins iff its full cost beats announcement + the dense schedule.
-inline bool sparse_backend_preferred(const SparseMmPlan& p) {
-  return p.total_bits <= p.announce_bits + p.dense_bits;
+/// `dense` is the caller's algebraic_mm_plan for the same (n, w, b).
+inline bool sparse_backend_preferred(const SparseMmPlan& sparse,
+                                     const AlgebraicMmPlan& dense) {
+  CC_REQUIRE(sparse.n == dense.n && sparse.word_bits == dense.word_bits &&
+                 sparse.bandwidth == dense.bandwidth,
+             "plans priced for different products");
+  return sparse.total_bits <= sparse.announce_bits + dense.total_bits;
 }
-
-/// Outcome of one sparse distributed product.
-struct SparseMmResult {
-  SparseMmPlan plan;
-  int announce_rounds = 0;    ///< measured; equals plan.announce_rounds
-  int distribute_rounds = 0;  ///< measured; equals plan.distribute_rounds
-  int aggregate_rounds = 0;   ///< measured; equals plan.aggregate_rounds
-  int total_rounds = 0;       ///< measured; equals plan.total_rounds
-  std::uint64_t total_bits = 0;  ///< measured; equals plan.total_bits
-};
 
 /// The announcement phase on its own: every player broadcasts its 2m
 /// per-block counts (count_bits each, A counts then B counts) so the
@@ -130,31 +124,20 @@ struct SparseMmResult {
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits);
 
-/// One sparse distributed product C = A ⊗ B. The Ops concept extends the
-/// dense block-MM adapters (core/algebraic_mm.cpp) with the sparse local
-/// kernel and its ring tag:
-///
-///   struct Ops {
-///     using Matrix = ...;                      // dense result carrier
-///     static constexpr int kWordBits;          // serialized bits per value
-///     static constexpr SparseRing kRing;       // CSR ring this Ops serves
-///     static std::uint64_t get(const Matrix&, int i, int j);
-///     static void set(Matrix&, int i, int j, std::uint64_t v);
-///     static void accumulate(Matrix&, int i, int j, std::uint64_t v);
-///     static Matrix spmm(const Csr61& a_blk, const Matrix& b_blk);
-///   };
-///
-/// Phases: announce counts; relay each owner's explicit (local-index,
-/// value) pairs per block (A pairs before B pairs per (owner, triple), CSR
-/// column order within each block — the decode order); local sparse·dense
-/// block products; dense-width aggregation (blockmm::aggregate_partials,
-/// shared with run_block_mm). Measured rounds/bits are CC_CHECKed against
-/// `plan`.
+/// One sparse distributed product C = A ⊗ B over a sparse carrier's Ops
+/// (core/block_mm.h: kRing and spmm included). Phases: announce counts;
+/// relay each owner's explicit (local-index, value) pairs per block (A
+/// pairs before B pairs per (owner, triple), CSR column order within each
+/// block — the decode order); local sparse·dense block products;
+/// dense-width aggregation (blockmm::aggregate_partials, shared with
+/// run_block_mm). `plan` must be sparse_mm_plan(n, Ops::kWordBits,
+/// net.bandwidth(), profile) (PreconditionError before any bit moves
+/// otherwise); each phase's rounds and the total rounds/bits are
+/// CC_CHECKed against it on every run.
 template <typename Ops>
-SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
-                             typename Ops::Matrix* c,
-                             const SparseNnzProfile& profile,
-                             const SparseMmPlan& plan) {
+void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
+                   typename Ops::Matrix* c, const SparseNnzProfile& profile,
+                   const SparseMmPlan& plan) {
   using Matrix = typename Ops::Matrix;
   constexpr int w = Ops::kWordBits;
   const int n = a.n();
@@ -163,18 +146,18 @@ SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
   CC_REQUIRE(c != nullptr, "output matrix required");
   CC_REQUIRE(a.ring() == Ops::kRing && b.ring() == Ops::kRing,
              "CSR ring does not match the Ops carrier");
-  CC_REQUIRE(profile.n == n && plan.n == n, "profile/plan built for another n");
+  CC_REQUIRE(profile.n == n, "profile built for another n");
+  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() && plan.word_bits == w,
+             "plan priced for another engine or carrier");
   const blockmm::BlockGrid g(n);
   const int m = g.m;
   const int index_bits = plan.index_bits;
-
-  SparseMmResult res;
-  res.plan = plan;
-  const int rounds_before = net.stats().rounds;
-  const std::uint64_t bits_before = net.stats().total_bits;
+  const ChargedSince charged(net.stats());
 
   // ---- Phase 1: make the declared profile common knowledge.
-  res.announce_rounds = run_nnz_announcement(net, profile, plan.count_bits);
+  const int announce_rounds = run_nnz_announcement(net, profile, plan.count_bits);
+  CC_CHECK(announce_rounds == plan.announce_rounds,
+           "announcement left the planned schedule");
 
   // ---- Phase 2: row owners relay their explicit entries per block.
   // Executor-side CSR reads are sanctioned: source_touch is free outside
@@ -209,7 +192,9 @@ SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
     }
   }
   std::vector<std::vector<Message>> recv;
-  res.distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  const int distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  CC_CHECK(distribute_rounds == plan.distribute_rounds,
+           "sparse MM distribution left the planned schedule");
 
   // ---- Local sparse block products: each triple assembles its A block as
   // a bs x bs CSR and its B block dense (padded with the semiring zero),
@@ -282,31 +267,60 @@ SparseMmResult run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
   // ---- Phase 3: dense-width aggregation, the dense driver's own phase
   // (output sparsity is fill-in dependent and deliberately unpriced; see
   // header comment).
-  res.aggregate_rounds = blockmm::aggregate_partials<Ops>(net, g, partial, c);
+  const int aggregate_rounds = blockmm::aggregate_partials<Ops>(net, g, partial, c);
+  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
+           "sparse MM aggregation left the planned schedule");
+  charged.check(plan.total_rounds, plan.total_bits, "sparse MM left the planned schedule");
+}
 
-  res.total_rounds = net.stats().rounds - rounds_before;
-  res.total_bits = net.stats().total_bits - bits_before;
-  CC_CHECK(res.announce_rounds == plan.announce_rounds,
-           "announcement left the planned schedule");
-  CC_CHECK(res.total_rounds == res.announce_rounds + res.distribute_rounds +
-                                   res.aggregate_rounds,
-           "round accounting out of sync");
-  CC_CHECK(res.total_rounds == res.plan.total_rounds,
-           "sparse MM rounds diverged from the planned schedule");
-  CC_CHECK(res.total_bits == res.plan.total_bits,
-           "sparse MM bits diverged from the planned schedule");
-  return res;
+/// The one routed product: *c = A ⊗ A on `backend`'s schedule, against the
+/// caller's dense plan `dense` (algebraic_mm_plan(n, Ops::kWordBits,
+/// net.bandwidth()), priced once by the caller). kDense runs run_block_mm
+/// and declares nothing. kSparse and kAuto build A's CSR once, declare and
+/// price its profile once, and then either hand that profile and plan to
+/// run_sparse_mm or — kAuto above the crossover — pay the announcement the
+/// decision needed and run the dense product. Returns the branch taken and
+/// its planned cost; the executors CC_CHECK the products against their
+/// plans, and callers check whole runs against the sum of step plans.
+template <typename Ops>
+ProductStep run_routed_square(CliqueUnicast& net, const typename Ops::Matrix& a,
+                              typename Ops::Matrix* c, CountBackend backend,
+                              const AlgebraicMmPlan& dense) {
+  ProductStep step;
+  step.planned_rounds = dense.total_rounds;
+  step.planned_bits = dense.total_bits;
+  if (backend != CountBackend::kDense) {
+    const Csr61 sa = Csr61::from_dense(a);
+    const SparseNnzProfile profile = declared_nnz_profile(sa, sa);
+    const SparseMmPlan plan =
+        sparse_mm_plan(a.n(), Ops::kWordBits, net.bandwidth(), profile);
+    step.declared_nnz = profile.a_nnz;
+    step.used_sparse =
+        backend == CountBackend::kSparse || sparse_backend_preferred(plan, dense);
+    if (step.used_sparse) {
+      run_sparse_mm<Ops>(net, sa, sa, c, profile, plan);
+      step.planned_rounds = plan.total_rounds;
+      step.planned_bits = plan.total_bits;
+      return step;
+    }
+    run_nnz_announcement(net, profile, plan.count_bits);
+    step.planned_rounds += plan.announce_rounds;
+    step.planned_bits += plan.announce_bits;
+  }
+  blockmm::run_block_mm<Ops>(net, a, a, c, dense);
+  return step;
 }
 
 /// Sparse distributed C = A·B over F_{2^61-1}: declares the profile, prices
-/// the plan at net.bandwidth(), and runs the three-phase schedule.
-/// Preconditions: both operands kM61, a.n() == b.n() == net.n().
-SparseMmResult sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
-                             Mat61* c);
+/// the plan at net.bandwidth(), runs the three-phase schedule, and returns
+/// the plan it was checked against. Preconditions: both operands kM61,
+/// a.n() == b.n() == net.n().
+SparseMmPlan sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
+                           Mat61* c);
 
 /// Sparse distributed distance product over (min, +); both operands
 /// kTropical. The sparse twin of min_plus_mm.
-SparseMmResult sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
-                                  const Csr61& b, TropicalMat* c);
+SparseMmPlan sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
+                                const Csr61& b, TropicalMat* c);
 
 }  // namespace cclique

@@ -139,11 +139,10 @@ TEST_P(AlgebraicMmSizes, F2MatchesNaive) {
   const F2Matrix b = F2Matrix::random(n, rng);
   CliqueUnicast net(n, 16);
   F2Matrix c;
-  const AlgebraicMmResult r = algebraic_mm_f2(net, a, b, &c);
+  const AlgebraicMmPlan plan = algebraic_mm_f2(net, a, b, &c);
   EXPECT_EQ(c, f2_multiply_naive(a, b));
-  EXPECT_EQ(r.total_rounds, r.plan.total_rounds);
-  EXPECT_EQ(r.total_bits, r.plan.total_bits);
-  EXPECT_EQ(net.stats().rounds, r.total_rounds);
+  EXPECT_EQ(net.stats().rounds, plan.total_rounds);
+  EXPECT_EQ(net.stats().total_bits, plan.total_bits);
 }
 
 TEST_P(AlgebraicMmSizes, M61MatchesSchoolbook) {
@@ -153,10 +152,10 @@ TEST_P(AlgebraicMmSizes, M61MatchesSchoolbook) {
   const Mat61 b = Mat61::random(n, rng);
   CliqueUnicast net(n, 64);
   Mat61 c;
-  const AlgebraicMmResult r = algebraic_mm_m61(net, a, b, &c);
+  const AlgebraicMmPlan plan = algebraic_mm_m61(net, a, b, &c);
   EXPECT_EQ(c, m61_multiply_schoolbook(a, b));
-  EXPECT_EQ(r.total_rounds, r.plan.total_rounds);
-  EXPECT_EQ(r.total_bits, r.plan.total_bits);
+  EXPECT_EQ(net.stats().rounds, plan.total_rounds);
+  EXPECT_EQ(net.stats().total_bits, plan.total_bits);
 }
 
 TEST(AlgebraicMm, RoundsFollowCubeRootSeries) {
@@ -185,7 +184,7 @@ TEST(AlgebraicMm, PerPlayerLoadIsBalanced) {
   const Mat61 b = Mat61::random(n, rng);
   CliqueUnicast net(n, 64);
   Mat61 c;
-  const AlgebraicMmResult r = algebraic_mm_m61(net, a, b, &c);
+  const AlgebraicMmPlan plan = algebraic_mm_m61(net, a, b, &c);
   const CommStats& s = net.stats();
   std::uint64_t max_sent = 0, min_sent = UINT64_MAX;
   for (int v = 0; v < n; ++v) {
@@ -199,8 +198,8 @@ TEST(AlgebraicMm, PerPlayerLoadIsBalanced) {
   // distribution phase plus block^2 partials out of aggregation, minus the
   // few self-payload slices a triple player keeps locally.
   const std::uint64_t ideal = static_cast<std::uint64_t>(2 * 9 * 9 + 9 * 9) * 61u;
-  EXPECT_LE(r.plan.max_player_send_bits, ideal);
-  EXPECT_GE(r.plan.max_player_send_bits, ideal - 3 * 9 * 61u);
+  EXPECT_LE(plan.max_player_send_bits, ideal);
+  EXPECT_GE(plan.max_player_send_bits, ideal - 3 * 9 * 61u);
 }
 
 TEST(AlgebraicMm, StatsAreThreadCountInvariant) {
@@ -259,7 +258,11 @@ TEST(AlgebraicCounting, TriangleCountMatchesBruteForce) {
     CliqueUnicast net(n, 64);
     const AlgebraicCountResult r = triangle_count_algebraic(net, g);
     EXPECT_EQ(r.count, count_triangles(g)) << "n=" << n;
-    EXPECT_EQ(r.total_rounds, r.mm.total_rounds + r.share_rounds);
+    const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, 64);
+    EXPECT_FALSE(r.used_sparse);
+    EXPECT_EQ(r.planned_rounds, dense.total_rounds);
+    EXPECT_EQ(r.planned_bits, dense.total_bits);
+    EXPECT_EQ(r.total_rounds, r.planned_rounds + r.share_rounds);
     EXPECT_EQ(net.stats().rounds, r.total_rounds);
   }
 }

@@ -15,7 +15,9 @@
 
 #include "analysis/oblivious_guard.h"
 #include "core/apsp.h"
+#include "core/sparse_mm.h"
 #include "graph/generators.h"
+#include "linalg/sparse.h"
 #include "linalg/tropical.h"
 #include "util/rng.h"
 
@@ -156,11 +158,10 @@ TEST_P(MinPlusMmSizes, MatchesSchoolbook) {
   const TropicalMat b = TropicalMat::random(n, rng, 1u << 20, 0.25);
   CliqueUnicast net(n, 64);
   TropicalMat c;
-  const MinPlusResult r = min_plus_mm(net, a, b, &c);
+  const AlgebraicMmPlan plan = min_plus_mm(net, a, b, &c);
   EXPECT_EQ(c, tropical_multiply_schoolbook(a, b));
-  EXPECT_EQ(r.total_rounds, r.plan.total_rounds);
-  EXPECT_EQ(r.total_bits, r.plan.total_bits);
-  EXPECT_EQ(net.stats().rounds, r.total_rounds);
+  EXPECT_EQ(net.stats().rounds, plan.total_rounds);
+  EXPECT_EQ(net.stats().total_bits, plan.total_bits);
 }
 
 TEST(MinPlusMm, DegenerateGridRunsOneTriple) {
@@ -201,9 +202,9 @@ TEST(MinPlusMm, KernelChoiceDoesNotChangeScheduleOrOutput) {
     ScopedEnv e("CC_KERNEL", kernel);
     CliqueUnicast net(n, 32);
     TropicalMat c;
-    const MinPlusResult r = min_plus_mm(net, a, b, &c);
+    const AlgebraicMmPlan plan = min_plus_mm(net, a, b, &c);
     EXPECT_EQ(c, ref) << "CC_KERNEL=" << kernel;
-    EXPECT_EQ(r.total_bits, r.plan.total_bits) << "CC_KERNEL=" << kernel;
+    EXPECT_EQ(net.stats().total_bits, plan.total_bits) << "CC_KERNEL=" << kernel;
     stats.push_back(net.stats());
   }
   EXPECT_EQ(stats[0], stats[1]);
@@ -322,7 +323,7 @@ TEST(Apsp, BackendsAgreeOnAllGenerators) {
       ASSERT_EQ(static_cast<int>(r.steps.size()), r.plan.squarings) << c.name;
       int rounds = r.plan.ecc_rounds;
       std::uint64_t bits = r.plan.ecc_bits;
-      for (const ApspStep& s : r.steps) {
+      for (const ProductStep& s : r.steps) {
         if (backend == CountBackend::kSparse) {
           EXPECT_TRUE(s.used_sparse) << c.name;
         }
@@ -347,7 +348,7 @@ TEST(Apsp, DenseBackendDeclaresNothing) {
   const std::uint64_t before = oblivious::declared_use_count();
   const ApspResult r = apsp_run(net, g, w, CountBackend::kDense);
   EXPECT_EQ(oblivious::declared_use_count(), before);
-  for (const ApspStep& s : r.steps) {
+  for (const ProductStep& s : r.steps) {
     EXPECT_FALSE(s.used_sparse);
     EXPECT_EQ(s.declared_nnz, 0u);
     EXPECT_EQ(s.planned_bits, r.plan.product.total_bits);
@@ -359,6 +360,34 @@ TEST(Apsp, DenseBackendDeclaresNothing) {
     CliqueUnicast sparse_net(20, 64);
     apsp_run(sparse_net, g, w, CountBackend::kSparse);
     EXPECT_GT(oblivious::declared_use_count(), before);
+  }
+}
+
+TEST(Apsp, AdaptiveBackendsDeclareOneProfilePerSquaring) {
+  // kSparse and kAuto declare and price each squaring's operand once: the
+  // guard's declared-read counter moves by exactly one profile of D_s per
+  // step (and not at all in builds without the guard).
+  Rng rng(91);
+  const Graph g = gnp(20, 0.2, rng);
+  const std::vector<std::uint32_t> w = random_weights(g, rng, 1000);
+  ApspArtifacts arts;
+  CliqueUnicast dense_net(20, 64);
+  apsp_run(dense_net, g, w, CountBackend::kDense, &arts);
+  std::uint64_t one_per_step = 0;
+  for (std::size_t s = 0; s + 1 < arts.powers.size(); ++s) {
+    const Csr61 d = Csr61::from_dense(arts.powers[s]);
+    const std::uint64_t before = oblivious::declared_use_count();
+    declared_nnz_profile(d, d);
+    one_per_step += oblivious::declared_use_count() - before;
+  }
+  if (oblivious::enabled()) {
+    EXPECT_GT(one_per_step, 0u);
+  }
+  for (CountBackend backend : {CountBackend::kSparse, CountBackend::kAuto}) {
+    CliqueUnicast net(20, 64);
+    const std::uint64_t before = oblivious::declared_use_count();
+    apsp_run(net, g, w, backend);
+    EXPECT_EQ(oblivious::declared_use_count() - before, one_per_step);
   }
 }
 

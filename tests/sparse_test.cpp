@@ -13,6 +13,7 @@
 
 #include "analysis/oblivious_guard.h"
 #include "core/algebraic_mm.h"
+#include "core/block_mm.h"
 #include "core/sparse_mm.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
@@ -211,20 +212,21 @@ TEST(SparseMm, ProductMatchesDenseBothRings) {
     const Mat61 b = sparse_random_m61(n, 0.08, rng);
     CliqueUnicast net(n, 64);
     Mat61 c;
-    const SparseMmResult r =
+    const SparseMmPlan plan =
         sparse_mm_m61(net, Csr61::from_dense(a), Csr61::from_dense(b), &c);
     EXPECT_TRUE(c == m61_multiply_schoolbook(a, b));
-    EXPECT_EQ(r.total_rounds, r.plan.total_rounds);
-    EXPECT_EQ(r.total_bits, r.plan.total_bits);
+    EXPECT_EQ(net.stats().rounds, plan.total_rounds);
+    EXPECT_EQ(net.stats().total_bits, plan.total_bits);
 
     const TropicalMat ta = sparse_random_tropical(n, 0.08, rng);
     const TropicalMat tb = sparse_random_tropical(n, 0.08, rng);
     CliqueUnicast tnet(n, 64);
     TropicalMat tc;
-    const SparseMmResult tr = sparse_min_plus_mm(
+    const SparseMmPlan tplan = sparse_min_plus_mm(
         tnet, Csr61::from_dense(ta), Csr61::from_dense(tb), &tc);
     EXPECT_TRUE(tc == tropical_multiply_schoolbook(ta, tb));
-    EXPECT_EQ(tr.total_bits, tr.plan.total_bits);
+    EXPECT_EQ(tnet.stats().rounds, tplan.total_rounds);
+    EXPECT_EQ(tnet.stats().total_bits, tplan.total_bits);
   }
 }
 
@@ -235,8 +237,12 @@ TEST(SparseMm, LowDensityBeatsDenseBitsHighDensityDoesNot) {
   const Csr61 slo = Csr61::from_dense(lo);
   const SparseMmPlan plan_lo =
       sparse_mm_plan(n, 61, 64, declared_nnz_profile(slo, slo));
-  EXPECT_LT(plan_lo.total_bits, plan_lo.dense_bits);
-  EXPECT_TRUE(sparse_backend_preferred(plan_lo));
+  const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, 64);
+  EXPECT_LT(plan_lo.total_bits, dense.total_bits);
+  EXPECT_TRUE(sparse_backend_preferred(plan_lo, dense));
+  // The rule compares plans of one product only.
+  EXPECT_THROW(sparse_backend_preferred(plan_lo, algebraic_mm_plan(n, 61, 32)),
+               PreconditionError);
 
   Mat61 hi(n);
   for (int i = 0; i < n; ++i) {
@@ -247,20 +253,20 @@ TEST(SparseMm, LowDensityBeatsDenseBitsHighDensityDoesNot) {
       sparse_mm_plan(n, 61, 64, declared_nnz_profile(shi, shi));
   // Fully dense input: every pair now also carries an index, so the sparse
   // distribution strictly loses and the crossover must pick dense.
-  EXPECT_FALSE(sparse_backend_preferred(plan_hi));
+  EXPECT_FALSE(sparse_backend_preferred(plan_hi, dense));
 }
 
 TEST(SparseMm, EmptyOperandsStillFollowThePlan) {
   const int n = 27;
   CliqueUnicast net(n, 64);
   Mat61 c;
-  const SparseMmResult r = sparse_mm_m61(net, Csr61(n, SparseRing::kM61),
-                                         Csr61(n, SparseRing::kM61), &c);
+  const SparseMmPlan plan = sparse_mm_m61(net, Csr61(n, SparseRing::kM61),
+                                          Csr61(n, SparseRing::kM61), &c);
   EXPECT_TRUE(c == Mat61(n));
-  EXPECT_EQ(r.total_bits, r.plan.total_bits);
+  EXPECT_EQ(net.stats().total_bits, plan.total_bits);
   // Announcement and dense-width aggregation still run; only the
   // distribution phase is free.
-  EXPECT_GT(r.plan.announce_bits, 0u);
+  EXPECT_GT(plan.announce_bits, 0u);
 }
 
 TEST(SparseMm, MixedRingOperandsAreRejected) {
@@ -270,6 +276,31 @@ TEST(SparseMm, MixedRingOperandsAreRejected) {
   EXPECT_THROW(sparse_mm_m61(net, Csr61(n, SparseRing::kTropical),
                              Csr61(n, SparseRing::kTropical), &c),
                PreconditionError);
+}
+
+TEST(SparseMm, ExecutorsRejectPlansPricedForAnotherEngine) {
+  // A plan priced at another bandwidth, size or word width is refused
+  // before any bit moves: PreconditionError, and the engine charges nothing.
+  const int n = 27;
+  Rng rng(404);
+  const Mat61 a = sparse_random_m61(n, 0.1, rng);
+  const Csr61 sa = Csr61::from_dense(a);
+  const SparseNnzProfile profile = declared_nnz_profile(sa, sa);
+  CliqueUnicast net(n, 64);
+  Mat61 c;
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, profile,
+                                              sparse_mm_plan(n, 61, 32, profile)),
+               PreconditionError);
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, profile,
+                                              sparse_mm_plan(n, 1, 64, profile)),
+               PreconditionError);
+  for (const AlgebraicMmPlan& foreign :
+       {algebraic_mm_plan(n, 61, 32), algebraic_mm_plan(8, 61, 64),
+        algebraic_mm_plan(n, 1, 64)}) {
+    EXPECT_THROW(blockmm::run_block_mm<blockmm::M61Ops>(net, a, a, &c, foreign),
+                 PreconditionError);
+  }
+  EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
 }
 
 // ------------------------------------------------------- backend routing
@@ -304,9 +335,16 @@ TEST(CountBackend, AutoFallsBackToDenseAboveCrossover) {
   const AlgebraicCountResult rd = four_cycle_count_algebraic(net_d, g);
   EXPECT_EQ(ra.count, rd.count);
   EXPECT_FALSE(ra.used_sparse);
-  EXPECT_GT(ra.announce_rounds, 0);  // the decision itself was paid for
-  EXPECT_EQ(ra.total_rounds,
-            ra.announce_rounds + ra.mm.total_rounds + ra.share_rounds);
+  // The decision itself was paid for: the planned cost is the announcement
+  // plus the dense product.
+  const Csr61 sa = Csr61::from_dense(Mat61::adjacency(g));
+  const SparseMmPlan splan = sparse_mm_plan(24, 61, 64, declared_nnz_profile(sa, sa));
+  const AlgebraicMmPlan dense = algebraic_mm_plan(24, 61, 64);
+  EXPECT_GT(splan.announce_rounds, 0);
+  EXPECT_EQ(ra.planned_rounds, splan.announce_rounds + dense.total_rounds);
+  EXPECT_EQ(ra.planned_bits, splan.announce_bits + dense.total_bits);
+  EXPECT_EQ(ra.total_rounds, ra.planned_rounds + ra.share_rounds);
+  EXPECT_EQ(net.stats().rounds, ra.total_rounds);
 }
 
 TEST(CountBackend, DefaultBackendScheduleIsUnchanged) {
@@ -316,11 +354,54 @@ TEST(CountBackend, DefaultBackendScheduleIsUnchanged) {
   const Graph g = gnp(30, 0.3, rng);
   CliqueUnicast net(30, 64);
   const AlgebraicCountResult r = four_cycle_count_algebraic(net, g);
+  const AlgebraicMmPlan dense = algebraic_mm_plan(30, 61, 64);
   EXPECT_FALSE(r.used_sparse);
-  EXPECT_EQ(r.announce_rounds, 0);
+  EXPECT_EQ(r.declared_nnz, 0u);
+  EXPECT_EQ(r.planned_rounds, dense.total_rounds);
+  EXPECT_EQ(r.planned_bits, dense.total_bits);
   EXPECT_EQ(net.stats().total_bits,
-            r.mm.plan.total_bits +
-                static_cast<std::uint64_t>(30) * 29 * 3 * 61);
+            dense.total_bits + static_cast<std::uint64_t>(30) * 29 * 3 * 61);
+}
+
+TEST(CountBackend, CountCostsItsStepPlanPlusTheShare) {
+  // Every backend, below and above the crossover: the CommStats delta of a
+  // 4-cycle count is its product step's planned cost plus the 3-field
+  // share (ceil(3 * 61 / 64) = 3 rounds, 3 * 61 bits per ordered pair).
+  Rng rng(503);
+  for (const Graph& g : {gnp(40, 0.12, rng), complete_graph(24)}) {
+    const int n = g.num_vertices();
+    const std::uint64_t share_bits =
+        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 3 * 61;
+    for (CountBackend backend :
+         {CountBackend::kDense, CountBackend::kSparse, CountBackend::kAuto}) {
+      CliqueUnicast net(n, 64);
+      const AlgebraicCountResult r = four_cycle_count_algebraic(net, g, backend);
+      EXPECT_EQ(r.share_rounds, 3);
+      EXPECT_EQ(net.stats().rounds, r.planned_rounds + r.share_rounds);
+      EXPECT_EQ(net.stats().total_bits, r.planned_bits + share_bits);
+      EXPECT_EQ(r.declared_nnz, backend == CountBackend::kDense ? 0u : 2 * g.num_edges());
+    }
+  }
+}
+
+TEST(CountBackend, AutoDeclaresAndPricesTheProfileOnce) {
+  // kAuto decides from the profile it then hands to the sparse product, so
+  // the guard's declared-read counter moves by exactly one profile (and not
+  // at all in builds without the guard).
+  Rng rng(501);
+  const Graph g = gnp(40, 0.12, rng);
+  const Csr61 sa = Csr61::from_dense(Mat61::adjacency(g));
+  std::uint64_t before = oblivious::declared_use_count();
+  declared_nnz_profile(sa, sa);
+  const std::uint64_t one_profile = oblivious::declared_use_count() - before;
+  if (oblivious::enabled()) {
+    EXPECT_GT(one_profile, 0u);
+  }
+  CliqueUnicast net(40, 64);
+  before = oblivious::declared_use_count();
+  const AlgebraicCountResult r = four_cycle_count_algebraic(net, g, CountBackend::kAuto);
+  EXPECT_TRUE(r.used_sparse);
+  EXPECT_EQ(oblivious::declared_use_count() - before, one_profile);
 }
 
 // ------------------------------------------------------------- gnp_edges

@@ -10,9 +10,9 @@ statically, closing the dynamic guard's value-laundering gap (a payload
 value copied out of a source before the sink opens). Five checks:
 
 1. Plan reads payload: the body of a plan/pricing function (`*_plan`,
-   `*_lengths`, `relay_cost`, `fill_plan_schedule`) calls a payload
-   accessor (`.get(`, `.row(`, `.data()`) or indexes a `weights` array.
-   The schedule would be a function of entry values.
+   `*_lengths`, `relay_cost`) calls a payload accessor (`.get(`, `.row(`,
+   `.data()`) or indexes a `weights` array. The schedule would be a
+   function of entry values.
 
 2. Payload-sized message: inside an engine callback lambda (an argument of
    `.round(` / `.round_fill(` / `.send_phase(`), a `push_uint` width
@@ -24,10 +24,11 @@ value copied out of a source before the sink opens). Five checks:
    depends on values. Randomized or size-driven branches are fine; entry
    values are not.
 
-4. Unchecked plan: a file binds a `*_plan(...)` result but never CC_CHECKs
-   measured stats against it (same rule check_locality.py enforces — a
-   plan that is never compared to measured rounds/bits is untested paper
-   math, and here it is also an unenforced obliviousness claim).
+4. Unchecked plan: a file binds a `*_plan(...)` result but never checks
+   measured stats against it (the rule check_locality.py enforces, shared
+   through tools/lint_common.py — a plan that is never compared to measured
+   rounds/bits is untested paper math, and here it is also an unenforced
+   obliviousness claim).
 
 5. Undeclared nnz dependence: a plan/pricing function (including the
    `*_profile` family) reads sparse *structure* (`.nnz(`, `.row_nnz(`,
@@ -69,9 +70,7 @@ FIXTURE = os.path.join(lc.REPO, "tools", "fixtures", "oblivious_violation_exampl
 
 # Pricing-function definitions: the name families that compute schedules
 # (`*_profile` covers the sparse nnz-declaration choke points).
-PLAN_DEF_RE = re.compile(
-    r"\b(?!run_)(\w+_plan|\w+_lengths|\w+_profile|relay_cost|fill_plan_schedule)\s*\("
-)
+PLAN_DEF_RE = re.compile(r"\b(?!run_)(\w+_plan|\w+_lengths|\w+_profile|relay_cost)\s*\(")
 # Payload accessors, as tagged for the runtime guard (linalg get/row/data,
 # weight arrays). Message::size_bits and graph adjacency are deliberately
 # NOT here: committed lengths and network topology are common knowledge.
@@ -81,9 +80,6 @@ PAYLOAD_READ_RE = re.compile(r"\.(?:get|row)\s*\(|\.data\s*\(\s*\)|\bweights\s*\
 NNZ_READ_RE = re.compile(r"\.(?:nnz|row_nnz|row_ptr|cols|vals)\s*\(")
 CALLBACK_CALL_RE = re.compile(r"\.(?:round|round_fill|send_phase)\s*\(")
 LAMBDA_RE = re.compile(r"\[&\]\s*\(\s*(?:const\s+)?int\s+(\w+)([^)]*)\)")
-# Same executor exemption as check_locality.py: run_*_plan consumes a plan.
-PLAN_CALL_RE = re.compile(r"(?:=|return)\s*(?!run_)\w+_plan\s*\(")
-CC_CHECK_PLAN_RE = re.compile(r"CC_CHECK\s*\([^;]*plan", re.S)
 
 
 def snippet(text):
@@ -308,18 +304,11 @@ def scan_file(path):
                     "depend on entry values (check 3)",
                 )
 
-    if PLAN_CALL_RE.search(text):
-        # run_block_mm / run_sparse_mm are the plan-consuming executors;
-        # their header templates carry the measured==plan CC_CHECKs.
-        if (
-            not CC_CHECK_PLAN_RE.search(text)
-            and "run_block_mm" not in text
-            and "run_sparse_mm" not in text
-        ):
-            problems.append(
-                f"{rel}: binds a *_plan(...) result but never CC_CHECKs "
-                "measured stats against the plan (check 4)"
-            )
+    if lc.unchecked_plan(text):
+        problems.append(
+            f"{rel}: binds a *_plan(...) result but never checks "
+            "measured stats against the plan (check 4)"
+        )
     # The AST front-end can surface one call expression through several
     # wrapper nodes; findings are keyed strings, so dedup is exact.
     return list(dict.fromkeys(problems))

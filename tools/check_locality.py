@@ -23,10 +23,12 @@ Three checks, all heuristic but tuned to this codebase's idiom:
    check 1 — tagged state stays guarded even there).
 
 3. Unchecked plan: a file that binds the result of a `*_plan(...)` call
-   must CC_CHECK measured stats against the plan (text `plan` inside some
-   CC_CHECK) or delegate to the shared checked driver (`run_block_mm`).
-   A data-independent schedule that is never compared to the measured
-   rounds/bits is untested paper math.
+   must check measured stats against the plan (text `plan` inside a
+   CC_CHECK or a ChargedSince::check) or delegate to a plan-consuming
+   executor (`run_block_mm`, `run_sparse_mm`, `run_routed_square`). A
+   data-independent schedule that is never compared to the measured
+   rounds/bits is untested paper math. The rule lives in
+   tools/lint_common.py (unchecked_plan), shared with cc_oblivious.py.
 
 A finding can be suppressed with a `// locality-ok` comment on its line.
 Scanner plumbing and the self-test harness are shared with
@@ -54,10 +56,6 @@ LAMBDA_RE = re.compile(r"\[&\]\s*\(\s*(?:const\s+)?int\s+(\w+)([^)]*)\)")
 ACCESS_RE = re.compile(r"\b(\w+)\[([^\][]+)\]")
 WRITE_TAIL_RE = re.compile(r"\s*(?:=[^=]|\+=|-=|\.push_back|\.append|\.push_uint)")
 MODEL_ONCE_RE = r"if\s*\(\s*{p}\s*!=\s*0\s*\)\s*return\s*;"
-# `run_*_plan(...)` names are executors (they *consume* a plan), not
-# planners; only pure `*_plan(...)` computations need a CC_CHECK.
-PLAN_CALL_RE = re.compile(r"(?:=|return)\s*(?!run_)\w+_plan\s*\(")
-CC_CHECK_PLAN_RE = re.compile(r"CC_CHECK\s*\([^;]*plan", re.S)
 
 
 def callback_bodies(text):
@@ -158,18 +156,11 @@ def scan_file(path):
                 f"`{idx}` (check 2)"
             )
 
-    if PLAN_CALL_RE.search(text):
-        # run_block_mm / run_sparse_mm are the plan-consuming executors;
-        # their header templates carry the measured==plan CC_CHECKs.
-        if (
-            not CC_CHECK_PLAN_RE.search(text)
-            and "run_block_mm" not in text
-            and "run_sparse_mm" not in text
-        ):
-            problems.append(
-                f"{rel}: binds a *_plan(...) result but never CC_CHECKs "
-                "measured stats against the plan (check 3)"
-            )
+    if lc.unchecked_plan(text):
+        problems.append(
+            f"{rel}: binds a *_plan(...) result but never checks "
+            "measured stats against the plan (check 3)"
+        )
     return problems
 
 

@@ -21,6 +21,16 @@ SRC = os.path.join(REPO, "src")
 
 CAST_RE = re.compile(r"static_cast<[^<>]*>\s*\(([^()]*)\)")
 
+# The unchecked-plan rule both lints enforce (check_locality.py check 3,
+# cc_oblivious.py check 4): a file that binds a `*_plan(...)` result must
+# compare measured stats against it — a CC_CHECK naming the plan, or a
+# ChargedSince::check against it — or hand it to a plan-consuming executor,
+# whose template carries the checks. `run_*` names are executors (they
+# *consume* a plan), not planners.
+PLAN_CALL_RE = re.compile(r"(?:=|return)\s*(?!run_)\w+_plan\s*\(")
+PLAN_CHECK_RE = re.compile(r"(?:CC_CHECK|\.check)\s*\([^;]*plan", re.S)
+PLAN_EXECUTORS = ("run_block_mm", "run_sparse_mm", "run_routed_square")
+
 
 def normalize(text):
     """Strips static_cast<...>(x) wrappers (repeatedly, for nesting)."""
@@ -54,6 +64,16 @@ def match_brace(text, open_pos):
             if depth == 0:
                 return i + 1
     return len(text)
+
+
+def unchecked_plan(text):
+    """True if comment-stripped `text` binds a `*_plan(...)` result that no
+    check compares measured stats against and no executor consumes."""
+    return (
+        PLAN_CALL_RE.search(text) is not None
+        and PLAN_CHECK_RE.search(text) is None
+        and not any(executor in text for executor in PLAN_EXECUTORS)
+    )
 
 
 def line_of(text, offset):
