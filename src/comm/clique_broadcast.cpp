@@ -9,32 +9,13 @@ namespace cclique {
 
 CliqueBroadcast::CliqueBroadcast(int n, int bandwidth) : core_(n, bandwidth) {}
 
-const std::vector<Message>& CliqueBroadcast::round(const BcastFn& bcast) {
+const std::vector<Message>& CliqueBroadcast::round_fill(const FillFn& fill) {
   const int nn = n();
-  board_.assign(static_cast<std::size_t>(nn), Message{});
+  if (slots_.empty()) slots_ = core_.borrow_slots(static_cast<std::size_t>(nn));
   core_.send_phase([&](int i, PlayerCharge& charge) {
     locality::PlayerScope scope(i);
     // The callback's output becomes this round's blackboard write length:
-    // a length sink, like every engine send path (see oblivious_guard.h).
-    oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-BCAST send callback"));
-    Message msg = bcast(i);
-    core_.charge_broadcast(i, msg.size_bits(), charge,
-                           "per-player bandwidth exceeded in CLIQUE-BCAST");
-    board_[static_cast<std::size_t>(i)] = std::move(msg);
-  });
-  charge_reads();
-  return board_;
-}
-
-void CliqueBroadcast::ensure_slots() {
-  if (slots_.empty()) slots_ = core_.borrow_slots(static_cast<std::size_t>(n()));
-}
-
-const std::vector<Message>& CliqueBroadcast::round_fill(const FillFn& fill) {
-  ensure_slots();
-  const int nn = n();
-  core_.send_phase([&](int i, PlayerCharge& charge) {
-    locality::PlayerScope scope(i);
+    // a length sink, like every engine fill path (see oblivious_guard.h).
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-BCAST fill callback"));
     Message& slot = slots_[static_cast<std::size_t>(i)];
     slot.clear();
@@ -42,24 +23,18 @@ const std::vector<Message>& CliqueBroadcast::round_fill(const FillFn& fill) {
     core_.charge_broadcast(i, slot.size_bits(), charge,
                            "per-player bandwidth exceeded in CLIQUE-BCAST");
   });
-  board_.resize(static_cast<std::size_t>(nn));
-  for (int i = 0; i < nn; ++i) {
-    board_[static_cast<std::size_t>(i)] =
-        Message::alias(slots_[static_cast<std::size_t>(i)]);
-  }
-  charge_reads();
-  return board_;
-}
-
-void CliqueBroadcast::charge_reads() {
   // Every written bit is read by the other n-1 players: player i's receive
   // load this round is the board total minus its own write.
-  const int nn = n();
+  board_.resize(static_cast<std::size_t>(nn));
   std::uint64_t total = 0;
-  for (const Message& m : board_) total += m.size_bits();
+  for (int i = 0; i < nn; ++i) {
+    board_[static_cast<std::size_t>(i)] = Message::alias(slots_[static_cast<std::size_t>(i)]);
+    total += board_[static_cast<std::size_t>(i)].size_bits();
+  }
   for (int i = 0; i < nn; ++i) {
     core_.charge_receive(i, total - board_[static_cast<std::size_t>(i)].size_bits());
   }
+  return board_;
 }
 
 std::vector<Message> broadcast_payloads(CliqueBroadcast& net,

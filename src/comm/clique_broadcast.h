@@ -6,9 +6,9 @@
 // cross any cut per round, which is what re-enables the bottleneck lower
 // bounds of Section 3.2.
 //
-// Built on the shared metered transport core (comm/engine.h): broadcast
+// Built on the shared metered transport core (comm/engine.h): fill
 // callbacks may run concurrently (CC_THREADS) with bit-identical
-// accounting, and the arena-backed round_fill path performs O(1) heap
+// accounting, and every round writes arena-backed slots with O(1) heap
 // allocations per round.
 #pragma once
 
@@ -24,9 +24,9 @@ namespace cclique {
 /// Round-synchronous engine for the broadcast congested clique.
 ///
 /// Determinism: accounting is bit-identical at any CC_THREADS value (the
-/// comm/engine.h contract). Cost model: one round() / round_fill() call =
-/// exactly one round and at most n·b written bits (each charged once —
-/// the blackboard is read, not re-sent).
+/// comm/engine.h contract). Cost model: one round_fill() call = exactly one
+/// round and at most n·b written bits (each charged once — the blackboard
+/// is read, not re-sent).
 class CliqueBroadcast {
  public:
   /// Preconditions: n >= 1 players, per-broadcast bandwidth >= 1 bits
@@ -36,29 +36,19 @@ class CliqueBroadcast {
   int n() const { return core_.n(); }
   int bandwidth() const { return core_.bandwidth(); }
 
-  /// Broadcast callback: player i returns its <= b-bit broadcast.
-  using BcastFn = std::function<Message(int player)>;
+  /// Broadcast-filling callback: append player i's broadcast into `out`
+  /// (initially empty, capacity bandwidth() bits; overflow throws
+  /// ModelViolation immediately).
+  using FillFn = std::function<void(int player, Message& out)>;
 
   /// Executes one round; returns the blackboard row (message of player i at
   /// index i). All players may read the returned row — that is the model.
-  /// Cost: 1 round, sum-of-broadcast-sizes bits. Broadcast callbacks may
-  /// run concurrently (locality discipline); a broadcast over bandwidth()
-  /// bits throws ModelViolation and the round charges nothing. The row is
-  /// valid until the next round begins.
-  const std::vector<Message>& round(const BcastFn& bcast);
-
-  /// Broadcast-filling callback for the arena-backed fast path: append
-  /// player i's broadcast into `out` (initially empty, capacity bandwidth()
-  /// bits; overflow throws ModelViolation immediately).
-  using FillFn = std::function<void(int player, Message& out)>;
-
-  /// round() without per-round heap allocation: the blackboard row lives in
-  /// the engine's arena. Accounting is identical to round().
+  /// Cost: 1 round, sum-of-broadcast-sizes bits. Fill callbacks may run
+  /// concurrently (locality discipline); a broadcast over bandwidth() bits
+  /// throws ModelViolation and the round charges nothing. The row lives in
+  /// the engine's arena (no per-round heap allocation) and is valid until
+  /// the next round begins.
   const std::vector<Message>& round_fill(const FillFn& fill);
-
-  /// The blackboard row of the most recent round. Valid until the next
-  /// round begins (round_fill reuses the storage).
-  const std::vector<Message>& last_round() const { return board_; }
 
   /// Registers a 2-party partition for cut accounting: a broadcast bit by a
   /// side-0 player costs one bit toward side 1 (and vice versa), because in
@@ -69,13 +59,10 @@ class CliqueBroadcast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
-  void ensure_slots();
-  void charge_reads();
-
   EngineCore core_;
-  std::vector<Message> board_;
-  /// round_fill blackboard slots, borrowed from the arena (allocated once).
+  /// Blackboard slots, borrowed from the arena on the first round.
   std::vector<Message> slots_;
+  std::vector<Message> board_;  ///< aliases of slots_, returned to callers
 };
 
 /// Broadcasts arbitrarily long per-player payloads by chunking into

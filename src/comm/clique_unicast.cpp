@@ -9,47 +9,19 @@ namespace cclique {
 
 CliqueUnicast::CliqueUnicast(int n, int bandwidth) : core_(n, bandwidth) {}
 
-void CliqueUnicast::round(const SendFn& send, const RecvFn& recv) {
-  // Collect and validate all outboxes before any delivery: a synchronous
-  // round means sends are based on pre-round state only. Send callbacks may
-  // run concurrently (see comm/engine.h for the determinism contract).
+void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
   const int nn = n();
-  legacy_out_.resize(static_cast<std::size_t>(nn));
+  if (slots_.empty()) {
+    slots_ = core_.borrow_slots(static_cast<std::size_t>(nn) * static_cast<std::size_t>(nn));
+  }
+  // Fill and validate every outbox before any delivery: a synchronous round
+  // means sends are based on pre-round state only. Fill callbacks may run
+  // concurrently (see comm/engine.h for the determinism contract).
   core_.send_phase([&](int i, PlayerCharge& charge) {
     locality::PlayerScope scope(i);
     // The callback's outputs become this round's message lengths, so the
     // whole callback is a length sink: payloads must be pre-serialized
     // (comm/model.h), never read here.
-    oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-UCAST send callback"));
-    std::vector<Message> box = send(i);
-    CC_MODEL(static_cast<int>(box.size()) == nn,
-             "outbox must have one slot per player");
-    for (int j = 0; j < nn; ++j) {
-      const Message& msg = box[static_cast<std::size_t>(j)];
-      if (j == i) {
-        CC_MODEL(msg.empty(), "players cannot message themselves");
-        continue;
-      }
-      core_.charge_message(i, j, msg.size_bits(), charge,
-                           "per-edge bandwidth exceeded in CLIQUE-UCAST");
-    }
-    legacy_out_[static_cast<std::size_t>(i)] = std::move(box);
-  });
-  deliver(legacy_out_, recv);
-}
-
-void CliqueUnicast::ensure_slots() {
-  if (slots_.empty()) {
-    const std::size_t nn = static_cast<std::size_t>(n());
-    slots_ = core_.borrow_slots(nn * nn);
-  }
-}
-
-void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
-  ensure_slots();
-  const int nn = n();
-  core_.send_phase([&](int i, PlayerCharge& charge) {
-    locality::PlayerScope scope(i);
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-UCAST fill callback"));
     Message* box = &slots_[static_cast<std::size_t>(i) * static_cast<std::size_t>(nn)];
     for (int j = 0; j < nn; ++j) box[j].clear();
@@ -81,25 +53,6 @@ void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
   }
 }
 
-void CliqueUnicast::deliver(std::vector<std::vector<Message>>& out,
-                            const RecvFn& recv) {
-  const int nn = n();
-  inbox_.resize(static_cast<std::size_t>(nn));
-  for (int r = 0; r < nn; ++r) {
-    std::uint64_t recv_bits = 0;
-    for (int j = 0; j < nn; ++j) {
-      // Each message is delivered to exactly one receiver, so moving it out
-      // of the outbox matrix is safe and saves the per-message copy.
-      inbox_[static_cast<std::size_t>(j)] =
-          std::move(out[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]);
-      recv_bits += inbox_[static_cast<std::size_t>(j)].size_bits();
-    }
-    core_.charge_receive(r, recv_bits);
-    locality::PlayerScope scope(r);
-    recv(r, inbox_);
-  }
-}
-
 int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received) {
@@ -111,8 +64,11 @@ int unicast_payloads(CliqueUnicast& net,
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads chunk schedule"));
   CC_REQUIRE(static_cast<int>(payload.size()) == n, "payload matrix must be n x n");
   std::size_t max_len = 0;
-  for (const auto& row : payload) {
+  for (int i = 0; i < n; ++i) {
+    const auto& row = payload[static_cast<std::size_t>(i)];
     CC_REQUIRE(static_cast<int>(row.size()) == n, "payload matrix must be n x n");
+    CC_REQUIRE(row[static_cast<std::size_t>(i)].empty(),
+               "payloads cannot address the sender itself");
     for (const auto& msg : row) max_len = std::max(max_len, msg.size_bits());
   }
   received->assign(static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
@@ -148,6 +104,62 @@ int unicast_payloads(CliqueUnicast& net,
         });
   }
   return rounds;
+}
+
+std::vector<Message> all_gather(CliqueUnicast& net, int width, const GatherFillFn& fill) {
+  const int n = net.n();
+  CC_REQUIRE(width >= 0, "all-gather width must be non-negative");
+  // Every message is written before the first chunk moves, each inside its
+  // player's scopes — the same contract as an engine fill callback.
+  std::vector<Message> sent(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    locality::PlayerScope scope(i);
+    oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("all_gather fill callback"));
+    Message& msg = sent[static_cast<std::size_t>(i)];
+    fill(i, msg);
+    CC_MODEL(msg.size_bits() <= static_cast<std::size_t>(width),
+             "all-gather message exceeds its declared width");
+  }
+  if (n == 1) return sent;
+  // Chunk schedule: ceil(width / b) rounds whatever the messages hold, so
+  // the round count is a function of the declared width alone.
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("all_gather chunk schedule"));
+  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
+  const int rounds = all_gather_cost(n, width, net.bandwidth()).rounds;
+  std::vector<Message> row(static_cast<std::size_t>(n));
+  row[0] = sent[0];  // player 0's own message is self-knowledge
+  for (int r = 0; r < rounds; ++r) {
+    const std::size_t offset = static_cast<std::size_t>(r) * b;
+    net.round_fill(
+        [&](int i, Message* box) {
+          const Message& full = sent[static_cast<std::size_t>(i)];
+          if (offset >= full.size_bits()) return;
+          const std::size_t take = std::min(b, full.size_bits() - offset);
+          for (int j = 0; j < n; ++j) {
+            if (j != i) box[j].append_slice(full, offset, take);
+          }
+        },
+        [&](int receiver, const std::vector<Message>& inbox) {
+          if (receiver != 0) return;  // identical decode everywhere; model once
+          for (int j = 1; j < n; ++j) {
+            row[static_cast<std::size_t>(j)].append(inbox[static_cast<std::size_t>(j)]);
+          }
+        });
+  }
+  CC_CHECK(row == sent, "all-gather delivered a corrupted message");
+  return row;
+}
+
+AllGatherCost all_gather_cost(int n, int width, int bandwidth) {
+  CC_REQUIRE(n >= 1 && width >= 0 && bandwidth >= 1, "all-gather parameters out of range");
+  if (n < 2) return {};
+  const std::uint64_t w = static_cast<std::uint64_t>(width);
+  AllGatherCost cost;
+  cost.rounds = static_cast<int>((w + static_cast<std::uint64_t>(bandwidth) - 1) /
+                                 static_cast<std::uint64_t>(bandwidth));
+  cost.sender_bits = static_cast<std::uint64_t>(n - 1) * w;
+  cost.bits = static_cast<std::uint64_t>(n) * cost.sender_bits;
+  return cost;
 }
 
 int unicast_payloads_relayed(CliqueUnicast& net,

@@ -5,11 +5,12 @@
 // *different* messages on different links (Θ(n^2 b) bits/round total
 // capacity). This is the model of Sections 1–2 of the paper.
 //
-// Built on the shared metered transport core (comm/engine.h): send callbacks
-// may run concurrently (CC_THREADS) with bit-identical accounting, and the
-// arena-backed round_fill path performs O(1) heap allocations per round.
+// Built on the shared metered transport core (comm/engine.h): fill callbacks
+// may run concurrently (CC_THREADS) with bit-identical accounting, and every
+// round fills arena-backed outboxes with O(1) heap allocations per round.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -23,9 +24,8 @@ namespace cclique {
 ///
 /// Determinism: all accounting (stats()) is bit-identical at any
 /// CC_THREADS value — see the contract in comm/engine.h / DESIGN.md §2.1.
-/// Cost model: one round() / round_fill() call = exactly one round and at
-/// most n(n-1)·b network bits; every bit is charged to stats(), never
-/// estimated.
+/// Cost model: one round_fill() call = exactly one round and at most
+/// n(n-1)·b network bits; every bit is charged to stats(), never estimated.
 class CliqueUnicast {
  public:
   /// Preconditions: n >= 1 players, per-edge per-round bandwidth
@@ -35,37 +35,26 @@ class CliqueUnicast {
   int n() const { return core_.n(); }
   int bandwidth() const { return core_.bandwidth(); }
 
-  /// Sender callback: given a player id, return its outbox — a vector of n
-  /// messages where slot j is the message for player j (empty = nothing).
-  /// Slot `player` (self) must be empty. Each message must fit in
-  /// bandwidth() bits or the engine throws ModelViolation.
-  using SendFn = std::function<std::vector<Message>(int player)>;
+  /// Outbox-filling callback: `outbox` points at n engine-owned messages
+  /// (initially empty, capacity bandwidth() bits); append to outbox[j] to
+  /// address player j. Slot `player` (self) must stay empty. Writing past
+  /// the capacity throws ModelViolation immediately.
+  using FillFn = std::function<void(int player, Message* outbox)>;
 
   /// Receiver callback: inbox[j] is the message player j sent this round.
-  /// The inbox (and any borrowed messages in it) is valid only for the
+  /// The inbox aliases the engine's arena and is valid only for the
   /// duration of the callback — copy what must outlive it.
   using RecvFn = std::function<void(int player, const std::vector<Message>& inbox)>;
 
-  /// Executes one synchronous round: all outboxes are collected and
-  /// validated against pre-round state, then delivered. Cost: 1 round,
-  /// sum-of-message-sizes bits. Send callbacks may run concurrently
+  /// Executes one synchronous round: every outbox is filled and validated
+  /// against pre-round state, then delivered. Cost: 1 round,
+  /// sum-of-message-sizes bits. Fill callbacks may run concurrently
   /// (locality discipline: read only the player's own pre-round state);
-  /// receive callbacks run serially in player order. A message over
-  /// bandwidth() bits, a non-empty self-slot, or a wrong-size outbox
-  /// throws ModelViolation and the round charges nothing.
-  void round(const SendFn& send, const RecvFn& recv);
-
-  /// Outbox-filling callback for the arena-backed fast path: `outbox` points
-  /// at n engine-owned messages (initially empty, capacity bandwidth()
-  /// bits); append to outbox[j] to address player j. Writing past the
-  /// capacity throws ModelViolation immediately.
-  using FillFn = std::function<void(int player, Message* outbox)>;
-
-  /// Executes one round without per-round heap allocation: outboxes live in
-  /// the engine's arena and inboxes alias them (zero-copy delivery).
-  /// Semantics, cost, and accounting are identical to round(); borrowed
-  /// messages are valid only until the next round begins (DESIGN.md §2.1,
-  /// arena lifetime rule).
+  /// receive callbacks run serially in player order. A non-empty self-slot
+  /// throws ModelViolation and the round charges nothing. Outboxes live in
+  /// the engine's arena and inboxes alias them (zero-copy delivery, no
+  /// per-round heap allocation); borrowed messages are valid only until the
+  /// next round begins (DESIGN.md §2.1, arena lifetime rule).
   void round_fill(const FillFn& fill, const RecvFn& recv);
 
   /// Registers a 2-party partition (side[i] in {0,1}) so stats().cut_bits
@@ -78,16 +67,11 @@ class CliqueUnicast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
-  void ensure_slots();
-  void deliver(std::vector<std::vector<Message>>& out, const RecvFn& recv);
-
   EngineCore core_;
-  /// round_fill outbox matrix: slot i*n+j is the message i -> j, borrowed
-  /// from the arena (allocated once — the engine's geometry is fixed).
+  /// Outbox matrix: slot i*n+j is the message i -> j, borrowed from the
+  /// arena (allocated on the first round — the engine's geometry is fixed).
   std::vector<Message> slots_;
-  /// Legacy-path outbox collection and the reused delivery inbox.
-  std::vector<std::vector<Message>> legacy_out_;
-  std::vector<Message> inbox_;
+  std::vector<Message> inbox_;  ///< the reused delivery inbox
 };
 
 /// Delivers arbitrarily long per-edge payloads by chunking them into
@@ -95,14 +79,47 @@ class CliqueUnicast {
 /// is what player i wants player j to end up holding; on return,
 /// received[j][i] holds it. Returns the number of rounds used.
 ///
-/// Preconditions: payload is an n x n matrix (CC_REQUIRE); diagonal
-/// entries are ignored only if empty (a non-empty self-payload trips the
-/// engine's self-message rule). Cost: exactly ceil(max payload bits / b)
-/// rounds and sum-of-payload-bits network bits. Deterministic: the chunk
-/// schedule is a pure function of the payload lengths.
+/// Preconditions (CC_REQUIRE, checked before any bit moves): payload is an
+/// n x n matrix with an empty diagonal. Cost: exactly
+/// ceil(max payload bits / b) rounds and sum-of-payload-bits network bits.
+/// Deterministic: the chunk schedule is a pure function of the payload
+/// lengths.
 int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received);
+
+/// Player i's message for an all-gather: append at most `width` bits to
+/// `out` (initially empty), or leave it empty.
+using GatherFillFn = std::function<void(int player, Message& out)>;
+
+/// All-gather over unicast: every player's message reaches all n-1 others —
+/// one CLIQUE-BCAST round's worth of information, paid n-1 times over on
+/// the unicast links. fill(i, out) writes player i's message; it runs inside
+/// player i's locality scope and an obliviousness length sink, exactly like
+/// an engine fill callback, so it serializes plain per-player values only.
+///
+/// The schedule depends on `width` alone: ceil(width / b) chunked rounds on
+/// n >= 2 players, whatever the messages hold (short or empty messages still
+/// take every round), and none on a 1-clique. A message longer than `width`
+/// throws ModelViolation before any bit moves.
+///
+/// Returns the common-knowledge row: row[i] is player i's message, which
+/// every player now holds ("identical decode everywhere; model once"). The
+/// row player 0 reassembled from the wire, completed by its own message, is
+/// CC_CHECKed against what was sent.
+std::vector<Message> all_gather(CliqueUnicast& net, int width, const GatherFillFn& fill);
+
+/// The schedule of one all_gather of `width`-bit messages at bandwidth `b`.
+struct AllGatherCost {
+  int rounds = 0;                  ///< ceil(width / b) for n >= 2, else 0
+  std::uint64_t sender_bits = 0;   ///< (n-1)·width: one full message to every other player
+  std::uint64_t bits = 0;          ///< n·sender_bits: every player sends a full message
+};
+
+/// Prices all_gather from (n, width, b) alone. Protocols whose senders are
+/// a common-knowledge subset charge sender_bits per sender instead of bits.
+/// Preconditions: n >= 1, width >= 0, bandwidth >= 1.
+AllGatherCost all_gather_cost(int n, int width, int bandwidth);
 
 /// The n-way balanced split used by the relayed delivery below: chunk c of a
 /// len-bit payload is bits [len*c/n, len*(c+1)/n) — all n chunks differ in

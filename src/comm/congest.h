@@ -5,7 +5,7 @@
 // graph edge. Used by the δ-sparse lower bounds of Definition 12 /
 // Lemma 13 and by the in-network 4-cycle detection upper bound.
 //
-// Built on the shared metered transport core (comm/engine.h): send callbacks
+// Built on the shared metered transport core (comm/engine.h): fill callbacks
 // may run concurrently (CC_THREADS) with bit-identical accounting.
 #pragma once
 
@@ -28,14 +28,21 @@ class CongestUnicast {
   int bandwidth() const { return core_.bandwidth(); }
   const Graph& topology() const { return topology_; }
 
-  /// Outbox layout: one slot per *neighbor index* in
-  /// topology().neighbors(player) order; each message <= b bits.
-  using SendFn = std::function<std::vector<Message>(int player)>;
+  /// Outbox-filling callback: `outbox` points at one engine-owned message
+  /// per incident edge, in topology().neighbors(player) order (initially
+  /// empty, capacity bandwidth() bits; overflow throws ModelViolation
+  /// immediately).
+  using FillFn = std::function<void(int player, Message* outbox)>;
 
   /// inbox is aligned with topology().neighbors(player) as well.
   using RecvFn = std::function<void(int player, const std::vector<Message>& inbox)>;
 
-  void round(const SendFn& send, const RecvFn& recv);
+  /// Executes one synchronous round: every outbox is filled against
+  /// pre-round state (concurrently under CC_THREADS), then delivered
+  /// serially in player order. Cost: 1 round, sum-of-message-sizes bits.
+  /// Outboxes live in the engine's arena and inboxes alias them; borrowed
+  /// messages are valid only until the next round begins.
+  void round_fill(const FillFn& fill, const RecvFn& recv);
 
   /// Registers a vertex bipartition; cut_bits accumulates bits on cut edges.
   void set_cut(std::vector<int> side) { core_.set_cut(std::move(side)); }
@@ -49,7 +56,10 @@ class CongestUnicast {
   /// reverse_slot_[v][k]: v's index among the neighbors of its k-th
   /// neighbor. Precomputed so delivery is O(degree) per node per round.
   std::vector<std::vector<std::size_t>> reverse_slot_;
-  std::vector<std::vector<Message>> out_;
+  /// Outbox slots, one per directed edge, borrowed from the arena on the
+  /// first round: v's outbox starts at slots_[slot_begin_[v]].
+  std::vector<std::size_t> slot_begin_;
+  std::vector<Message> slots_;
   std::vector<Message> inbox_;
 };
 

@@ -7,7 +7,7 @@
 // accounting (including the per-player vectors), cut tracking, a per-round
 // payload arena, and a deterministic parallel scheduler for the send phase.
 //
-// Determinism contract (DESIGN.md §2.1): send callbacks are independent by
+// Determinism contract (DESIGN.md §2.1): fill callbacks are independent by
 // the locality discipline (comm/model.h), so send_phase may run them on a
 // thread pool sized by CC_THREADS (default: hardware concurrency; 1 =
 // serial, the pre-parallel behavior). Each player's charges accumulate into

@@ -6,7 +6,7 @@
 // for every bit, and delivers. The engine is the arbiter of what a round
 // and a bit mean, so measured round counts in benches are trustworthy.
 //
-// Locality discipline: a player's send callback must compute only from that
+// Locality discipline: a player's fill callback must compute only from that
 // player's local state and previously delivered messages. The protocol
 // implementations in src/core and src/lowerbound follow it by construction
 // (per-player state structs), and the rule is mechanically enforced by the
@@ -15,7 +15,7 @@
 // locality::PerPlayer, and a cross-player access throws ModelViolation in
 // CCLIQUE_LOCALITY=ON builds (zero cost otherwise). tools/check_locality.py
 // lints the same rules statically in CI.
-// Because send callbacks are local by contract, the transport core
+// Because fill callbacks are local by contract, the transport core
 // (comm/engine.h) may run them concurrently (CC_THREADS); a callback that
 // touches shared mutable state breaks the discipline *and* the scheduler.
 // Receive callbacks are always invoked serially in player order.

@@ -46,47 +46,33 @@ std::uint64_t local_share(CountField f, const Graph& g, const Mat61& a2, int v) 
   return 0;
 }
 
+/// The closing exchange's message width: one 61-bit share per field.
+int share_width(std::size_t fields) { return 61 * static_cast<int>(fields); }
+
 /// The closing exchange of every counting protocol: each player computes
-/// its 61-bit shares of `fields` and ships them, in `fields` order, in one
-/// message per ordered pair. *totals gets the clique-wide sums mod p in
-/// `fields` order; returns the rounds used.
-int share_counting_fields(CliqueUnicast& net, const Graph& g, const Mat61& a2,
-                          const std::vector<CountField>& fields,
-                          std::vector<std::uint64_t>* totals) {
+/// its 61-bit shares of `fields` and all-gathers them in `fields` order.
+/// Returns the clique-wide sums mod p in `fields` order.
+std::vector<std::uint64_t> share_counting_fields(CliqueUnicast& net, const Graph& g,
+                                                 const Mat61& a2,
+                                                 const std::vector<CountField>& fields) {
   const int n = g.num_vertices();
-  std::vector<std::vector<std::uint64_t>> shares;
-  shares.reserve(fields.size());
-  for (CountField f : fields) {
-    // Each share is player-private until the exchange ships it.
-    locality::PerPlayer<std::uint64_t> share(
-        n, CC_LOCALITY_SITE("local counting share"));
-    for (int v = 0; v < n; ++v) share[v] = local_share(f, g, a2, v);
-    shares.push_back(share.take());
-  }
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  // Each player's shares are private until the all-gather ships them.
+  locality::PerPlayer<std::vector<std::uint64_t>> shares(
+      n, CC_LOCALITY_SITE("local counting shares"));
   for (int v = 0; v < n; ++v) {
-    Message m;
-    for (const auto& share : shares) m.push_uint(share[static_cast<std::size_t>(v)], 61);
-    for (int j = 0; j < n; ++j) {
-      if (j != v) payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = m;
+    for (CountField f : fields) shares[v].push_back(local_share(f, g, a2, v));
+  }
+  const std::vector<Message> row =
+      all_gather(net, share_width(fields.size()), [&](int v, Message& out) {
+        for (std::uint64_t share : shares[v]) out.push_uint(share, 61);
+      });
+  std::vector<std::uint64_t> totals(fields.size(), 0);
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const Message& msg : row) {
+      totals[f] = Mersenne61::add(totals[f], msg.read_uint(f * 61, 61));
     }
   }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads(net, payload, &recv);
-  totals->assign(shares.size(), 0);
-  for (std::size_t f = 0; f < shares.size(); ++f) {
-    for (int v = 0; v < n; ++v) {
-      const std::uint64_t share = shares[f][static_cast<std::size_t>(v)];
-      (*totals)[f] = Mersenne61::add((*totals)[f], share);
-      // Every player can reproduce the same totals from its inbox; player
-      // 0's must hold every field intact (cheap representative of the
-      // clique-wide agreement).
-      CC_CHECK(v == 0 || recv[0][static_cast<std::size_t>(v)].read_uint(f * 61, 61) == share,
-               "partial-sum exchange corrupted a field");
-    }
-  }
-  return rounds;
+  return totals;
 }
 
 /// #triangles = trace(A^3) / 6: each triangle closes six 3-walks.
@@ -103,21 +89,6 @@ std::uint64_t four_cycles_from_trace(std::uint64_t trace4, std::uint64_t sum_deg
   const std::uint64_t numerator = trace4 + twice_edges - 2 * sum_deg2;
   CC_CHECK(numerator % 8 == 0, "trace identity must yield 8 * #C4");
   return numerator / 8;
-}
-
-/// The closing exchange's schedule: one `fields`-wide 61-bit message per
-/// ordered pair, chunked like every unicast_payloads exchange (nothing to
-/// share on a 1-clique).
-struct ShareCost {
-  int rounds = 0;
-  std::uint64_t bits = 0;
-};
-
-ShareCost share_cost(int n, int bandwidth, std::size_t fields) {
-  if (n < 2) return {};
-  const std::uint64_t len = 61u * fields;
-  return {static_cast<int>(ceil_div(len, static_cast<std::uint64_t>(bandwidth))),
-          static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * len};
 }
 
 /// Preconditions of every counting entry point, checked before any pricing.
@@ -141,11 +112,12 @@ AlgebraicCountResult run_counting(CliqueUnicast& net, const Graph& g, CountBacke
   AlgebraicCountResult out;
   ProductStep& product = out;
   product = run_routed_square<blockmm::M61Ops>(net, Mat61::adjacency(g), a2, backend, dense);
-  out.share_rounds = share_counting_fields(net, g, *a2, fields, totals);
-  out.total_rounds = out.planned_rounds + out.share_rounds;
-  const ShareCost share = share_cost(g.num_vertices(), net.bandwidth(), fields.size());
-  CC_CHECK(out.share_rounds == share.rounds, "counting share left the planned schedule");
-  charged.check(out.planned_rounds + share.rounds, out.planned_bits + share.bits,
+  *totals = share_counting_fields(net, g, *a2, fields);
+  const AllGatherCost share =
+      all_gather_cost(g.num_vertices(), share_width(fields.size()), net.bandwidth());
+  out.share_rounds = share.rounds;
+  out.total_rounds = out.planned_rounds + share.rounds;
+  charged.check(out.total_rounds, out.planned_bits + share.bits,
                 "counting left the planned schedule");
   return out;
 }
@@ -236,7 +208,7 @@ CountingArtifactPlan counting_artifacts_plan(int n, int bandwidth) {
   CountingArtifactPlan plan;
   plan.n = n;
   plan.product = algebraic_mm_plan(n, /*word_bits=*/61, bandwidth);
-  const ShareCost share = share_cost(n, bandwidth, 4);
+  const AllGatherCost share = all_gather_cost(n, share_width(4), bandwidth);
   plan.share_rounds = share.rounds;
   plan.total_rounds = plan.product.total_rounds + share.rounds;
   plan.total_bits = plan.product.total_bits + share.bits;

@@ -30,9 +30,9 @@
 // On top of the product: exact triangle and 4-cycle counting over
 // F_{2^61-1} (linalg/mat61). One distributed product A² suffices for both —
 // trace(A³) = Σ_v ⟨row_v(A²), row_v(A)⟩ = 6·(#triangles) and
-// trace(A⁴) = Σ_v ‖row_v(A²)‖² = 8·(#C₄) + 2·Σdeg² − 2|E| — followed by a
-// one-message-per-pair exchange of 61-bit partial sums. Field arithmetic is
-// exact integer arithmetic as long as the traces stay below p = 2^61 − 1.
+// trace(A⁴) = Σ_v ‖row_v(A²)‖² = 8·(#C₄) + 2·Σdeg² − 2|E| — followed by an
+// all_gather of 61-bit partial sums. Field arithmetic is exact integer
+// arithmetic as long as the traces stay below p = 2^61 − 1.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +134,7 @@ AlgebraicCountResult four_cycle_count_algebraic(
 /// (counting_artifacts_run below): one dense A·A product plus a single
 /// combined partial-sum exchange carrying all four counting fields
 /// (trace(A³) diagonal share, trace(A⁴) walk share, deg², deg) in one
-/// 4·61-bit message per ordered pair. A function of (n, bandwidth) alone.
+/// 4·61-bit all_gather. A function of (n, bandwidth) alone.
 struct CountingArtifactPlan {
   int n = 0;
   AlgebraicMmPlan product;  ///< the A·A schedule (word_bits = 61)

@@ -23,11 +23,10 @@ ApspPlan apsp_plan(int n, int bandwidth) {
   plan.n = n;
   plan.squarings = n >= 2 ? ceil_log2(static_cast<std::uint64_t>(n) - 1) : 0;
   plan.product = algebraic_mm_plan(n, /*word_bits=*/61, bandwidth);
-  // The eccentricity exchange ships one 61-bit value per ordered pair in
-  // ceil(61 / b) chunked rounds (nothing to exchange on a 1-clique).
-  plan.ecc_rounds =
-      n >= 2 ? static_cast<int>(ceil_div(61, static_cast<std::uint64_t>(bandwidth))) : 0;
-  plan.ecc_bits = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) * 61u;
+  // The eccentricity exchange all-gathers one 61-bit value per player.
+  const AllGatherCost ecc = all_gather_cost(n, 61, bandwidth);
+  plan.ecc_rounds = ecc.rounds;
+  plan.ecc_bits = ecc.bits;
   plan.total_rounds = plan.squarings * plan.product.total_rounds + plan.ecc_rounds;
   plan.total_bits =
       static_cast<std::uint64_t>(plan.squarings) * plan.product.total_bits + plan.ecc_bits;
@@ -86,11 +85,10 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
   }
 
   // ---- Eccentricity spectrum: player v derives ecc[v] = max_u d(v, u)
-  // from its own distance row, then a one-shot 61-bit all-to-all exchange
-  // makes the spectrum (hence diameter and radius) common knowledge — the
-  // same closing shape as the counting protocols' partial-sum share.
-  // Each value is player-private (ownership-tagged) until the exchange
-  // below hands it off into the common-knowledge result struct.
+  // from its own distance row, then a 61-bit all-gather makes the spectrum
+  // (hence diameter and radius) common knowledge — the same closing shape
+  // as the counting protocols' partial-sum share. Each value is
+  // player-private (ownership-tagged) until the all-gather ships it.
   locality::PerPlayer<std::uint64_t> ecc(
       n, CC_LOCALITY_SITE("per-player eccentricity"));
   for (int v = 0; v < n; ++v) {
@@ -98,27 +96,12 @@ ApspResult apsp_run(CliqueUnicast& net, const Graph& g,
     for (int u = 0; u < n; ++u) e = std::max(e, out.dist.get(v, u));
     ecc[v] = e;
   }
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  const std::vector<Message> row =
+      all_gather(net, 61, [&](int v, Message& msg) { msg.push_uint(ecc[v], 61); });
+  out.eccentricity.resize(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)].push_uint(ecc[v], 61);
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int ecc_rounds = unicast_payloads(net, payload, &recv);
-  CC_CHECK(ecc_rounds == out.plan.ecc_rounds,
-           "eccentricity exchange left the planned schedule");
-  out.eccentricity = ecc.take();
-  if (n > 1) {
-    // Player 0's inbox must reproduce the spectrum (cheap representative of
-    // the clique-wide agreement, as in share_partials).
-    for (int v = 1; v < n; ++v) {
-      CC_CHECK(recv[0][static_cast<std::size_t>(v)].read_uint(0, 61) ==
-                   out.eccentricity[static_cast<std::size_t>(v)],
-               "eccentricity exchange corrupted a value");
-    }
+    out.eccentricity[static_cast<std::size_t>(v)] =
+        row[static_cast<std::size_t>(v)].read_uint(0, 61);
   }
   out.diameter = *std::max_element(out.eccentricity.begin(), out.eccentricity.end());
   out.radius = *std::min_element(out.eccentricity.begin(), out.eccentricity.end());

@@ -22,8 +22,8 @@
 //    *same* globally-known length matrix — payload sizes depend on (n, w)
 //    only, never on weights — so apsp_plan is just `squarings` copies of
 //    the product schedule plus one eccentricity exchange;
-//  * derived queries: per-vertex eccentricities (a one-shot 61-bit
-//    all-to-all exchange, like the counting protocols' partial-sum share),
+//  * derived queries: per-vertex eccentricities (a 61-bit all_gather, like
+//    the counting protocols' partial-sum share),
 //    and from them diameter and radius, all exact and +infinity-aware
 //    (disconnected inputs yield infinite eccentricities).
 //
@@ -50,8 +50,8 @@ struct ApspPlan {
   int n = 0;
   int squarings = 0;      ///< ⌈log2(n-1)⌉ for n >= 2, else 0
   AlgebraicMmPlan product;  ///< per-squaring schedule (word_bits = 61)
-  int ecc_rounds = 0;     ///< final 61-bit eccentricity all-to-all exchange
-  std::uint64_t ecc_bits = 0;  ///< n(n-1) · 61: one value per ordered pair
+  int ecc_rounds = 0;     ///< final 61-bit eccentricity all_gather
+  std::uint64_t ecc_bits = 0;  ///< all_gather_cost(n, 61, b).bits = n(n-1) · 61
   int total_rounds = 0;   ///< squarings * product.total_rounds + ecc_rounds
   std::uint64_t total_bits = 0;
   /// Asymptotic reference the measured series is printed against:

@@ -44,18 +44,15 @@ CongestC4Result congest_c4_detect(const Graph& g, int bandwidth) {
 
   for (int r = 0; r < rounds; ++r) {
     const std::size_t offset = static_cast<std::size_t>(r) * static_cast<std::size_t>(bandwidth);
-    net.round(
-        [&](int v) {
+    net.round_fill(
+        [&](int v, Message* box) {
           const Message& full = stream[static_cast<std::size_t>(v)];
-          Message chunk;
-          if (offset < full.size_bits()) {
-            const std::size_t take =
-                std::min<std::size_t>(static_cast<std::size_t>(bandwidth),
-                                      full.size_bits() - offset);
-            chunk.append_slice(full, offset, take);
+          if (offset >= full.size_bits()) return;
+          const std::size_t take =
+              std::min<std::size_t>(static_cast<std::size_t>(bandwidth), full.size_bits() - offset);
+          for (std::size_t k = 0; k < g.neighbors(v).size(); ++k) {
+            box[k].append_slice(full, offset, take);
           }
-          std::vector<Message> box(g.neighbors(v).size(), chunk);
-          return box;
         },
         [&](int v, const std::vector<Message>& inbox) {
           for (std::size_t k = 0; k < inbox.size(); ++k) {

@@ -35,6 +35,7 @@ void enumerate_multisets(int t, int d, std::vector<int>& cur,
   }
 }
 
+// Does multiset m contain the pair multiset {x,y}?
 bool multiset_contains_pair(const std::vector<int>& m, int x, int y) {
   if (x == y) {
     int count = 0;
@@ -51,25 +52,19 @@ bool multiset_contains_pair(const std::vector<int>& m, int x, int y) {
 
 }  // namespace
 
-DlpSubgraphResult dlp_subgraph_detect(CliqueUnicast& net, const Graph& g,
-                                      const Graph& h) {
-  const int n = g.num_vertices();
-  const int d = h.num_vertices();
-  CC_REQUIRE(net.n() == n, "one player per vertex");
-  CC_REQUIRE(d >= 2, "pattern needs at least two vertices");
+namespace dlp {
 
-  // Largest t with C(t+d-1, d) <= n (at least 1).
-  int t = 1;
-  while (multiset_count(t + 1, d) <= static_cast<std::uint64_t>(n)) ++t;
-  std::vector<std::vector<int>> multisets;
+std::vector<std::vector<int>> group_multisets(int t, int d) {
+  std::vector<std::vector<int>> out;
   std::vector<int> cur;
-  enumerate_multisets(t, d, cur, multisets);
-  CC_CHECK(multisets.size() <= static_cast<std::size_t>(n),
-           "multiset assignment overflow");
+  enumerate_multisets(t, d, cur, out);
+  return out;
+}
 
-  std::vector<int> group_of(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) group_of[static_cast<std::size_t>(v)] = v % t;
-
+std::vector<std::vector<Edge>> route_group_pair_edges(
+    CliqueUnicast& net, const Graph& g, int t,
+    const std::vector<std::vector<int>>& multisets) {
+  const int n = g.num_vertices();
   // pair (lo, hi) -> players wanting those edges.
   std::vector<std::vector<int>> players_for_pair(static_cast<std::size_t>(t) *
                                                  static_cast<std::size_t>(t));
@@ -84,13 +79,12 @@ DlpSubgraphResult dlp_subgraph_detect(CliqueUnicast& net, const Graph& g,
       }
     }
   }
-
   const int addr = bits_for(static_cast<std::uint64_t>(n));
   RoutingDemand demand;
   demand.payload_bits = 2 * addr;
   for (const Edge& e : g.edges()) {
-    const int gu = group_of[static_cast<std::size_t>(e.u)];
-    const int gv = group_of[static_cast<std::size_t>(e.v)];
+    const int gu = e.u % t;
+    const int gv = e.v % t;
     const int lo = std::min(gu, gv), hi = std::max(gu, gv);
     const std::uint64_t payload =
         (static_cast<std::uint64_t>(e.u) << addr) | static_cast<std::uint64_t>(e.v);
@@ -100,44 +94,61 @@ DlpSubgraphResult dlp_subgraph_detect(CliqueUnicast& net, const Graph& g,
     }
   }
   RoutingResult routed = route_two_phase(net, demand);
-
-  std::vector<bool> found(static_cast<std::size_t>(n), false);
+  std::vector<std::vector<Edge>> local(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    if (routed.delivered[static_cast<std::size_t>(p)].empty()) continue;
-    Graph local(n);
     for (const auto& [src, payload] : routed.delivered[static_cast<std::size_t>(p)]) {
       (void)src;
       const int u = static_cast<int>(payload >> addr);
       const int v = static_cast<int>(payload & ((1ULL << addr) - 1));
-      local.add_edge(u, v);
+      local[static_cast<std::size_t>(p)].push_back(Edge(u, v));
     }
-    found[static_cast<std::size_t>(p)] = contains_subgraph(local, h);
   }
+  return local;
+}
 
-  // One-round verdict aggregation at player 0.
+bool gather_verdicts(CliqueUnicast& net, const std::vector<bool>& found) {
+  const int n = net.n();
   bool global = found[0];
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        if (i != 0) {
-          Message m;
-          m.push_bit(found[static_cast<std::size_t>(i)]);
-          box[0] = std::move(m);
-        }
-        return box;
+  net.round_fill(
+      [&](int i, Message* box) {
+        if (i != 0) box[0].push_bit(found[static_cast<std::size_t>(i)]);
       },
       [&](int receiver, const std::vector<Message>& inbox) {
         if (receiver != 0) return;
         for (int j = 1; j < n; ++j) {
-          if (!inbox[static_cast<std::size_t>(j)].empty() &&
-              inbox[static_cast<std::size_t>(j)].get(0)) {
-            global = true;
-          }
+          if (inbox[static_cast<std::size_t>(j)].get(0)) global = true;
         }
       });
+  return global;
+}
+
+}  // namespace dlp
+
+DlpSubgraphResult dlp_subgraph_detect(CliqueUnicast& net, const Graph& g,
+                                      const Graph& h) {
+  const int n = g.num_vertices();
+  const int d = h.num_vertices();
+  CC_REQUIRE(net.n() == n, "one player per vertex");
+  CC_REQUIRE(d >= 2, "pattern needs at least two vertices");
+
+  // Largest t with C(t+d-1, d) <= n (at least 1).
+  int t = 1;
+  while (multiset_count(t + 1, d) <= static_cast<std::uint64_t>(n)) ++t;
+  const std::vector<std::vector<int>> multisets = dlp::group_multisets(t, d);
+  CC_CHECK(multisets.size() <= static_cast<std::size_t>(n),
+           "multiset assignment overflow");
+
+  const auto local = dlp::route_group_pair_edges(net, g, t, multisets);
+  std::vector<bool> found(static_cast<std::size_t>(n), false);
+  for (int p = 0; p < n; ++p) {
+    if (local[static_cast<std::size_t>(p)].empty()) continue;
+    Graph piece(n);
+    for (const Edge& e : local[static_cast<std::size_t>(p)]) piece.add_edge(e.u, e.v);
+    found[static_cast<std::size_t>(p)] = contains_subgraph(piece, h);
+  }
 
   DlpSubgraphResult result;
-  result.detected = global;
+  result.detected = dlp::gather_verdicts(net, found);
   result.groups = t;
   result.stats = net.stats();
   return result;

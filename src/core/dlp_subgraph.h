@@ -12,6 +12,8 @@
 // Õ(n^{(d-2)/d}/b) rounds.
 #pragma once
 
+#include <vector>
+
 #include "comm/clique_unicast.h"
 #include "graph/graph.h"
 
@@ -28,5 +30,26 @@ struct DlpSubgraphResult {
 /// Requires 2 <= |V(h)|; one player per vertex of g.
 DlpSubgraphResult dlp_subgraph_detect(CliqueUnicast& net, const Graph& g,
                                       const Graph& h);
+
+/// The steps shared with the triangle detectors (core/dlp_triangle).
+namespace dlp {
+
+/// Every multiset of d groups over [t], as non-decreasing tuples in
+/// lexicographic order — player p is assigned the p-th.
+std::vector<std::vector<int>> group_multisets(int t, int d);
+
+/// Vertex v sits in group v % t. Routes every edge of g (sent by its lower
+/// endpoint, through the two-phase router) to each player p whose group
+/// multiset multisets[p] contains the edge's group pair; players past
+/// multisets.size() receive nothing. Returns each player's received edges.
+std::vector<std::vector<Edge>> route_group_pair_edges(
+    CliqueUnicast& net, const Graph& g, int t,
+    const std::vector<std::vector<int>>& multisets);
+
+/// One round: every player sends its one-bit local verdict to player 0,
+/// which returns their OR.
+bool gather_verdicts(CliqueUnicast& net, const std::vector<bool>& found);
+
+}  // namespace dlp
 
 }  // namespace cclique

@@ -4,72 +4,13 @@
 #include <array>
 #include <cmath>
 
+#include "core/dlp_subgraph.h"
 #include "graph/subgraph.h"
-#include "routing/router.h"
 #include "util/math_util.h"
 
 namespace cclique {
 
 namespace {
-
-// Multisets {a <= b <= c} over [t], lexicographically enumerated.
-std::vector<std::array<int, 3>> group_multisets(int t) {
-  std::vector<std::array<int, 3>> out;
-  for (int a = 0; a < t; ++a) {
-    for (int b = a; b < t; ++b) {
-      for (int c = b; c < t; ++c) out.push_back({a, b, c});
-    }
-  }
-  return out;
-}
-
-// Does multiset {a,b,c} contain the pair multiset {x,y}?
-bool multiset_contains_pair(const std::array<int, 3>& m, int x, int y) {
-  if (x == y) {
-    int count = 0;
-    for (int v : m) count += (v == x) ? 1 : 0;
-    return count >= 2;
-  }
-  bool has_x = false, has_y = false;
-  for (int v : m) {
-    if (v == x) has_x = true;
-    if (v == y) has_y = true;
-  }
-  return has_x && has_y;
-}
-
-// Routes every present edge of g to each player in `want_pair(edge groups)`
-// and returns the local edge lists. Sender of edge {u,v} is min(u,v).
-std::vector<std::vector<Edge>> route_edges(
-    CliqueUnicast& net, const Graph& g, const std::vector<int>& group_of,
-    const std::vector<std::vector<int>>& players_for_pair, int t) {
-  const int n = g.num_vertices();
-  const int addr = bits_for(static_cast<std::uint64_t>(n));
-  RoutingDemand demand;
-  demand.payload_bits = 2 * addr;
-  for (const Edge& e : g.edges()) {
-    const int gu = group_of[static_cast<std::size_t>(e.u)];
-    const int gv = group_of[static_cast<std::size_t>(e.v)];
-    const int lo = std::min(gu, gv), hi = std::max(gu, gv);
-    const std::uint64_t payload =
-        (static_cast<std::uint64_t>(e.u) << addr) | static_cast<std::uint64_t>(e.v);
-    for (int p : players_for_pair[static_cast<std::size_t>(lo) * static_cast<std::size_t>(t) +
-                                  static_cast<std::size_t>(hi)]) {
-      demand.messages.push_back(RoutedMessage{e.u, p, payload});
-    }
-  }
-  RoutingResult routed = route_two_phase(net, demand);
-  std::vector<std::vector<Edge>> local(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    for (const auto& [src, payload] : routed.delivered[static_cast<std::size_t>(p)]) {
-      (void)src;
-      const int u = static_cast<int>(payload >> addr);
-      const int v = static_cast<int>(payload & ((1ULL << addr) - 1));
-      local[static_cast<std::size_t>(p)].push_back(Edge(u, v));
-    }
-  }
-  return local;
-}
 
 // Is there a triangle among this edge list?
 bool local_triangle(const std::vector<Edge>& edges, int n) {
@@ -78,30 +19,14 @@ bool local_triangle(const std::vector<Edge>& edges, int n) {
   return count_triangles(h) > 0;
 }
 
-// Final 1-bit aggregation of local verdicts to player 0 (one round).
-bool aggregate_verdicts(CliqueUnicast& net, const std::vector<bool>& found) {
+// Each player checks its routed piece; the verdicts meet at player 0.
+bool detect_in_pieces(CliqueUnicast& net, const std::vector<std::vector<Edge>>& local) {
   const int n = net.n();
-  bool global = found[0];
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        if (i != 0) {
-          Message m;
-          m.push_bit(found[static_cast<std::size_t>(i)]);
-          box[0] = std::move(m);
-        }
-        return box;
-      },
-      [&](int receiver, const std::vector<Message>& inbox) {
-        if (receiver != 0) return;
-        for (int j = 1; j < n; ++j) {
-          if (!inbox[static_cast<std::size_t>(j)].empty() &&
-              inbox[static_cast<std::size_t>(j)].get(0)) {
-            global = true;
-          }
-        }
-      });
-  return global;
+  std::vector<bool> found(static_cast<std::size_t>(n), false);
+  for (int p = 0; p < n; ++p) {
+    found[static_cast<std::size_t>(p)] = local_triangle(local[static_cast<std::size_t>(p)], n);
+  }
+  return dlp::gather_verdicts(net, found);
 }
 
 }  // namespace
@@ -115,35 +40,11 @@ DlpResult dlp_triangle_detect(CliqueUnicast& net, const Graph& g) {
              static_cast<std::uint64_t>(t + 3) / 6 <= static_cast<std::uint64_t>(n)) {
     ++t;
   }
-  const auto multisets = group_multisets(t);
+  const auto multisets = dlp::group_multisets(t, 3);
   CC_CHECK(static_cast<int>(multisets.size()) <= n, "multiset assignment overflow");
 
-  std::vector<int> group_of(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) group_of[static_cast<std::size_t>(v)] = v % t;
-
-  // players_for_pair[(lo, hi)] = players whose multiset contains the pair.
-  std::vector<std::vector<int>> players_for_pair(static_cast<std::size_t>(t) *
-                                                 static_cast<std::size_t>(t));
-  for (std::size_t p = 0; p < multisets.size(); ++p) {
-    for (int lo = 0; lo < t; ++lo) {
-      for (int hi = lo; hi < t; ++hi) {
-        if (multiset_contains_pair(multisets[p], lo, hi)) {
-          players_for_pair[static_cast<std::size_t>(lo) * static_cast<std::size_t>(t) +
-                           static_cast<std::size_t>(hi)]
-              .push_back(static_cast<int>(p));
-        }
-      }
-    }
-  }
-
-  const auto local = route_edges(net, g, group_of, players_for_pair, t);
-  std::vector<bool> found(static_cast<std::size_t>(n), false);
-  for (int p = 0; p < n; ++p) {
-    found[static_cast<std::size_t>(p)] = local_triangle(local[static_cast<std::size_t>(p)], n);
-  }
-
   DlpResult result;
-  result.detected = aggregate_verdicts(net, found);
+  result.detected = detect_in_pieces(net, dlp::route_group_pair_edges(net, g, t, multisets));
   result.groups = t;
   result.stats = net.stats();
   return result;
@@ -163,8 +64,6 @@ DlpResult dlp_triangle_detect_promised(CliqueUnicast& net, const Graph& g,
   int t = std::max(1, static_cast<int>(cube));
   t = std::min(t, n);
 
-  std::vector<int> group_of(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) group_of[static_cast<std::size_t>(v)] = v % t;
   const int taddr = bits_for(static_cast<std::uint64_t>(t));
 
   DlpResult result;
@@ -181,55 +80,23 @@ DlpResult dlp_triangle_detect_promised(CliqueUnicast& net, const Graph& g,
       std::sort(tr.begin(), tr.end());
       triple[static_cast<std::size_t>(p)] = tr;
     }
-    // ...and announces it to everyone (one round, 3 log t bits per edge).
-    std::vector<std::array<int, 3>> announced(static_cast<std::size_t>(n));
-    net.round(
-        [&](int i) {
-          Message m;
-          for (int x : triple[static_cast<std::size_t>(i)]) {
-            m.push_uint(static_cast<std::uint64_t>(x), taddr);
-          }
-          std::vector<Message> box(static_cast<std::size_t>(n));
-          for (int j = 0; j < n; ++j) {
-            if (j != i) box[static_cast<std::size_t>(j)] = m;
-          }
-          return box;
-        },
-        [&](int receiver, const std::vector<Message>& inbox) {
-          if (receiver != 0) return;  // identical decode everywhere; model once
-          for (int j = 0; j < n; ++j) {
-            if (j == 0) {
-              announced[0] = triple[0];
-              continue;
-            }
-            const Message& m = inbox[static_cast<std::size_t>(j)];
-            if (m.empty()) continue;
-            BitReader r(m);
-            std::array<int, 3> tr;
-            for (auto& x : tr) x = static_cast<int>(r.read_uint(taddr));
-            announced[static_cast<std::size_t>(j)] = tr;
-          }
-        });
-    // Everyone now knows all triples; build the pair->players map and route.
-    std::vector<std::vector<int>> players_for_pair(static_cast<std::size_t>(t) *
-                                                   static_cast<std::size_t>(t));
+    // ...and announces it to everyone (3 log t bits, chunked at b).
+    const ChargedSince announce(net.stats());
+    const std::vector<Message> row = all_gather(net, 3 * taddr, [&](int i, Message& out) {
+      for (int x : triple[static_cast<std::size_t>(i)]) {
+        out.push_uint(static_cast<std::uint64_t>(x), taddr);
+      }
+    });
+    result.announce_rounds += announce.rounds();
+    // Everyone now knows all triples and routes the matching edges.
+    std::vector<std::vector<int>> announced(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
-      for (int lo = 0; lo < t; ++lo) {
-        for (int hi = lo; hi < t; ++hi) {
-          if (multiset_contains_pair(announced[static_cast<std::size_t>(p)], lo, hi)) {
-            players_for_pair[static_cast<std::size_t>(lo) * static_cast<std::size_t>(t) +
-                             static_cast<std::size_t>(hi)]
-                .push_back(p);
-          }
-        }
+      BitReader r(row[static_cast<std::size_t>(p)]);
+      for (int k = 0; k < 3; ++k) {
+        announced[static_cast<std::size_t>(p)].push_back(static_cast<int>(r.read_uint(taddr)));
       }
     }
-    const auto local = route_edges(net, g, group_of, players_for_pair, t);
-    std::vector<bool> found(static_cast<std::size_t>(n), false);
-    for (int p = 0; p < n; ++p) {
-      found[static_cast<std::size_t>(p)] = local_triangle(local[static_cast<std::size_t>(p)], n);
-    }
-    detected = aggregate_verdicts(net, found);
+    detected = detect_in_pieces(net, dlp::route_group_pair_edges(net, g, t, announced));
   }
   result.detected = detected;
   result.stats = net.stats();

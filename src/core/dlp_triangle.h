@@ -13,7 +13,8 @@
 //
 //  * Randomized (>= T triangles promised): each player picks a uniformly
 //    random group triple with t = floor((nT)^{1/3}) groups, announces it
-//    (one O(log n)-bit round), receives the matching edges —
+//    (an all-gather of 3·bits_for(t) bits: one round once b covers it,
+//    chunked below that), receives the matching edges —
 //    O(n/(t^2)) = O(n^{1/3}/T^{2/3}) rounds per the paper — and any caught
 //    triangle is reported. One-sided error: misses with probability
 //    ~e^{-Omega(1)} per run, driven down by independent runs.
@@ -30,6 +31,9 @@ struct DlpResult {
   bool detected = false;
   CommStats stats;
   int groups = 0;  ///< t, the group-count parameter actually used
+  /// Rounds the promised variant spent announcing triples, summed over the
+  /// runs executed: ceil(3·bits_for(t) / b) per run on n >= 2 players.
+  int announce_rounds = 0;
 };
 
 /// Deterministic Õ(n^{1/3})-round triangle detection. Exact (no error).

@@ -158,17 +158,9 @@ struct MstEngine {
   /// fragment id to everyone. Fragment states are already consistent; the
   /// announcement models the information flow. 1 round.
   void announce_round() {
-    net.round(
-        [&](int i) {
-          Message m;
-          m.push_uint(static_cast<std::uint64_t>(frag[static_cast<std::size_t>(i)]), addr);
-          std::vector<Message> box(static_cast<std::size_t>(n));
-          for (int j = 0; j < n; ++j) {
-            if (j != i) box[static_cast<std::size_t>(j)] = m;
-          }
-          return box;
-        },
-        [&](int, const std::vector<Message>&) {});
+    all_gather(net, addr, [&](int i, Message& out) {
+      out.push_uint(static_cast<std::uint64_t>(frag[static_cast<std::size_t>(i)]), addr);
+    });
   }
 
   void add_tree_edge(const EdgeRecord& c) {
@@ -205,17 +197,11 @@ void MstEngine::run_boruvka_phase() {
   // One message per node to its leader (leader = fragment root id).
   locality::PerPlayer<EdgeRecord> leader_best(
       n, CC_LOCALITY_SITE("leader's fragment-best edge"));
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
+  net.round_fill(
+      [&](int i, Message* box) {
         const EdgeRecord& c = node_candidate[i];
         const int leader = frag[static_cast<std::size_t>(i)];
-        if (c.valid && leader != i) {
-          Message m;
-          m.push_uint(pack_record(c, addr), rec_bits);
-          box[static_cast<std::size_t>(leader)] = std::move(m);
-        }
-        return box;
+        if (c.valid && leader != i) box[leader].push_uint(pack_record(c, addr), rec_bits);
       },
       [&](int leader, const std::vector<Message>& inbox) {
         EdgeRecord& best = leader_best[leader];
@@ -230,34 +216,19 @@ void MstEngine::run_boruvka_phase() {
         }
       });
 
-  // --- step 3: leaders announce merge edges (1 round); local merge -------
+  // --- step 3: leaders announce merge edges (1 round, even when no leader
+  // has a candidate); local merge ------------------------------------------
+  const std::vector<Message> row = all_gather(net, rec_bits, [&](int i, Message& out) {
+    const EdgeRecord& c = leader_best[i];
+    if (frag[static_cast<std::size_t>(i)] == i && c.valid) {
+      out.push_uint(pack_record(c, addr), rec_bits);
+    }
+  });
   std::vector<EdgeRecord> announced(static_cast<std::size_t>(n));
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        const EdgeRecord& c = leader_best[i];
-        if (frag[static_cast<std::size_t>(i)] == i && c.valid) {
-          Message m;
-          m.push_uint(pack_record(c, addr), rec_bits);
-          for (int j = 0; j < n; ++j) {
-            if (j != i) box[static_cast<std::size_t>(j)] = m;
-          }
-        }
-        return box;
-      },
-      [&](int receiver, const std::vector<Message>& inbox) {
-        if (receiver != 0) return;  // everyone decodes identically; model once
-        for (int j = 0; j < n; ++j) {
-          const Message& m = inbox[static_cast<std::size_t>(j)];
-          if (m.empty()) continue;
-          announced[static_cast<std::size_t>(j)] =
-              unpack_record(m.read_uint(0, rec_bits), addr);
-        }
-      });
-  // Leaders' own announcements (self-knowledge).
-  for (int r : live_roots) {
-    if (leader_best[r].valid) {
-      announced[static_cast<std::size_t>(r)] = leader_best[r];
+  for (int j = 0; j < n; ++j) {
+    const Message& m = row[static_cast<std::size_t>(j)];
+    if (!m.empty()) {
+      announced[static_cast<std::size_t>(j)] = unpack_record(m.read_uint(0, rec_bits), addr);
     }
   }
 
@@ -396,39 +367,14 @@ void MstEngine::run_lotker_phase(int submit_cap) {
   // --- stage C: submit counts -> everyone (1 round). The counts make the
   // submission layout common knowledge, so the scatter below is perfectly
   // balanced by construction.
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(n), 0);
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        if (frag_index[static_cast<std::size_t>(i)] >= 0) {
-          Message m;
-          m.push_uint(submit[i].size(), addr);
-          for (int j = 0; j < n; ++j) {
-            if (j != i) box[static_cast<std::size_t>(j)] = m;
-          }
-        }
-        return box;
-      },
-      [&](int receiver, const std::vector<Message>& inbox) {
-        if (receiver != 0) return;  // identical decode everywhere; model once
-        for (int r : live_roots) {
-          if (r == receiver) {
-            counts[static_cast<std::size_t>(r)] = submit[r].size();
-            continue;
-          }
-          // Locality discipline: the count must arrive on the wire — a
-          // fallback into another player's private state would leak.
-          CC_CHECK(!inbox[static_cast<std::size_t>(r)].empty(),
-                   "live leader must announce its submission count");
-          counts[static_cast<std::size_t>(r)] =
-              inbox[static_cast<std::size_t>(r)].read_uint(0, addr);
-        }
-      });
+  const std::vector<Message> counts = all_gather(net, addr, [&](int i, Message& out) {
+    if (frag_index[static_cast<std::size_t>(i)] >= 0) out.push_uint(submit[i].size(), addr);
+  });
   std::vector<std::uint64_t> offset(static_cast<std::size_t>(n), 0);
   std::uint64_t total = 0;
-  for (int idx = 0; idx < F; ++idx) {
-    offset[static_cast<std::size_t>(live_roots[idx])] = total;
-    total += counts[static_cast<std::size_t>(live_roots[idx])];
+  for (int r : live_roots) {
+    offset[static_cast<std::size_t>(r)] = total;
+    total += counts[static_cast<std::size_t>(r)].read_uint(0, addr);
   }
   // Sum over fragments of min(k, F-1) with k = max(1, n/F) never exceeds n,
   // so the scatter assigns at most one record per player.
@@ -585,13 +531,17 @@ MstPhasePlan mst_phase_plan(MstAlgorithm algorithm, int n, int live_fragments,
   const std::uint64_t wire_rec = static_cast<std::uint64_t>(addr) + rec;  // router framing
   const std::uint64_t un = static_cast<std::uint64_t>(n);
   const std::uint64_t uf = static_cast<std::uint64_t>(live_fragments);
-  const std::uint64_t announce_bits = un * (un - 1) * static_cast<std::uint64_t>(addr);
+  // The all-gathers: every node's fragment id, then (Borůvka) each live
+  // leader's merge edge or (Lotker) each live leader's submission count.
+  const AllGatherCost announce = all_gather_cost(n, addr, bandwidth);
   MstPhasePlan plan;
   plan.fragments = live_fragments;
   if (algorithm == MstAlgorithm::kBoruvka) {
+    const AllGatherCost merge = all_gather_cost(n, static_cast<int>(rec), bandwidth);
     plan.submit_cap = 1;
-    plan.max_rounds = 3;  // exact: announce + candidates + leader broadcast
-    plan.max_bits = announce_bits + un * rec + uf * (un - 1) * rec;
+    // Exact: announce + candidates (1 round) + leader broadcast.
+    plan.max_rounds = announce.rounds + 1 + merge.rounds;
+    plan.max_bits = announce.bits + un * rec + uf * merge.sender_bits;
     return plan;
   }
   const int k = std::max(1, n / std::max(1, live_fragments));
@@ -603,19 +553,20 @@ MstPhasePlan mst_phase_plan(MstAlgorithm algorithm, int n, int live_fragments,
   // all-broadcast are single chunked exchanges.
   const std::uint64_t m_a = uf + un;
   const std::uint64_t m_b = uf;
+  const AllGatherCost counts = all_gather_cost(n, addr, bandwidth);  // per live leader
   const int single_record_rounds =
       static_cast<int>(ceil_div(rec, static_cast<std::uint64_t>(bandwidth)));
-  plan.max_rounds = 1  // announcement
+  plan.max_rounds = announce.rounds
                     + route_cap_rounds(m_a, n, static_cast<int>(wire_rec), bandwidth)
                     + route_cap_rounds(m_b, n, static_cast<int>(wire_rec), bandwidth)
-                    + 1  // count broadcast
+                    + counts.rounds
                     + single_record_rounds   // scatter
                     + single_record_rounds;  // all-broadcast
   const std::uint64_t f_minus = uf == 0 ? 0 : uf - 1;
-  plan.max_bits = announce_bits
+  plan.max_bits = announce.bits
                   + 2 * un * f_minus * wire_rec   // stage A, two hops
                   + 2 * uf * f_minus * wire_rec   // stage B, two hops
-                  + uf * (un - 1) * static_cast<std::uint64_t>(addr)  // counts
+                  + uf * counts.sender_bits
                   + un * rec                      // scatter, <= n records
                   + un * (un - 1) * rec;          // all-broadcast
   return plan;

@@ -68,7 +68,7 @@ enum class MstAlgorithm {
 struct MstPhasePlan {
   int fragments = 0;   ///< live fragment count F the cap was computed for
   int submit_cap = 0;  ///< k: per-fragment submitted-minima cap (1 for Borůvka)
-  int max_rounds = 0;  ///< round cap (exact for Borůvka: always 3)
+  int max_rounds = 0;  ///< round cap (exact for Borůvka: 3 on n >= 2)
   std::uint64_t max_bits = 0;  ///< bit cap across the phase's rounds
 };
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "analysis/oblivious_guard.h"
-#include "comm/engine.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
@@ -383,10 +382,8 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
   hits_ += out.hits;
   misses_ += out.misses;
 
-  // ---- Answer phase: zero communication. CC_THREADS workers over the
-  // engines' static partition of the admitted order — worker t owns slots
-  // [q·t/T, q·(t+1)/T) of an arena buffer, so answers are byte-identical at
-  // any thread count and the steady state does no per-batch heap work.
+  // ---- Answer phase: zero communication, one local table lookup per
+  // query in admission order.
   const ApspServingArtifact* apsp = need.apsp ? cache_.apsp(fingerprint_) : nullptr;
   const CountingArtifact* counting =
       need.counting ? cache_.counting(fingerprint_) : nullptr;
@@ -396,22 +393,10 @@ BatchResult QueryService::answer(const QueryBatch& batch) {
            "planned counting artifact missing");
   CC_CHECK(!need.hops || hops != nullptr, "planned hop artifact missing");
 
-  const std::size_t q = batch.size();
-  answer_arena_.reset();
-  std::uint64_t* slots = answer_arena_.alloc_words(q);
-  const int threads = cc_thread_count();
-  const std::shared_ptr<ThreadPool> pool = shared_thread_pool(threads);
-  const std::vector<Query>& queries = batch.queries();
-  pool->run_indexed(threads, [&](int t) {
-    const std::size_t lo = q * static_cast<std::size_t>(t) /
-                           static_cast<std::size_t>(threads);
-    const std::size_t hi = q * (static_cast<std::size_t>(t) + 1) /
-                           static_cast<std::size_t>(threads);
-    for (std::size_t i = lo; i < hi; ++i) {
-      slots[i] = answer_query(queries[i], apsp, counting, hops);
-    }
-  });
-  out.answers.assign(slots, slots + q);
+  out.answers.reserve(batch.size());
+  for (const Query& query : batch.queries()) {
+    out.answers.push_back(answer_query(query, apsp, counting, hops));
+  }
 
   // ---- Eviction runs after answering (never mid-batch), so a size cap can
   // change future costs but never this batch's answers.

@@ -29,11 +29,9 @@
 //    CC_CHECKed against it, the same contract as every other *_plan. A
 //    cache hit that charged even one bit is an InvariantError;
 //  * determinism: admission order is QueryBatch push order; the miss phase
-//    runs protocols in fixed class order; the answer phase is
-//    CC_THREADS-parallel over a static partition of the admitted order
-//    (the engines' partition shape), each worker writing disjoint slots of
-//    an arena-backed answer buffer — answers and CommStats are
-//    bit-identical at any CC_THREADS / CC_KERNEL setting;
+//    runs protocols in fixed class order; the answer phase is one serial
+//    loop of local table lookups in admission order — answers and
+//    CommStats are bit-identical at any CC_THREADS / CC_KERNEL setting;
 //  * obliviousness: cache residency is payload-derived common knowledge
 //    (which fingerprints were served before), exactly the standing of the
 //    sparse schedule's announced nnz counts — it crosses into serving_plan
@@ -55,7 +53,6 @@
 #include "core/apsp.h"
 #include "graph/graph.h"
 #include "linalg/tropical.h"
-#include "util/arena.h"
 
 namespace cclique {
 
@@ -325,7 +322,6 @@ class QueryService {
   Config config_;
   std::unique_ptr<CliqueUnicast> net_;
   ArtifactCache cache_;
-  Arena answer_arena_;  ///< per-batch answer slots; reset each batch
   std::uint64_t version_ = 0;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t hits_ = 0;

@@ -65,17 +65,13 @@ SortResult clique_sort(CliqueUnicast& net,
   };
   locality::PerPlayer<std::vector<std::uint64_t>> column(
       n, CC_LOCALITY_SITE("received sample column"));
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
+  net.round_fill(
+      [&](int i, Message* box) {
         for (int j = 0; j < n; ++j) {
           if (j == i) continue;
           const std::size_t idx = sample_index(j);
-          Message m;
-          m.push_uint(composite_key(local[i][idx], i, idx, addr, kbits), cw);
-          box[static_cast<std::size_t>(j)] = std::move(m);
+          box[j].push_uint(composite_key(local[i][idx], i, idx, addr, kbits), cw);
         }
-        return box;
       },
       [&](int j, const std::vector<Message>& inbox) {
         for (int i = 0; i < n; ++i) {
@@ -106,33 +102,12 @@ SortResult clique_sort(CliqueUnicast& net,
                              (static_cast<std::size_t>(n) + 1);
     my_splitter[j] = col[std::min(rank, col.size() - 1)];
   }
+  const std::vector<Message> gathered =
+      all_gather(net, cw, [&](int i, Message& out) { out.push_uint(my_splitter[i], cw); });
   std::vector<std::uint64_t> splitters(static_cast<std::size_t>(n));
-  net.round(
-      [&](int i) {
-        Message m;
-        m.push_uint(my_splitter[i], cw);
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          if (j != i) box[static_cast<std::size_t>(j)] = m;
-        }
-        return box;
-      },
-      [&](int receiver, const std::vector<Message>& inbox) {
-        if (receiver != 0) return;  // identical decode everywhere; model once
-        for (int i = 0; i < n; ++i) {
-          if (i == receiver) {
-            splitters[static_cast<std::size_t>(i)] = my_splitter[i];
-            continue;
-          }
-          // Locality discipline: the splitter must arrive on the wire — a
-          // fallback into another player's private my_splitter would let
-          // the receiver read state it was never sent.
-          CC_CHECK(!inbox[static_cast<std::size_t>(i)].empty(),
-                   "every player must deliver its splitter");
-          splitters[static_cast<std::size_t>(i)] =
-              inbox[static_cast<std::size_t>(i)].read_uint(0, cw);
-        }
-      });
+  for (int i = 0; i < n; ++i) {
+    splitters[static_cast<std::size_t>(i)] = gathered[static_cast<std::size_t>(i)].read_uint(0, cw);
+  }
   std::sort(splitters.begin(), splitters.end());
   // The last splitter is unused (bucket n-1 is open-ended).
   splitters.pop_back();
@@ -166,33 +141,14 @@ SortResult clique_sort(CliqueUnicast& net,
   // Phase 3: all-gather bucket counts; compute exact rank offsets; route
   // each key to its final owner (rank / k).
   const int count_bits = bits_for(static_cast<std::uint64_t>(n) * k + 1);
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(n), 0);
-  net.round(
-      [&](int i) {
-        Message m;
-        m.push_uint(bucket_keys[i].size(), count_bits);
-        std::vector<Message> box(static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          if (j != i) box[static_cast<std::size_t>(j)] = m;
-        }
-        return box;
-      },
-      [&](int receiver, const std::vector<Message>& inbox) {
-        if (receiver != 0) return;
-        for (int i = 0; i < n; ++i) {
-          if (i == receiver) {
-            counts[static_cast<std::size_t>(i)] = bucket_keys[i].size();
-            continue;
-          }
-          CC_CHECK(!inbox[static_cast<std::size_t>(i)].empty(),
-                   "every bucket owner must deliver its count");
-          counts[static_cast<std::size_t>(i)] =
-              inbox[static_cast<std::size_t>(i)].read_uint(0, count_bits);
-        }
-      });
+  const std::vector<Message> counts = all_gather(net, count_bits, [&](int i, Message& out) {
+    out.push_uint(bucket_keys[i].size(), count_bits);
+  });
   std::vector<std::uint64_t> offset(static_cast<std::size_t>(n) + 1, 0);
   for (int i = 0; i < n; ++i) {
-    offset[static_cast<std::size_t>(i) + 1] = offset[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
+    offset[static_cast<std::size_t>(i) + 1] =
+        offset[static_cast<std::size_t>(i)] +
+        counts[static_cast<std::size_t>(i)].read_uint(0, count_bits);
   }
   CC_CHECK(offset[static_cast<std::size_t>(n)] == static_cast<std::uint64_t>(n) * k,
            "bucket counts must cover all keys");

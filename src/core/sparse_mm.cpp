@@ -72,16 +72,10 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   plan.a_nnz = profile.a_nnz;
   plan.b_nnz = profile.b_nnz;
 
-  // Announcement: one identical 2m-count message per ordered pair.
-  const std::size_t announce_len =
-      2 * static_cast<std::size_t>(m) * static_cast<std::size_t>(plan.count_bits);
-  if (n >= 2) {
-    plan.announce_rounds = static_cast<int>(
-        ceil_div(announce_len, static_cast<std::size_t>(bandwidth)));
-    plan.announce_bits = static_cast<std::uint64_t>(n) *
-                         static_cast<std::uint64_t>(n - 1) *
-                         static_cast<std::uint64_t>(announce_len);
-  }
+  // Announcement: every player all-gathers its 2m counts.
+  const AllGatherCost announce = all_gather_cost(n, 2 * m * plan.count_bits, bandwidth);
+  plan.announce_rounds = announce.rounds;
+  plan.announce_bits = announce.bits;
 
   // Distribution: row owner v ships, per triple (i, j, k) it serves, its
   // declared count of (index, value) pairs — index_bits + w bits each.
@@ -126,48 +120,17 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
   const int n = profile.n;
   CC_REQUIRE(net.n() == n, "one player per matrix row");
   const int m = profile.grid;
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    Message msg;
+  const ChargedSince charged(net.stats());
+  all_gather(net, 2 * m * count_bits, [&](int v, Message& out) {
+    const std::size_t row = static_cast<std::size_t>(v) * static_cast<std::size_t>(m);
     for (int t = 0; t < m; ++t) {
-      msg.push_uint(profile.a_block_nnz[static_cast<std::size_t>(v) *
-                                            static_cast<std::size_t>(m) +
-                                        static_cast<std::size_t>(t)],
-                    count_bits);
+      out.push_uint(profile.a_block_nnz[row + static_cast<std::size_t>(t)], count_bits);
     }
     for (int t = 0; t < m; ++t) {
-      msg.push_uint(profile.b_block_nnz[static_cast<std::size_t>(v) *
-                                            static_cast<std::size_t>(m) +
-                                        static_cast<std::size_t>(t)],
-                    count_bits);
+      out.push_uint(profile.b_block_nnz[row + static_cast<std::size_t>(t)], count_bits);
     }
-    for (int j = 0; j < n; ++j) {
-      if (j == v) continue;
-      payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(j)] = msg;
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads(net, payload, &recv);
-  // Player 0's inbox must reproduce the declared profile (cheap
-  // representative of the clique-wide agreement, as in share_partials).
-  for (int v = 1; v < n; ++v) {
-    const Message& msg = recv[0][static_cast<std::size_t>(v)];
-    for (int t = 0; t < 2 * m; ++t) {
-      const std::size_t declared =
-          t < m ? profile.a_block_nnz[static_cast<std::size_t>(v) *
-                                          static_cast<std::size_t>(m) +
-                                      static_cast<std::size_t>(t)]
-                : profile.b_block_nnz[static_cast<std::size_t>(v) *
-                                          static_cast<std::size_t>(m) +
-                                      static_cast<std::size_t>(t - m)];
-      CC_CHECK(msg.read_uint(static_cast<std::size_t>(t) *
-                                 static_cast<std::size_t>(count_bits),
-                             count_bits) == declared,
-               "nnz announcement corrupted a count");
-    }
-  }
-  return rounds;
+  });
+  return charged.rounds();
 }
 
 SparseMmPlan sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,

@@ -19,7 +19,7 @@
 //     CSR structure; the static analyzer (tools/cc_oblivious.py, check 5)
 //     enforces that any *_plan/*_profile body reading nnz structure names a
 //     declared dependence.
-//  2. The dependence is *announced*: the protocol's first phase broadcasts
+//  2. The dependence is *announced*: the protocol's first phase all-gathers
 //     every player's 2m per-block counts (count_bits each), so the relay's
 //     required globally-known length matrix really is common knowledge
 //     before any nnz-dependent payload moves — the profile is the protocol
@@ -114,13 +114,12 @@ inline bool sparse_backend_preferred(const SparseMmPlan& sparse,
   return sparse.total_bits <= sparse.announce_bits + dense.total_bits;
 }
 
-/// The announcement phase on its own: every player broadcasts its 2m
+/// The announcement phase on its own: every player all-gathers its 2m
 /// per-block counts (count_bits each, A counts then B counts) so the
-/// profile becomes common knowledge; player 0's inbox is CC_CHECKed against
-/// the profile. Returns the rounds used — ceil(2m * count_bits / b) for
-/// n >= 2. Adaptive protocols that *reject* the sparse branch still run
-/// this (the decision needs the profile), then fall through to the dense
-/// schedule.
+/// profile becomes common knowledge. Returns the rounds used —
+/// ceil(2m * count_bits / b) for n >= 2. Adaptive protocols that *reject*
+/// the sparse branch still run this (the decision needs the profile), then
+/// fall through to the dense schedule.
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits);
 

@@ -22,13 +22,11 @@ Message bits_of(std::uint64_t v, int w) {
 TEST(CliqueUnicast, DeliversPointToPoint) {
   CliqueUnicast net(4, 8);
   std::vector<std::vector<std::uint64_t>> got(4, std::vector<std::uint64_t>(4, 0));
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(4);
+  net.round_fill(
+      [&](int i, Message* box) {
         for (int j = 0; j < 4; ++j) {
-          if (j != i) box[static_cast<std::size_t>(j)] = bits_of(static_cast<std::uint64_t>(10 * i + j), 8);
+          if (j != i) box[j].push_uint(static_cast<std::uint64_t>(10 * i + j), 8);
         }
-        return box;
       },
       [&](int r, const std::vector<Message>& inbox) {
         for (int j = 0; j < 4; ++j) {
@@ -50,38 +48,30 @@ TEST(CliqueUnicast, DeliversPointToPoint) {
 
 TEST(CliqueUnicast, BandwidthEnforced) {
   CliqueUnicast net(3, 4);
-  EXPECT_THROW(net.round(
-                   [&](int i) {
-                     std::vector<Message> box(3);
-                     if (i == 0) box[1] = bits_of(0, 5);  // 5 > 4 bits
-                     return box;
+  EXPECT_THROW(net.round_fill(
+                   [&](int i, Message* box) {
+                     if (i == 0) box[1].push_uint(0, 5);  // 5 > 4 bits
                    },
                    [](int, const std::vector<Message>&) {}),
                ModelViolation);
+  EXPECT_EQ(net.stats().rounds, 0);
 }
 
 TEST(CliqueUnicast, SelfMessageRejected) {
   CliqueUnicast net(3, 4);
-  EXPECT_THROW(net.round(
-                   [&](int i) {
-                     std::vector<Message> box(3);
-                     box[static_cast<std::size_t>(i)] = bits_of(1, 1);
-                     return box;
-                   },
-                   [](int, const std::vector<Message>&) {}),
+  EXPECT_THROW(net.round_fill([&](int i, Message* box) { box[i].push_bit(true); },
+                              [](int, const std::vector<Message>&) {}),
                ModelViolation);
 }
 
 TEST(CliqueUnicast, PerPlayerAccounting) {
   const int n = 5;
   CliqueUnicast net(n, 8);
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
+  net.round_fill(
+      [&](int i, Message* box) {
         for (int j = 0; j < n; ++j) {
-          if (j != i) box[static_cast<std::size_t>(j)] = bits_of(0, 2);
+          if (j != i) box[j].push_uint(0, 2);
         }
-        return box;
       },
       [](int, const std::vector<Message>&) {});
   ASSERT_EQ(net.stats().per_player_sent_bits.size(), static_cast<std::size_t>(n));
@@ -101,7 +91,7 @@ TEST(CliqueBroadcast, PerPlayerAccounting) {
   const int n = 4;
   CliqueBroadcast net(n, 8);
   // Player i writes i+1 bits.
-  net.round([&](int i) { return bits_of(0, i + 1); });
+  net.round_fill([&](int i, Message& out) { out.push_uint(0, i + 1); });
   const std::uint64_t board_total = 1 + 2 + 3 + 4;
   EXPECT_EQ(net.stats().total_bits, board_total);
   for (int i = 0; i < n; ++i) {
@@ -116,13 +106,11 @@ TEST(CliqueBroadcast, PerPlayerAccounting) {
 TEST(CliqueUnicast, CutMetering) {
   CliqueUnicast net(4, 8);
   net.set_cut({0, 0, 1, 1});
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(4);
+  net.round_fill(
+      [&](int i, Message* box) {
         for (int j = 0; j < 4; ++j) {
-          if (j != i) box[static_cast<std::size_t>(j)] = bits_of(0, 2);
+          if (j != i) box[j].push_uint(0, 2);
         }
-        return box;
       },
       [](int, const std::vector<Message>&) {});
   // 8 of the 12 directed pairs cross the cut.
@@ -159,9 +147,87 @@ TEST(CliqueUnicast, PayloadHelperAllPairs) {
   }
 }
 
+TEST(CliqueUnicast, PayloadHelperRejectsSelfPayload) {
+  // A diagonal payload would never be shipped, so it must not be charged
+  // either: the precondition fires before any bit moves.
+  CliqueUnicast net(3, 4);
+  std::vector<std::vector<Message>> payload(3, std::vector<Message>(3));
+  payload[1][1] = bits_of(0x3FF, 10);
+  std::vector<std::vector<Message>> received;
+  EXPECT_THROW(unicast_payloads(net, payload, &received), PreconditionError);
+  EXPECT_EQ(net.stats(), CliqueUnicast(3, 4).stats());
+}
+
+TEST(AllGather, WideMessagesChunkAtBandwidth) {
+  const int n = 5;
+  CliqueUnicast net(n, 4);
+  const auto row = all_gather(net, 10, [](int i, Message& out) {
+    out.push_uint(static_cast<std::uint64_t>(1000 + i), 10);
+  });
+  ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(row[static_cast<std::size_t>(i)].read_uint(0, 10),
+              static_cast<std::uint64_t>(1000 + i));
+  }
+  // ceil(10 / 4) = 3 rounds; every ordered pair carries the 10 bits.
+  EXPECT_EQ(net.stats().rounds, 3);
+  EXPECT_EQ(net.stats().total_bits, 5u * 4u * 10u);
+  EXPECT_EQ(net.stats().max_edge_bits_in_round, 4u);
+}
+
+TEST(AllGather, PartialAndEmptyFillsStillTakeEveryRound) {
+  // The schedule is a function of the declared width alone.
+  CliqueUnicast net(4, 8);
+  const auto row = all_gather(net, 20, [](int i, Message& out) {
+    if (i == 2) out.push_uint(5, 3);
+  });
+  EXPECT_EQ(net.stats().rounds, 3);
+  EXPECT_EQ(net.stats().total_bits, 3u * 3u);
+  EXPECT_TRUE(row[0].empty());
+  EXPECT_EQ(row[2].read_uint(0, 3), 5u);
+  CliqueUnicast quiet(4, 8);
+  all_gather(quiet, 20, [](int, Message&) {});
+  EXPECT_EQ(quiet.stats().rounds, 3);
+  EXPECT_EQ(quiet.stats().total_bits, 0u);
+}
+
+TEST(AllGather, SinglePlayerCliqueChargesNothing) {
+  CliqueUnicast net(1, 8);
+  const auto row = all_gather(net, 61, [](int, Message& out) { out.push_uint(42, 61); });
+  ASSERT_EQ(row.size(), 1u);
+  EXPECT_EQ(row[0].read_uint(0, 61), 42u);
+  EXPECT_EQ(net.stats(), CliqueUnicast(1, 8).stats());
+}
+
+TEST(AllGather, OverlongMessageThrowsBeforeAnyBitMoves) {
+  CliqueUnicast net(4, 8);
+  EXPECT_THROW(all_gather(net, 6,
+                          [](int i, Message& out) { out.push_uint(0, i == 3 ? 7 : 6); }),
+               ModelViolation);
+  EXPECT_EQ(net.stats(), CliqueUnicast(4, 8).stats());
+}
+
+TEST(AllGather, MeasuredCostEqualsAllGatherCost) {
+  for (int n : {2, 27}) {
+    for (int b : {1, 61, 64}) {
+      for (int width : {1, 61, 130}) {
+        CliqueUnicast net(n, b);
+        all_gather(net, width, [&](int i, Message& out) {
+          for (int k = 0; k < width; ++k) out.push_bit((i + k) % 3 == 0);
+        });
+        const AllGatherCost cost = all_gather_cost(n, width, b);
+        EXPECT_EQ(net.stats().rounds, cost.rounds) << n << " " << b << " " << width;
+        EXPECT_EQ(net.stats().total_bits, cost.bits) << n << " " << b << " " << width;
+        EXPECT_EQ(cost.bits, static_cast<std::uint64_t>(n) * cost.sender_bits);
+      }
+    }
+  }
+}
+
 TEST(CliqueBroadcast, BlackboardVisibleToAll) {
   CliqueBroadcast net(3, 8);
-  const auto& board = net.round([&](int i) { return bits_of(static_cast<std::uint64_t>(i + 40), 8); });
+  const auto& board = net.round_fill(
+      [&](int i, Message& out) { out.push_uint(static_cast<std::uint64_t>(i + 40), 8); });
   ASSERT_EQ(board.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(board[static_cast<std::size_t>(i)].read_uint(0, 8), static_cast<std::uint64_t>(i + 40));
@@ -172,7 +238,8 @@ TEST(CliqueBroadcast, BlackboardVisibleToAll) {
 
 TEST(CliqueBroadcast, BandwidthEnforced) {
   CliqueBroadcast net(3, 2);
-  EXPECT_THROW(net.round([&](int) { return bits_of(0, 3); }), ModelViolation);
+  EXPECT_THROW(net.round_fill([&](int, Message& out) { out.push_uint(0, 3); }), ModelViolation);
+  EXPECT_EQ(net.stats().rounds, 0);
 }
 
 TEST(CliqueBroadcast, PayloadChunking) {
@@ -189,7 +256,7 @@ TEST(CliqueBroadcast, PayloadChunking) {
 TEST(CliqueBroadcast, CutChargesEveryWrittenBit) {
   CliqueBroadcast net(4, 8);
   net.set_cut({0, 1, 0, 1});
-  net.round([&](int) { return bits_of(0, 5); });
+  net.round_fill([&](int, Message& out) { out.push_uint(0, 5); });
   EXPECT_EQ(net.stats().cut_bits, 4u * 5u);
 }
 
@@ -197,11 +264,9 @@ TEST(Congest, OnlyGraphEdgesCarry) {
   const Graph topo = path_graph(3);  // 0-1-2
   CongestUnicast net(topo, 4);
   std::vector<int> heard_by_2;
-  net.round(
-      [&](int v) {
-        std::vector<Message> box(static_cast<std::size_t>(topo.degree(v)));
-        for (std::size_t k = 0; k < box.size(); ++k) box[k] = bits_of(static_cast<std::uint64_t>(v), 2);
-        return box;
+  net.round_fill(
+      [&](int v, Message* box) {
+        for (int k = 0; k < topo.degree(v); ++k) box[k].push_uint(static_cast<std::uint64_t>(v), 2);
       },
       [&](int v, const std::vector<Message>& inbox) {
         if (v != 2) return;
@@ -213,22 +278,13 @@ TEST(Congest, OnlyGraphEdgesCarry) {
   EXPECT_EQ(heard_by_2, (std::vector<int>{1}));
 }
 
-TEST(Congest, OutboxSizeMustMatchDegree) {
-  CongestUnicast net(cycle_graph(4), 4);
-  EXPECT_THROW(net.round([&](int) { return std::vector<Message>(1); },
-                         [](int, const std::vector<Message>&) {}),
-               ModelViolation);
-}
-
 TEST(Congest, CutMetersOnlyCutEdges) {
   const Graph topo = path_graph(4);  // 0-1-2-3
   CongestUnicast net(topo, 8);
   net.set_cut({0, 0, 1, 1});
-  net.round(
-      [&](int v) {
-        std::vector<Message> box(static_cast<std::size_t>(topo.degree(v)));
-        for (auto& m : box) m = bits_of(0, 3);
-        return box;
+  net.round_fill(
+      [&](int v, Message* box) {
+        for (int k = 0; k < topo.degree(v); ++k) box[k].push_uint(0, 3);
       },
       [](int, const std::vector<Message>&) {});
   // Only edge 1-2 crosses; both directions carry 3 bits.

@@ -214,6 +214,20 @@ TEST(DlpTriangle, PromisedVariantFindsRichTriangles) {
   EXPECT_TRUE(result.detected);
 }
 
+TEST(DlpTriangle, PromisedAnnouncementChunksAtNarrowBandwidth) {
+  // t = floor((27 * 10)^{1/3}) = 6 groups, so a triple is 3 * bits_for(6) =
+  // 9 bits: at b = 4 its all-gather takes ceil(9 / 4) = 3 rounds per run.
+  Rng rng(14);
+  const Graph g = gnp(27, 0.5, rng);
+  ASSERT_GT(count_triangles(g), 10u);
+  CliqueUnicast net(27, 4);
+  const DlpResult result = dlp_triangle_detect_promised(net, g, 10, /*runs=*/1, rng);
+  EXPECT_TRUE(result.detected);
+  EXPECT_EQ(result.groups, 6);
+  EXPECT_EQ(result.announce_rounds, 3);
+  EXPECT_EQ(all_gather_cost(27, 9, 4).rounds, 3);
+}
+
 TEST(DlpTriangle, PromisedSoundOnTriangleFree) {
   Rng rng(13);
   Graph g = complete_bipartite(12, 12);

@@ -105,15 +105,14 @@ TEST(WeightedThreshold, RejectsBadArguments) {
 
 TEST(EngineEdge, SinglePlayerCliqueIsQuietButLegal) {
   CliqueUnicast net(1, 4);
-  net.round([](int) { return std::vector<Message>(1); },
-            [](int, const std::vector<Message>&) {});
+  net.round_fill([](int, Message*) {}, [](int, const std::vector<Message>&) {});
   EXPECT_EQ(net.stats().rounds, 1);
   EXPECT_EQ(net.stats().total_bits, 0u);
 }
 
 TEST(EngineEdge, EmptyBroadcastsAreFree) {
   CliqueBroadcast net(5, 8);
-  net.round([](int) { return Message{}; });
+  net.round_fill([](int, Message&) {});
   EXPECT_EQ(net.stats().total_bits, 0u);
   EXPECT_EQ(net.stats().total_messages, 0u);
   EXPECT_EQ(net.stats().rounds, 1);
@@ -126,15 +125,11 @@ TEST(EngineEdge, ZeroBandwidthRejected) {
 
 TEST(EngineEdge, ExactlyBandwidthSizedMessageAllowed) {
   CliqueUnicast net(2, 7);
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(2);
+  net.round_fill(
+      [&](int i, Message* box) {
         if (i == 0) {
-          Message m;
-          for (int bit = 0; bit < 7; ++bit) m.push_bit(true);
-          box[1] = std::move(m);
+          for (int bit = 0; bit < 7; ++bit) box[1].push_bit(true);
         }
-        return box;
       },
       [](int, const std::vector<Message>&) {});
   EXPECT_EQ(net.stats().max_edge_bits_in_round, 7u);

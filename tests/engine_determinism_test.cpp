@@ -41,15 +41,9 @@ class ScopedThreads {
   std::string old_;
 };
 
-Message bits_of(std::uint64_t v, int w) {
-  Message m;
-  m.push_uint(v, w);
-  return m;
-}
-
-/// A fixed protocol exercising every engine and both round paths: a legacy
-/// unicast round, chunked all-pairs payloads (round_fill), chunked
-/// broadcasts, and a CONGEST round — all with a registered cut.
+/// A fixed protocol exercising every engine: a unicast round of varying
+/// per-pair widths, chunked all-pairs payloads, chunked broadcasts, and a
+/// CONGEST round — all with a registered cut.
 struct ProtocolStats {
   CommStats unicast;
   CommStats broadcast;
@@ -64,19 +58,15 @@ ProtocolStats run_fixed_protocol() {
     std::vector<int> side(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) side[static_cast<std::size_t>(i)] = i % 2;
     net.set_cut(side);
-    // Legacy round: deterministic per-pair messages of varying width.
-    net.round(
-        [&](int i) {
-          std::vector<Message> box(static_cast<std::size_t>(n));
+    // One round: deterministic per-pair messages of varying width.
+    net.round_fill(
+        [&](int i, Message* box) {
           for (int j = 0; j < n; ++j) {
-            if (j == i) continue;
-            box[static_cast<std::size_t>(j)] =
-                bits_of(static_cast<std::uint64_t>(i * n + j), 1 + (i + j) % 13);
+            if (j != i) box[j].push_uint(static_cast<std::uint64_t>(i * n + j), 1 + (i + j) % 13);
           }
-          return box;
         },
         [](int, const std::vector<Message>&) {});
-    // Arena path: all-pairs payload streams of varying lengths.
+    // All-pairs payload streams of varying lengths.
     std::vector<std::vector<Message>> payload(
         static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
     for (int i = 0; i < n; ++i) {
@@ -110,12 +100,10 @@ ProtocolStats run_fixed_protocol() {
   }
   {
     CongestUnicast net(cycle_graph(n), 6);
-    net.round(
-        [&](int v) {
-          std::vector<Message> box(2);
-          box[0] = bits_of(static_cast<std::uint64_t>(v), 5);
-          box[1] = bits_of(static_cast<std::uint64_t>(v) + 1, 3 + v % 4);
-          return box;
+    net.round_fill(
+        [&](int v, Message* box) {
+          box[0].push_uint(static_cast<std::uint64_t>(v), 5);
+          box[1].push_uint(static_cast<std::uint64_t>(v) + 1, 3 + v % 4);
         },
         [](int, const std::vector<Message>&) {});
     out.congest = net.stats();
@@ -145,18 +133,15 @@ TEST(EngineDeterminism, CommStatsBitIdenticalAcrossThreadCounts) {
 TEST(EngineDeterminism, ModelViolationPropagatesFromWorkerThread) {
   ScopedThreads scoped("8");
   CliqueUnicast net(8, 4);
-  const auto oversend = [&](int i) {
-    std::vector<Message> box(8);
-    if (i == 5) box[2] = bits_of(0, 5);  // 5 > 4 bits, raised on a worker
-    return box;
+  const auto oversend = [&](int i, Message* box) {
+    if (i == 5) box[2].push_uint(0, 5);  // 5 > 4 bits, raised on a worker
   };
-  EXPECT_THROW(net.round(oversend, [](int, const std::vector<Message>&) {}),
+  EXPECT_THROW(net.round_fill(oversend, [](int, const std::vector<Message>&) {}),
                ModelViolation);
   // A violating round commits nothing and leaves the engine usable.
   EXPECT_EQ(net.stats().rounds, 0);
   EXPECT_EQ(net.stats().total_bits, 0u);
-  net.round([&](int) { return std::vector<Message>(8); },
-            [](int, const std::vector<Message>&) {});
+  net.round_fill([&](int, Message*) {}, [](int, const std::vector<Message>&) {});
   EXPECT_EQ(net.stats().rounds, 1);
 }
 
@@ -179,12 +164,11 @@ TEST(EngineDeterminism, LowestPlayerExceptionWinsAtEveryThreadCount) {
     // Two different players fail with different exception types; the
     // scheduler must always surface player 2's, regardless of which worker
     // observed its own failure first.
-    const auto send = [&](int i) -> std::vector<Message> {
+    const auto fill = [&](int i, Message*) {
       if (i == 2) throw PreconditionError("player 2 failed");
       if (i == 9) throw InvariantError("player 9 failed");
-      return std::vector<Message>(16);
     };
-    EXPECT_THROW(net.round(send, [](int, const std::vector<Message>&) {}),
+    EXPECT_THROW(net.round_fill(fill, [](int, const std::vector<Message>&) {}),
                  PreconditionError)
         << "CC_THREADS=" << threads;
   }
@@ -201,22 +185,19 @@ TEST(EngineDeterminism, LocalityViolationPropagatesAtEveryThreadCount) {
     CliqueUnicast net(n, 8);
     locality::PerPlayer<std::uint64_t> secret(
         n, CC_LOCALITY_SITE("thread-test secret"));
-    const auto leaky_send = [&](int i) {
-      std::vector<Message> box(static_cast<std::size_t>(n));
-      if (i == 7) box[0] = bits_of(secret[4], 3);  // 7 reads 4's state
-      return box;
+    const auto leaky_fill = [&](int i, Message* box) {
+      if (i == 7) box[0].push_uint(secret[4], 3);  // 7 reads 4's state
     };
     const auto no_recv = [](int, const std::vector<Message>&) {};
     if (locality::enabled()) {
-      EXPECT_THROW(net.round(leaky_send, no_recv), ModelViolation)
+      EXPECT_THROW(net.round_fill(leaky_fill, no_recv), ModelViolation)
           << "CC_THREADS=" << threads;
       EXPECT_EQ(net.stats().rounds, 0) << "CC_THREADS=" << threads;
       EXPECT_EQ(net.stats().total_bits, 0u) << "CC_THREADS=" << threads;
     } else {
-      EXPECT_NO_THROW(net.round(leaky_send, no_recv));
+      EXPECT_NO_THROW(net.round_fill(leaky_fill, no_recv));
     }
-    net.round([&](int) { return std::vector<Message>(static_cast<std::size_t>(n)); },
-              no_recv);
+    net.round_fill([&](int, Message*) {}, no_recv);
     EXPECT_GE(net.stats().rounds, 1) << "CC_THREADS=" << threads;
   }
 }
@@ -233,13 +214,11 @@ TEST(EngineDeterminism, LowestPlayerWinsForLocalityViolations) {
     CliqueUnicast net(n, 8);
     locality::PerPlayer<std::uint64_t> secret(
         n, CC_LOCALITY_SITE("contested secret"));
-    const auto send = [&](int i) {
-      std::vector<Message> box(static_cast<std::size_t>(n));
-      if (i == 3 || i == 11) box[0] = bits_of(secret[(i + 1) % n], 3);
-      return box;
+    const auto fill = [&](int i, Message* box) {
+      if (i == 3 || i == 11) box[0].push_uint(secret[(i + 1) % n], 3);
     };
     try {
-      net.round(send, [](int, const std::vector<Message>&) {});
+      net.round_fill(fill, [](int, const std::vector<Message>&) {});
       FAIL() << "seeded violations must throw (CC_THREADS=" << threads << ")";
     } catch (const ModelViolation& e) {
       EXPECT_NE(std::string(e.what()).find("player 3"), std::string::npos)

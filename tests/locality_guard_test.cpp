@@ -115,25 +115,22 @@ TEST(LocalityGuard, UnicastSendCallbackCannotReadAnotherPlayersState) {
   locality::PerPlayer<std::uint64_t> secret(
       n, CC_LOCALITY_SITE("per-player secret"));
   for (int i = 0; i < n; ++i) secret[i] = static_cast<std::uint64_t>(i);
-  const auto leaky_send = [&](int i) {
-    std::vector<Message> box(static_cast<std::size_t>(n));
+  const auto leaky_fill = [&](int i, Message* box) {
     // Planted violation: player i reads player (i+1)%n's private value.
     const std::uint64_t stolen = secret[(i + 1) % n];
-    box[static_cast<std::size_t>((i + 1) % n)] = bits_of(stolen, 5);
-    return box;
+    box[(i + 1) % n].push_uint(stolen, 5);
   };
   const auto no_recv = [](int, const std::vector<Message>&) {};
   if (locality::enabled()) {
-    EXPECT_THROW(net.round(leaky_send, no_recv), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_fill, no_recv), ModelViolation);
     // The violating round commits nothing and the engine stays usable.
     EXPECT_EQ(net.stats().rounds, 0);
     EXPECT_EQ(net.stats().total_bits, 0u);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_send, no_recv));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill, no_recv));
     EXPECT_EQ(net.stats().rounds, 1);
   }
-  net.round([&](int) { return std::vector<Message>(static_cast<std::size_t>(n)); },
-            no_recv);
+  net.round_fill([&](int, Message*) {}, no_recv);
 }
 
 TEST(LocalityGuard, UnicastRecvCallbackCannotReadAnotherPlayersState) {
@@ -141,12 +138,10 @@ TEST(LocalityGuard, UnicastRecvCallbackCannotReadAnotherPlayersState) {
   CliqueUnicast net(n, 8);
   locality::PerPlayer<std::uint64_t> inbox_state(
       n, CC_LOCALITY_SITE("per-player decode state"));
-  const auto send = [&](int i) {
-    std::vector<Message> box(static_cast<std::size_t>(n));
+  const auto fill = [&](int i, Message* box) {
     for (int j = 0; j < n; ++j) {
-      if (j != i) box[static_cast<std::size_t>(j)] = bits_of(1, 2);
+      if (j != i) box[j].push_uint(1, 2);
     }
-    return box;
   };
   const auto leaky_recv = [&](int r, const std::vector<Message>&) {
     // Planted violation: the receiver peeks at player 0's slot. Receiver 0
@@ -154,9 +149,9 @@ TEST(LocalityGuard, UnicastRecvCallbackCannotReadAnotherPlayersState) {
     if (r != 0) inbox_state[0] += 1;
   };
   if (locality::enabled()) {
-    EXPECT_THROW(net.round(send, leaky_recv), ModelViolation);
+    EXPECT_THROW(net.round_fill(fill, leaky_recv), ModelViolation);
   } else {
-    EXPECT_NO_THROW(net.round(send, leaky_recv));
+    EXPECT_NO_THROW(net.round_fill(fill, leaky_recv));
   }
 }
 
@@ -166,7 +161,7 @@ TEST(LocalityGuard, RoundFillCallbackIsScopedToo) {
   locality::PerPlayer<std::uint64_t> secret(
       n, CC_LOCALITY_SITE("fill-path secret"));
   const auto leaky_fill = [&](int i, Message* box) {
-    if (i == 2) box[0] = bits_of(secret[1], 3);  // 2 reads 1's state
+    if (i == 2) box[0].push_uint(secret[1], 3);  // 2 reads 1's state
   };
   const auto no_recv = [](int, const std::vector<Message>&) {};
   if (locality::enabled()) {
@@ -182,13 +177,11 @@ TEST(LocalityGuard, BroadcastCallbackIsScoped) {
   locality::PerPlayer<std::uint64_t> secret(
       n, CC_LOCALITY_SITE("broadcast secret"));
   for (int i = 0; i < n; ++i) secret[i] = static_cast<std::uint64_t>(i) + 1;
-  const auto leaky_bcast = [&](int i) {
-    return bits_of(secret[(i + 1) % n], 4);
-  };
+  const auto leaky_fill = [&](int i, Message& out) { out.push_uint(secret[(i + 1) % n], 4); };
   if (locality::enabled()) {
-    EXPECT_THROW(net.round(leaky_bcast), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_fill), ModelViolation);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_bcast));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill));
   }
 }
 
@@ -197,16 +190,30 @@ TEST(LocalityGuard, CongestCallbacksAreScoped) {
   CongestUnicast net(cycle_graph(n), 8);
   locality::PerPlayer<std::uint64_t> secret(
       n, CC_LOCALITY_SITE("congest secret"));
-  const auto leaky_send = [&](int v) {
-    std::vector<Message> box(2);
-    if (v == 3) box[0] = bits_of(secret[4], 3);  // 3 reads 4's state
-    return box;
+  const auto leaky_fill = [&](int v, Message* box) {
+    if (v == 3) box[0].push_uint(secret[4], 3);  // 3 reads 4's state
   };
   const auto no_recv = [](int, const std::vector<Message>&) {};
   if (locality::enabled()) {
-    EXPECT_THROW(net.round(leaky_send, no_recv), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_fill, no_recv), ModelViolation);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_send, no_recv));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill, no_recv));
+  }
+}
+
+TEST(LocalityGuard, AllGatherFillIsScoped) {
+  const int n = 5;
+  CliqueUnicast net(n, 8);
+  locality::PerPlayer<std::uint64_t> secret(
+      n, CC_LOCALITY_SITE("all-gather secret"));
+  const auto leaky_fill = [&](int i, Message& out) {
+    out.push_uint(secret[(i + 2) % n], 4);  // i reads i+2's state
+  };
+  if (locality::enabled()) {
+    EXPECT_THROW(all_gather(net, 4, leaky_fill), ModelViolation);
+    EXPECT_EQ(net.stats().rounds, 0);
+  } else {
+    EXPECT_NO_THROW(all_gather(net, 4, leaky_fill));
   }
 }
 

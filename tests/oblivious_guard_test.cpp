@@ -145,26 +145,23 @@ TEST(ObliviousGuard, UnicastSendCallbackCannotSizeMessagesFromPayload) {
   const int n = 6;
   CliqueUnicast net(n, 16);
   const Mat61 payload = counting_matrix(n);
-  const auto leaky_send = [&](int i) {
-    std::vector<Message> box(static_cast<std::size_t>(n));
+  const auto leaky_fill = [&](int i, Message* box) {
     // Planted violation: the emitted length is a function of a matrix
     // entry, so the round count would leak payload values.
     const int w = 1 + static_cast<int>(payload.get(i, (i + 1) % n) % 7);
-    box[static_cast<std::size_t>((i + 1) % n)] = bits_of(0, w);
-    return box;
+    box[(i + 1) % n].push_uint(0, w);
   };
   const auto no_recv = [](int, const std::vector<Message>&) {};
   if (oblivious::enabled()) {
-    EXPECT_THROW(net.round(leaky_send, no_recv), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_fill, no_recv), ModelViolation);
     // The violating round commits nothing and the engine stays usable.
     EXPECT_EQ(net.stats().rounds, 0);
     EXPECT_EQ(net.stats().total_bits, 0u);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_send, no_recv));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill, no_recv));
     EXPECT_EQ(net.stats().rounds, 1);
   }
-  net.round([&](int) { return std::vector<Message>(static_cast<std::size_t>(n)); },
-            no_recv);
+  net.round_fill([&](int, Message*) {}, no_recv);
 }
 
 TEST(ObliviousGuard, UnicastFillCallbackIsASinkToo) {
@@ -197,21 +194,21 @@ TEST(ObliviousGuard, BroadcastCallbackIsASink) {
   const int n = 4;
   CliqueBroadcast net(n, 16);
   const Mat61 payload = counting_matrix(n);
-  const auto leaky_bcast = [&](int i) {
-    return bits_of(0, 1 + static_cast<int>(payload.get(i, i) % 5));
+  const auto leaky_fill = [&](int i, Message& out) {
+    out.push_uint(0, 1 + static_cast<int>(payload.get(i, i) % 5));
   };
   if (oblivious::enabled()) {
     try {
-      net.round(leaky_bcast);
+      net.round_fill(leaky_fill);
       FAIL() << "payload-dependent broadcast length must throw";
     } catch (const ModelViolation& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("Mat61::get"), std::string::npos) << what;
-      EXPECT_NE(what.find("CLIQUE-BCAST send callback"), std::string::npos) << what;
+      EXPECT_NE(what.find("CLIQUE-BCAST fill callback"), std::string::npos) << what;
     }
     EXPECT_EQ(net.stats().rounds, 0);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_bcast));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill));
   }
 }
 
@@ -220,16 +217,37 @@ TEST(ObliviousGuard, CongestCallbackIsASink) {
   const Graph g = cycle_graph(n);
   CongestUnicast net(g, 16);
   const Mat61 payload = counting_matrix(n);
-  const auto leaky_send = [&](int v) {
-    std::vector<Message> box(2);
-    if (v == 3) box[0] = bits_of(0, 1 + static_cast<int>(payload.get(3, 4) % 3));
-    return box;
+  const auto leaky_fill = [&](int v, Message* box) {
+    if (v == 3) box[0].push_uint(0, 1 + static_cast<int>(payload.get(3, 4) % 3));
   };
   const auto no_recv = [](int, const std::vector<Message>&) {};
   if (oblivious::enabled()) {
-    EXPECT_THROW(net.round(leaky_send, no_recv), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_fill, no_recv), ModelViolation);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_send, no_recv));
+    EXPECT_NO_THROW(net.round_fill(leaky_fill, no_recv));
+  }
+}
+
+TEST(ObliviousGuard, AllGatherFillIsASink) {
+  const int n = 4;
+  CliqueUnicast net(n, 16);
+  const Mat61 payload = counting_matrix(n);
+  const auto leaky_fill = [&](int i, Message& out) {
+    // Planted violation: whether player i sends depends on a matrix entry.
+    if (payload.get(i, i) % 2 == 0) out.push_uint(1, 8);
+  };
+  if (oblivious::enabled()) {
+    try {
+      all_gather(net, 8, leaky_fill);
+      FAIL() << "payload-dependent all-gather fill must throw";
+    } catch (const ModelViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("Mat61::get"), std::string::npos) << what;
+      EXPECT_NE(what.find("all_gather fill callback"), std::string::npos) << what;
+    }
+    EXPECT_EQ(net.stats().rounds, 0);
+  } else {
+    EXPECT_NO_THROW(all_gather(net, 8, leaky_fill));
   }
 }
 
@@ -244,17 +262,16 @@ TEST(ObliviousGuard, NofReductionInheritsBroadcastSink) {
   // serialized (a data race under TSan at CC_THREADS > 1 otherwise).
   std::mutex board_mu;
   const Mat61 payload = counting_matrix(n);
-  const auto leaky_reduction = [&](int i) {
-    Message m = bits_of(0, 1 + static_cast<int>(payload.get(i, 0) % 3));
+  const auto leaky_reduction = [&](int i, Message& out) {
+    out.push_uint(0, 1 + static_cast<int>(payload.get(i, 0) % 3));
     const std::lock_guard<std::mutex> lock(board_mu);
-    board.write(i, m);
-    return m;
+    board.write(i, out);
   };
   if (oblivious::enabled()) {
-    EXPECT_THROW(net.round(leaky_reduction), ModelViolation);
+    EXPECT_THROW(net.round_fill(leaky_reduction), ModelViolation);
     EXPECT_EQ(board.total_bits(), 0u);
   } else {
-    EXPECT_NO_THROW(net.round(leaky_reduction));
+    EXPECT_NO_THROW(net.round_fill(leaky_reduction));
   }
 }
 

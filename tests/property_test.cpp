@@ -238,8 +238,12 @@ TEST(EngineProperty, BitAccountingIsExact) {
         outbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = std::move(m);
       }
     }
-    net.round([&](int i) { return outbox[static_cast<std::size_t>(i)]; },
-              [](int, const std::vector<Message>&) {});
+    net.round_fill(
+        [&](int i, Message* box) {
+          const auto& mine = outbox[static_cast<std::size_t>(i)];
+          for (int j = 0; j < n; ++j) box[j].append(mine[static_cast<std::size_t>(j)]);
+        },
+        [](int, const std::vector<Message>&) {});
   }
   EXPECT_EQ(net.stats().total_bits, expected_bits);
   EXPECT_EQ(net.stats().rounds, 20);
@@ -259,7 +263,7 @@ TEST(EngineProperty, CutBitsNeverExceedTotal) {
       const int len = static_cast<int>(rng.uniform(17));
       for (int bit = 0; bit < len; ++bit) m.push_bit(rng.coin());
     }
-    net.round([&](int i) { return writes[static_cast<std::size_t>(i)]; });
+    net.round_fill([&](int i, Message& out) { out.append(writes[static_cast<std::size_t>(i)]); });
   }
   EXPECT_LE(net.stats().cut_bits, net.stats().total_bits);
 }

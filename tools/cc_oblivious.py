@@ -10,12 +10,12 @@ statically, closing the dynamic guard's value-laundering gap (a payload
 value copied out of a source before the sink opens). Five checks:
 
 1. Plan reads payload: the body of a plan/pricing function (`*_plan`,
-   `*_lengths`, `relay_cost`) calls a payload accessor (`.get(`, `.row(`,
+   `*_lengths`, `relay_cost`, `all_gather_cost`) calls a payload accessor (`.get(`, `.row(`,
    `.data()`) or indexes a `weights` array. The schedule would be a
    function of entry values.
 
 2. Payload-sized message: inside an engine callback lambda (an argument of
-   `.round(` / `.round_fill(` / `.send_phase(`), a `push_uint` width
+   `.round_fill(` / `.send_phase(` / `all_gather(`), a `push_uint` width
    argument or an `append_slice` offset/length argument derives from a
    payload accessor — the emitted *length* leaks payload.
 
@@ -70,7 +70,9 @@ FIXTURE = os.path.join(lc.REPO, "tools", "fixtures", "oblivious_violation_exampl
 
 # Pricing-function definitions: the name families that compute schedules
 # (`*_profile` covers the sparse nnz-declaration choke points).
-PLAN_DEF_RE = re.compile(r"\b(?!run_)(\w+_plan|\w+_lengths|\w+_profile|relay_cost)\s*\(")
+PLAN_DEF_RE = re.compile(
+    r"\b(?!run_)(\w+_plan|\w+_lengths|\w+_profile|relay_cost|all_gather_cost)\s*\("
+)
 # Payload accessors, as tagged for the runtime guard (linalg get/row/data,
 # weight arrays). Message::size_bits and graph adjacency are deliberately
 # NOT here: committed lengths and network topology are common knowledge.
@@ -78,7 +80,7 @@ PAYLOAD_READ_RE = re.compile(r"\.(?:get|row)\s*\(|\.data\s*\(\s*\)|\bweights\s*\
 # Sparse structure accessors (linalg/sparse.h): tainted like payload, but
 # plans may read them *through a declared dependence* (check 5).
 NNZ_READ_RE = re.compile(r"\.(?:nnz|row_nnz|row_ptr|cols|vals)\s*\(")
-CALLBACK_CALL_RE = re.compile(r"\.(?:round|round_fill|send_phase)\s*\(")
+CALLBACK_CALL_RE = re.compile(r"(?:\.round_fill|\.send_phase|\ball_gather)\s*\(")
 LAMBDA_RE = re.compile(r"\[&\]\s*\(\s*(?:const\s+)?int\s+(\w+)([^)]*)\)")
 
 
@@ -201,9 +203,9 @@ class LibclangFrontend:
                 if brace >= 0:
                     plan_defs.append((child.spelling, text[brace:end], brace))
             if child.kind == ck.CALL_EXPR and child.spelling in (
-                "round",
                 "round_fill",
                 "send_phase",
+                "all_gather",
             ):
                 lams = self._lambdas(child)
                 if lams:

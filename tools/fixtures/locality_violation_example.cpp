@@ -7,8 +7,9 @@
 //
 // The runtime twin of the check-1 plant below is
 // tests/locality_guard_test.cpp (UnicastSendCallbackCannotReadAnotherPlayersState),
-// which drives the same cross-player read through a real engine and asserts
-// ModelViolation — one seeded bug, caught both statically and dynamically.
+// which drives the same cross-player read through a real round_fill callback
+// and asserts ModelViolation — one seeded bug, caught both statically and
+// dynamically.
 #include <cstdint>
 #include <vector>
 
@@ -33,18 +34,14 @@ void planted_violations(CliqueUnicast& net, int n) {
   const FixturePlan plan = fixture_plan(n);
   (void)plan;
 
-  net.round(
-      [&](int i) {
-        std::vector<Message> box(static_cast<std::size_t>(n));
+  net.round_fill(
+      [&](int i, Message* box) {
         // check 1: player i reads player (i+1)%n's tagged private state.
         const std::uint64_t stolen = secret[(i + 1) % n];
         // check 2: player i writes a reference-captured engine-wide array
         // at a non-self index (a data race under CC_THREADS > 1).
         shared[0] += stolen;
-        Message m;
-        m.push_uint(stolen, 5);
-        box[0] = m;  // writing the local outbox is fine — not flagged
-        return box;
+        box[0].push_uint(stolen, 5);  // writing the outbox is fine — not flagged
       },
       [](int, const std::vector<Message>&) {});
 }
