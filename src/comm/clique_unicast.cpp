@@ -162,112 +162,82 @@ AllGatherCost all_gather_cost(int n, int width, int bandwidth) {
   return cost;
 }
 
+RelayCost relay_cost(const LengthMatrix& len, int bandwidth) {
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
+  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
+  // Per-edge loads hop1[v*n + t] and hop2[t*n + p]; a relay's own chunks stay put.
+  const std::size_t n = len.size();
+  std::vector<std::uint64_t> hop1(n * n, 0), hop2(n * n, 0);
+  std::uint64_t max1 = 0, max2 = 0;
+  RelayCost cost;
+  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
+                                std::size_t clen) {
+    if (t != v) max1 = std::max(max1, hop1[v * n + t] += clen);
+    if (t != p) max2 = std::max(max2, hop2[t * n + p] += clen);
+    cost.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
+  });
+  const std::uint64_t b = static_cast<std::uint64_t>(bandwidth);
+  cost.rounds = static_cast<int>((max1 + b - 1) / b + (max2 + b - 1) / b);
+  return cost;
+}
+
 int unicast_payloads_relayed(CliqueUnicast& net,
                              const std::vector<std::vector<Message>>& payload,
                              std::vector<std::vector<Message>>* received) {
-  const int n = net.n();
+  const std::size_t n = static_cast<std::size_t>(net.n());
   oblivious::SinkScope sink(
       CC_OBLIVIOUS_SITE("unicast_payloads_relayed chunk schedule"));
-  CC_REQUIRE(static_cast<int>(payload.size()) == n, "payload matrix must be n x n");
-  for (int v = 0; v < n; ++v) {
-    const auto& row = payload[static_cast<std::size_t>(v)];
-    CC_REQUIRE(static_cast<int>(row.size()) == n, "payload matrix must be n x n");
-    CC_REQUIRE(row[static_cast<std::size_t>(v)].empty(),
-               "relayed payloads cannot address the sender itself");
+  CC_REQUIRE(payload.size() == n, "payload matrix must be n x n");
+  LengthMatrix len(n, std::vector<std::size_t>(n));
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(payload[v].size() == n, "payload matrix must be n x n");
+    for (std::size_t p = 0; p < n; ++p) len[v][p] = payload[v][p].size_bits();
   }
-  auto chunk_len = [n](std::size_t len, int c) {
-    return relay_chunk_lo(len, c + 1, n) - relay_chunk_lo(len, c, n);
-  };
 
-  // Hop 1: source v ships to relay t its payloads' relay-t chunks (chunk
-  // index rotated per pair — see relay_chunk_index), concatenated in
-  // destination order. The t == v chunks stay local (v is its own relay),
-  // so the diagonal is left empty.
-  std::vector<std::vector<Message>> h1(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int v = 0; v < n; ++v) {
-    for (int t = 0; t < n; ++t) {
-      if (t == v) continue;
-      Message& out = h1[static_cast<std::size_t>(v)][static_cast<std::size_t>(t)];
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        const Message& full = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        const int c = relay_chunk_index(v, p, t, n);
-        const std::size_t clen = chunk_len(full.size_bits(), c);
-        if (clen != 0) out.append_slice(full, relay_chunk_lo(full.size_bits(), c, n), clen);
-      }
-    }
-  }
+  // Hop 1: source v ships relay t its payloads' relay-t chunks in destination
+  // order; v is its own relay for the t == v chunks, so the diagonal stays empty.
+  std::vector<std::vector<Message>> h1(n, std::vector<Message>(n));
+  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
+                                std::size_t clen) {
+    if (t != v) h1[v][t].append_slice(payload[v][p], lo, clen);
+  });
   std::vector<std::vector<Message>> recv1;
   const int rounds1 = unicast_payloads(net, h1, &recv1);
 
   // Relay stage (local): every relay t re-groups the chunks it holds by
-  // final destination, again in source order. Chunk positions inside the
-  // incoming streams are recomputed from the globally known lengths.
-  // hold[t] collects the chunks whose destination is t itself — the
-  // "t -> t stream" that never crosses the network.
-  std::vector<std::vector<Message>> h2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  std::vector<Message> hold(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    for (int v = 0; v < n; ++v) {
-      if (v == t) {
-        // Own chunks: read straight from the source payloads.
-        for (int p = 0; p < n; ++p) {
-          if (p == t) continue;
-          const Message& full = payload[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-          const int c = relay_chunk_index(t, p, t, n);
-          const std::size_t clen = chunk_len(full.size_bits(), c);
-          if (clen != 0) {
-            h2[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)].append_slice(
-                full, relay_chunk_lo(full.size_bits(), c, n), clen);
-          }
-        }
-        continue;
-      }
-      const Message& src = recv1[static_cast<std::size_t>(t)][static_cast<std::size_t>(v)];
-      std::size_t cur = 0;
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        const std::size_t clen = chunk_len(
-            payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)].size_bits(),
-            relay_chunk_index(v, p, t, n));
-        if (clen == 0) continue;
-        Message& out = p == t ? hold[static_cast<std::size_t>(t)]
-                              : h2[static_cast<std::size_t>(t)][static_cast<std::size_t>(p)];
-        out.append_slice(src, cur, clen);
-        cur += clen;
-      }
+  // final destination, in source order, reading each stream recv1[t][v]
+  // front to back with cursor cur[t*n + v] (own chunks come straight from
+  // its payloads). hold[t] collects the chunks whose destination is t
+  // itself — the "t -> t stream" that never crosses the network.
+  std::vector<std::vector<Message>> h2(n, std::vector<Message>(n));
+  std::vector<Message> hold(n);
+  std::vector<std::size_t> cur(n * n, 0);
+  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
+                                std::size_t clen) {
+    Message& out = p == t ? hold[t] : h2[t][p];
+    if (t == v) {
+      out.append_slice(payload[v][p], lo, clen);
+    } else {
+      out.append_slice(recv1[t][v], cur[t * n + v], clen);
+      cur[t * n + v] += clen;
     }
-  }
+  });
   std::vector<std::vector<Message>> recv2;
   const int rounds2 = unicast_payloads(net, h2, &recv2);
 
-  // Reassembly: destination r splices each payload back together in chunk
-  // order (chunk c sits at relay t = c - v - r mod n); every relay's stream
-  // (and the local hold) is consumed in source order, so one cursor per
-  // relay suffices regardless of the per-payload chunk rotation.
-  received->assign(static_cast<std::size_t>(n),
-                   std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int r = 0; r < n; ++r) {
-    std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    for (int v = 0; v < n; ++v) {
-      if (v == r) continue;
-      const std::size_t len =
-          payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(r)].size_bits();
-      Message& out = (*received)[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)];
-      out.reserve_bits(len);
-      for (int c = 0; c < n; ++c) {
-        const std::size_t clen = chunk_len(len, c);
-        if (clen == 0) continue;
-        const int t = ((c - v - r) % n + n) % n;  // inverse of relay_chunk_index
-        const Message& src = t == r ? hold[static_cast<std::size_t>(r)]
-                                    : recv2[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)];
-        out.append_slice(src, cur[static_cast<std::size_t>(t)], clen);
-        cur[static_cast<std::size_t>(t)] += clen;
-      }
-    }
+  // Reassembly: destination p splices each payload back together in chunk
+  // order; relay t's stream (or the local hold) is consumed in the source
+  // order the relay stage wrote, with cursor cur[p*n + t].
+  received->assign(n, std::vector<Message>(n));
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t v = 0; v < n; ++v) (*received)[p][v].reserve_bits(len[v][p]);
   }
+  std::fill(cur.begin(), cur.end(), 0);
+  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
+                                std::size_t clen) {
+    (*received)[p][v].append_slice(t == p ? hold[p] : recv2[p][t], cur[p * n + t], clen);
+    cur[p * n + t] += clen;
+  });
   return rounds1 + rounds2;
 }
 

@@ -121,32 +121,60 @@ struct AllGatherCost {
 /// Preconditions: n >= 1, width >= 0, bandwidth >= 1.
 AllGatherCost all_gather_cost(int n, int width, int bandwidth);
 
-/// The n-way balanced split used by the relayed delivery below: chunk c of a
-/// len-bit payload is bits [len*c/n, len*(c+1)/n) — all n chunks differ in
-/// size by at most one bit. Exposed so protocols (core/algebraic_mm) can
-/// predict the relayed round schedule exactly from a length matrix alone.
-inline std::size_t relay_chunk_lo(std::size_t len, int c, int n) {
-  return len * static_cast<std::size_t>(c) / static_cast<std::size_t>(n);
+/// len[v][p]: the length in bits of the v -> p payload.
+using LengthMatrix = std::vector<std::vector<std::size_t>>;
+
+/// The relayed delivery's chunk schedule, written once. A len-bit v -> p
+/// payload splits n ways, chunk c being bits [len*c/n, len*(c+1)/n) (sizes
+/// differ by at most one bit), and chunk c travels via relay
+/// t = (c - v - p) mod n. The (v + p) rotation spreads the one-bit-heavier
+/// remainder chunks of equal-length payloads across relays; an identity map
+/// piles them up (~4x the ideal hop load in the MM distribution phase).
+/// Calls fn(v, p, t, lo, clen) for each non-empty chunk in (v, p, c) order,
+/// all ascending: bits [lo, lo + clen) of the v -> p payload go via relay t.
+/// Stores nothing and divides once per payload, never per chunk.
+/// Precondition (CC_REQUIRE): len is square with an all-zero diagonal.
+template <typename Fn>
+void for_each_relay_chunk(const LengthMatrix& len, Fn&& fn) {
+  const std::size_t n = len.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(len[v].size() == n && len[v][v] == 0,
+               "relay lengths must be square with an empty diagonal");
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::size_t total = len[v][p], base = total / n, rem = total % n;
+      std::size_t lo = 0, acc = 0, t = (2 * n - v - p) % n;  // chunk 0's relay
+      while (lo < total) {  // at most n chunks
+        acc += rem;  // rem·(c+1) mod n, once the carry below is taken
+        const std::size_t clen = base + (acc >= n ? 1 : 0);
+        if (acc >= n) acc -= n;
+        if (clen != 0) fn(v, p, t, lo, clen);
+        lo += clen;
+        t = t + 1 == n ? 0 : t + 1;
+      }
+    }
+  }
 }
 
-/// Which chunk of the (v -> p) payload relay t carries. The one-bit-heavier
-/// remainder chunks of equal-length payloads sit at the same chunk indices,
-/// so an identity map would pile them all onto the same relays (measurably:
-/// ~4x the ideal hop load for the MM distribution phase); rotating the map
-/// by (v + p) spreads them across relays.
-inline int relay_chunk_index(int v, int p, int t, int n) {
-  return (t + v + p) % n;
-}
+/// The schedule of one unicast_payloads_relayed call (both hops).
+struct RelayCost {
+  int rounds = 0;
+  std::uint64_t bits = 0;
+};
+
+/// Prices unicast_payloads_relayed from its length matrix alone by summing
+/// for_each_relay_chunk into per-edge hop loads; the *_plan functions use
+/// it. Preconditions (CC_REQUIRE): the walk's, and bandwidth >= 1.
+RelayCost relay_cost(const LengthMatrix& len, int bandwidth);
 
 /// Delivers a payload matrix through the deterministic two-hop relay
 /// schedule (oblivious Valiant-style balancing; the same idea as the
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
-/// payload is split into n near-equal chunks by relay_chunk_lo, chunk t
-/// travels source -> relay t -> destination, and each hop is a plain
-/// unicast_payloads call. Per-edge load per hop is therefore
-/// ~(per-player total)/n instead of the largest single payload, which is
-/// what turns the skewed block-distribution demand of the algebraic MM
-/// protocol into its O(n^{1/3}) round bound.
+/// chunk of for_each_relay_chunk travels source -> relay t -> destination,
+/// and each hop is a plain unicast_payloads call. Hop-1 assembly, relay
+/// regrouping and reassembly are each one walk of that schedule. Per-edge
+/// load per hop is ~(per-player total)/n instead of the largest single
+/// payload, which is what turns the skewed block-distribution demand of
+/// the algebraic MM protocol into its O(n^{1/3}) round bound.
 ///
 /// Contract: the *length* matrix of `payload` must be globally known (a
 /// data-independent function of the protocol's parameters, never of input
@@ -159,9 +187,7 @@ inline int relay_chunk_index(int v, int p, int t, int n) {
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes
 /// ~2·ceil(M/(n·b)) rounds versus direct chunking's ceil(max single
 /// payload / b) — the skew-flattening the block-MM protocols ride
-/// (DESIGN.md §2.2/§2.4). Exact costs are replayable from the length
-/// matrix alone (see relay_chunk_lo / core/block_mm.h), which is how the
-/// *_plan functions predict rounds and bits without running the protocol.
+/// (DESIGN.md §2.2/§2.4). relay_cost gives the exact cost from the lengths.
 /// Non-uniform payload widths (including zero-length pairs) are fine; the
 /// widths just must not depend on input data.
 int unicast_payloads_relayed(CliqueUnicast& net,

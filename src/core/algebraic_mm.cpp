@@ -139,8 +139,8 @@ AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
   plan.bandwidth = bandwidth;
   const blockmm::LengthMatrix dist = blockmm::distribute_lengths(g, word_bits);
   const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
-  const blockmm::RelayCost dc = blockmm::relay_cost(dist, n, bandwidth);
-  const blockmm::RelayCost ac = blockmm::relay_cost(agg, n, bandwidth);
+  const RelayCost dc = relay_cost(dist, bandwidth);
+  const RelayCost ac = relay_cost(agg, bandwidth);
   plan.distribute_rounds = dc.rounds;
   plan.aggregate_rounds = ac.rounds;
   plan.total_rounds = dc.rounds + ac.rounds;

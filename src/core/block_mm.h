@@ -8,7 +8,7 @@
 // Nothing in the decomposition, the relay schedule, or the plan accounting
 // depends on the *algebra* — only on (n, element width w, bandwidth b). This
 // header holds the geometry (BlockGrid), the data-independent length
-// matrices and relay cost replay, the generic protocol driver
+// matrices (relay_cost prices them), the generic protocol driver
 // (run_block_mm), and the one Ops adapter per carrier, so the ring products
 // (core/algebraic_mm), the min-plus/APSP workload (core/apsp) and the sparse
 // driver (core/sparse_mm.h) run the identical schedule. Ownership is
@@ -127,7 +127,7 @@ struct BlockGrid {
   int tk(int p) const { return p % m; }
 };
 
-using LengthMatrix = std::vector<std::vector<std::size_t>>;
+using LengthMatrix = ::cclique::LengthMatrix;  // comm/clique_unicast.h
 
 /// Distribution-phase payload lengths in bits under whole-row ownership
 /// (player v holds row v of A, B and C): for each triple player p =
@@ -171,54 +171,6 @@ inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
     }
   }
   return len;
-}
-
-/// Cost of shipping a length matrix through unicast_payloads_relayed:
-/// replays the relay's chunk arithmetic (relay_chunk_lo) on lengths alone.
-struct RelayCost {
-  int rounds = 0;
-  std::uint64_t bits = 0;
-};
-
-inline RelayCost relay_cost(const LengthMatrix& len, int n, int bandwidth) {
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
-  const std::size_t b = static_cast<std::size_t>(bandwidth);
-  auto chunk = [n](std::size_t l, int c) {
-    return relay_chunk_lo(l, c + 1, n) - relay_chunk_lo(l, c, n);
-  };
-  RelayCost out;
-  std::size_t max1 = 0, max2 = 0;
-  // Hop 1: source v -> relay t carries chunk relay_chunk_index(v, p, t) of
-  // each of v's payloads.
-  for (int v = 0; v < n; ++v) {
-    for (int t = 0; t < n; ++t) {
-      if (t == v) continue;
-      std::size_t sum = 0;
-      for (int p = 0; p < n; ++p) {
-        if (p == v) continue;
-        sum += chunk(len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)],
-                     relay_chunk_index(v, p, t, n));
-      }
-      max1 = std::max(max1, sum);
-      out.bits += sum;
-    }
-  }
-  // Hop 2: relay t -> destination p carries the same chunks of p's payloads.
-  for (int t = 0; t < n; ++t) {
-    for (int p = 0; p < n; ++p) {
-      if (p == t) continue;
-      std::size_t sum = 0;
-      for (int v = 0; v < n; ++v) {
-        if (v == p) continue;
-        sum += chunk(len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)],
-                     relay_chunk_index(v, p, t, n));
-      }
-      max2 = std::max(max2, sum);
-      out.bits += sum;
-    }
-  }
-  out.rounds = static_cast<int>(ceil_div(max1, b) + ceil_div(max2, b));
-  return out;
 }
 
 /// The aggregation phase both product drivers end with (run_block_mm here,

@@ -101,12 +101,12 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
           pair_bits;
     }
   }
-  const blockmm::RelayCost dc = blockmm::relay_cost(dist, n, bandwidth);
+  const RelayCost dc = relay_cost(dist, bandwidth);
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
   // without a second announcement; see sparse_mm.h).
   const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
-  const blockmm::RelayCost ac = blockmm::relay_cost(agg, n, bandwidth);
+  const RelayCost ac = relay_cost(agg, bandwidth);
 
   plan.distribute_rounds = dc.rounds;
   plan.aggregate_rounds = ac.rounds;
@@ -120,6 +120,14 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
   const int n = profile.n;
   CC_REQUIRE(net.n() == n, "one player per matrix row");
   const int m = profile.grid;
+  CC_REQUIRE(count_bits >= 1 && count_bits <= 64, "count width out of range");
+  for (const std::vector<std::size_t>* counts : {&profile.a_block_nnz, &profile.b_block_nnz}) {
+    CC_REQUIRE(counts->size() == static_cast<std::size_t>(n) * static_cast<std::size_t>(m),
+               "profile table size mismatch");
+    for (const std::size_t c : *counts) {  // push_uint would keep only the low bits
+      CC_REQUIRE(count_bits == 64 || c >> count_bits == 0, "block count overflows count_bits");
+    }
+  }
   const ChargedSince charged(net.stats());
   all_gather(net, 2 * m * count_bits, [&](int v, Message& out) {
     const std::size_t row = static_cast<std::size_t>(v) * static_cast<std::size_t>(m);

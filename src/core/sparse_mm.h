@@ -119,7 +119,9 @@ inline bool sparse_backend_preferred(const SparseMmPlan& sparse,
 /// profile becomes common knowledge. Returns the rounds used —
 /// ceil(2m * count_bits / b) for n >= 2. Adaptive protocols that *reject*
 /// the sparse branch still run this (the decision needs the profile), then
-/// fall through to the dense schedule.
+/// fall through to the dense schedule. Preconditions (CC_REQUIRE, before any
+/// bit moves): net.n() == profile.n, both tables hold n·m counts, and each
+/// count fits count_bits in [1, 64].
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits);
 

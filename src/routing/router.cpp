@@ -163,18 +163,19 @@ RoutingResult route_direct(CliqueUnicast& net, const RoutingDemand& demand) {
 RoutingResult route_two_phase(CliqueUnicast& net, const RoutingDemand& demand) {
   check_payload_widths(demand);
   const int n = net.n();
-  // Offline relay schedule, computed identically by every player from the
-  // (common-knowledge) demand pattern. A fractional assignment sending
-  // d_ij/n of each (i,j) group to every relay meets the per-(sender,relay)
-  // and per-(relay,dest) caps ceil(M_i/n), ceil(m_j/n); flow integrality
-  // guarantees an integral schedule exists. The greedy below tracks the
-  // fractional optimum by always placing the next message on the relay
-  // minimizing its two incident edge loads.
+  // Offline relay schedule over the whole demand pattern — which no single
+  // player holds unless the pattern is public; no announcement runs (DESIGN.md
+  // §4a). A fractional assignment sending d_ij/n of each (i,j) group to
+  // every relay meets the per-(sender,relay) and per-(relay,dest) caps
+  // ceil(M_i/n), ceil(m_j/n); flow integrality guarantees an integral
+  // schedule exists. The greedy below places each message on the relay
+  // minimizing its two incident edge loads: provably <= ceil(2M/n) per edge
+  // (route_edge_records, core/mst.cpp), and no proof gives ceil(M/n).
   std::vector<int> relay_of(demand.messages.size(), 0);
   {
     // Schedule-computation sink: the relay assignment may read the demand
-    // *pattern* (sources, destinations — common knowledge) but never the
-    // message payloads. run_relay_plan below is the executor and is exempt.
+    // *pattern* (sources, destinations) but never the message payloads.
+    // run_relay_plan below is the executor and is exempt.
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("route_two_phase relay schedule"));
     std::vector<std::vector<std::uint32_t>> load_out(
         static_cast<std::size_t>(n), std::vector<std::uint32_t>(static_cast<std::size_t>(n), 0));

@@ -1,24 +1,59 @@
 // Tests for the distributed algebraic matrix-multiplication protocol
 // (core/algebraic_mm) and its transport substrate, the two-hop balanced
-// relay (unicast_payloads_relayed): correctness over both rings, exact
+// relay (unicast_payloads_relayed, its chunk walk and relay_cost, which
+// must price every length matrix exactly): correctness over both rings, exact
 // agreement between the measured schedule and the data-independent plan,
 // the O(n^{1/3}) round series at perfect cubes, exact triangle / 4-cycle
 // counts against brute force, and scheduler-independence of the stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "comm/clique_unicast.h"
 #include "core/algebraic_mm.h"
 #include "core/mm_triangle.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "linalg/f2matrix.h"
 #include "linalg/mat61.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace cclique {
 namespace {
+
+using Payloads = std::vector<std::vector<Message>>;
+
+/// The length matrix a payload matrix presents to relay_cost.
+LengthMatrix lengths_of(const Payloads& payload) {
+  LengthMatrix len(payload.size());
+  for (std::size_t v = 0; v < payload.size(); ++v) {
+    for (const Message& msg : payload[v]) len[v].push_back(msg.size_bits());
+  }
+  return len;
+}
+
+/// relay_cost must price exactly what one unicast_payloads_relayed call
+/// charged `net` (a fresh engine).
+void expect_priced_by_relay_cost(const CliqueUnicast& net, const Payloads& payload) {
+  const RelayCost cost = relay_cost(lengths_of(payload), net.bandwidth());
+  EXPECT_EQ(cost.rounds, net.stats().rounds);
+  EXPECT_EQ(cost.bits, net.stats().total_bits);
+}
+
+/// True when received[r][v] == payload[v][r] for every pair.
+bool delivered_intact(const Payloads& payload, const Payloads& received) {
+  for (std::size_t r = 0; r < payload.size(); ++r) {
+    for (std::size_t v = 0; v < payload.size(); ++v) {
+      if (v != r && received[r][v] != payload[v][r]) return false;
+    }
+  }
+  return true;
+}
 
 TEST(RelayedPayloads, RoundTripsSkewedDemand) {
   // A demand matrix with wildly uneven payload sizes (the shape the MM
@@ -54,6 +89,7 @@ TEST(RelayedPayloads, RoundTripsSkewedDemand) {
     }
   }
   EXPECT_EQ(relayed_net.stats().rounds, relay_rounds);
+  expect_priced_by_relay_cost(relayed_net, payload);
   CliqueUnicast direct_net(n, bandwidth);
   std::vector<std::vector<Message>> direct_got;
   const int direct_rounds = unicast_payloads(direct_net, payload, &direct_got);
@@ -98,6 +134,7 @@ TEST(RelayedPayloads, NonUniformWidthsRoundTrip) {
   std::vector<std::vector<Message>> got;
   const int rounds = unicast_payloads_relayed(net, payload, &got);
   EXPECT_EQ(net.stats().rounds, rounds);
+  expect_priced_by_relay_cost(net, payload);
   for (int r = 0; r < n; ++r) {
     for (int v = 0; v < n; ++v) {
       if (v == r) continue;
@@ -123,6 +160,121 @@ TEST(RelayedPayloads, TwoPlayerDegenerate) {
   unicast_payloads_relayed(net, payload, &got);
   EXPECT_EQ(got[1][0], payload[0][1]);
   EXPECT_EQ(got[0][1], payload[1][0]);
+  expect_priced_by_relay_cost(net, payload);
+}
+
+TEST(RelayedPayloads, SinglePlayerMovesNothing) {
+  CliqueUnicast net(1, 8);
+  const Payloads payload(1, std::vector<Message>(1));
+  Payloads got;
+  EXPECT_EQ(unicast_payloads_relayed(net, payload, &got), 0);
+  EXPECT_EQ(net.stats().total_bits, 0u);
+  expect_priced_by_relay_cost(net, payload);
+}
+
+TEST(RelayedPayloads, RelayCostEqualsMeasuredCostOnRandomLengths) {
+  // Random length matrices beyond the MM geometries: every third row is
+  // all-zero, and the other pairs mix empty payloads, lengths below n
+  // (most chunks empty) and multi-chunk streams.
+  Rng rng(31);
+  for (int n : {3, 8, 27, 64}) {
+    for (int bandwidth : {1, 7, 64}) {
+      Payloads payload(static_cast<std::size_t>(n),
+                       std::vector<Message>(static_cast<std::size_t>(n)));
+      for (int v = 0; v < n; ++v) {
+        if (v % 3 == 2) continue;
+        for (int p = 0; p < n; ++p) {
+          if (p == v) continue;
+          const std::uint64_t regime = rng.uniform(3);
+          const std::uint64_t bits = regime == 0   ? 0
+                                     : regime == 1 ? rng.uniform(static_cast<std::uint64_t>(n))
+                                                   : rng.uniform(4 * static_cast<std::uint64_t>(n));
+          Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
+          for (std::uint64_t i = 0; i < bits; ++i) msg.push_bit(rng.coin());
+        }
+      }
+      CliqueUnicast net(n, bandwidth);
+      Payloads got;
+      const int rounds = unicast_payloads_relayed(net, payload, &got);
+      SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(bandwidth));
+      EXPECT_EQ(rounds, net.stats().rounds);
+      expect_priced_by_relay_cost(net, payload);
+      EXPECT_TRUE(delivered_intact(payload, got));
+    }
+  }
+}
+
+TEST(RelayChunkWalk, ChunksTileEachPayloadAcrossDistinctRelays) {
+  // Lengths straddle every regime of the n-way split: 0, 1, below n, n - 1,
+  // n, n + 1, and multi-bit chunks with and without a remainder.
+  for (int n : {1, 2, 5, 8, 13}) {
+    const std::size_t nn = static_cast<std::size_t>(n);
+    LengthMatrix len(nn, std::vector<std::size_t>(nn, 0));
+    const std::size_t widths[] = {0, 1, 2, nn - 1, nn, nn + 1, 3 * nn, 3 * nn + 2, 7};
+    for (std::size_t v = 0; v < nn; ++v) {
+      for (std::size_t p = 0; p < nn; ++p) {
+        if (p != v) len[v][p] = widths[(v * 5 + p) % 9];
+      }
+    }
+    struct Seen {
+      std::size_t end = 0;  // bits tiled so far
+      std::size_t min = SIZE_MAX, max = 0, chunks = 0;
+      std::vector<int> relay_uses;
+    };
+    std::vector<Seen> seen(nn * nn);
+    std::size_t last_pair = 0;
+    for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
+                                  std::size_t clen) {
+      ASSERT_LT(t, nn);
+      ASSERT_GT(clen, 0u);
+      const std::size_t pair = v * nn + p;
+      EXPECT_GE(pair, last_pair) << "pairs must come in (v, p) order";
+      last_pair = pair;
+      Seen& s = seen[pair];
+      if (s.relay_uses.empty()) s.relay_uses.assign(nn, 0);
+      EXPECT_EQ(lo, s.end) << "chunks must tile the payload in order";
+      if (len[v][p] >= nn) {
+        // Chunk c (every chunk is non-empty here) rides relay (c - v - p) mod n.
+        EXPECT_EQ(t, (s.chunks + 2 * nn - v - p) % nn);
+      }
+      s.end = lo + clen;
+      s.min = std::min(s.min, clen);
+      s.max = std::max(s.max, clen);
+      ++s.chunks;
+      ++s.relay_uses[t];
+    });
+    for (std::size_t v = 0; v < nn; ++v) {
+      for (std::size_t p = 0; p < nn; ++p) {
+        const Seen& s = seen[v * nn + p];
+        const std::size_t total = len[v][p];
+        SCOPED_TRACE("n=" + std::to_string(n) + " pair " + std::to_string(v) + "->" +
+                     std::to_string(p) + " len " + std::to_string(total));
+        EXPECT_EQ(s.end, total);
+        EXPECT_EQ(s.chunks, std::min(total, nn));
+        if (total == 0) continue;
+        EXPECT_LE(s.max - s.min, 1u);
+        // A relay carries at most one chunk of a payload; exactly one once L >= n.
+        for (int uses : s.relay_uses) {
+          EXPECT_LE(uses, 1);
+          if (total >= nn) {
+            EXPECT_EQ(uses, 1);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RelayChunkWalk, RelayCostRejectsWhatTheExecutorRejects) {
+  const LengthMatrix square = {{0, 40, 3}, {9, 0, 0}, {1, 2, 0}};
+  EXPECT_NO_THROW(relay_cost(square, 8));
+  const LengthMatrix ragged = {{0, 40, 3}, {9, 0}, {1, 2, 0}};
+  const LengthMatrix wide = {{0, 40, 3}, {9, 0, 0}};  // n = 2 rows of 3
+  const LengthMatrix self = {{0, 40, 3}, {9, 5, 0}, {1, 2, 0}};
+  EXPECT_THROW(relay_cost(ragged, 8), PreconditionError);
+  EXPECT_THROW(relay_cost(wide, 8), PreconditionError);
+  EXPECT_THROW(relay_cost(self, 8), PreconditionError);
+  EXPECT_THROW(relay_cost(square, 0), PreconditionError);
 }
 
 class AlgebraicMmSizes : public ::testing::TestWithParam<int> {};

@@ -7,6 +7,7 @@
 // contract around declared nnz dependence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -301,6 +302,27 @@ TEST(SparseMm, ExecutorsRejectPlansPricedForAnotherEngine) {
                  PreconditionError);
   }
   EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
+}
+
+TEST(SparseMm, AnnouncementRejectsCountsItCannotCarry) {
+  // push_uint keeps only the low count_bits bits, so a count wider than the
+  // field would announce a different profile, and a short table would be
+  // read out of range: both throw before any bit moves.
+  Rng rng(27);
+  const int n = 27;
+  const Graph g = gnp(n, 0.5, rng);
+  const Csr61 a = Csr61::from_edges(n, g.edges());
+  const SparseNnzProfile profile = declared_nnz_profile(a, a);
+  ASSERT_GT(*std::max_element(profile.a_block_nnz.begin(), profile.a_block_nnz.end()), 1u);
+  const SparseMmPlan plan = sparse_mm_plan(n, 61, 64, profile);
+  SparseNnzProfile short_table = profile;
+  short_table.b_block_nnz.pop_back();
+  CliqueUnicast net(n, 64);
+  EXPECT_THROW(run_nnz_announcement(net, profile, 1), PreconditionError);
+  EXPECT_THROW(run_nnz_announcement(net, short_table, plan.count_bits), PreconditionError);
+  EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
+  // The plan's own field width carries every count.
+  EXPECT_EQ(run_nnz_announcement(net, profile, plan.count_bits), plan.announce_rounds);
 }
 
 // ------------------------------------------------------- backend routing
