@@ -19,7 +19,7 @@
 //
 //  * SinkScope — an RAII scope marking a region whose outputs become
 //    lengths, round counts, or plan fields: every `*_plan` function body,
-//    the payload drivers' chunk schedules (unicast_payloads,
+//    the forwarding transports' stream lengths (unicast_payloads,
 //    unicast_payloads_relayed, broadcast_payloads), the router's relay
 //    schedules, and — opened by the engines themselves — every send/fill
 //    callback. The scope is thread-local, so it composes with the transport

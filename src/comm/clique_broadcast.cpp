@@ -4,6 +4,7 @@
 
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
+#include "util/math_util.h"
 
 namespace cclique {
 
@@ -40,35 +41,18 @@ const std::vector<Message>& CliqueBroadcast::round_fill(const FillFn& fill) {
 std::vector<Message> broadcast_payloads(CliqueBroadcast& net,
                                         const std::vector<Message>& payloads,
                                         int* rounds_used) {
-  const int n = net.n();
-  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
-  // Chunk-schedule sink, mirroring unicast_payloads: rounds and slice
-  // lengths derive from Message sizes only.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("broadcast_payloads chunk schedule"));
-  CC_REQUIRE(static_cast<int>(payloads.size()) == n, "one payload per player");
-  std::size_t max_len = 0;
-  for (const auto& p : payloads) max_len = std::max(max_len, p.size_bits());
-  const int rounds = static_cast<int>((max_len + b - 1) / b);
-  std::vector<Message> assembled(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    assembled[static_cast<std::size_t>(i)].reserve_bits(
-        payloads[static_cast<std::size_t>(i)].size_bits());
-  }
-  for (int r = 0; r < rounds; ++r) {
-    const std::size_t offset = static_cast<std::size_t>(r) * b;
-    const auto& board = net.round_fill([&](int i, Message& chunk) {
-      const Message& full = payloads[static_cast<std::size_t>(i)];
-      if (offset < full.size_bits()) {
-        const std::size_t take = std::min(b, full.size_bits() - offset);
-        chunk.append_slice(full, offset, take);
-      }
-    });
-    for (int i = 0; i < n; ++i) {
-      assembled[static_cast<std::size_t>(i)].append(board[static_cast<std::size_t>(i)]);
-    }
-  }
+  // Write-length sink, mirroring unicast_payloads: rounds and charges
+  // derive from Message sizes only.
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("broadcast_payloads write lengths"));
+  CC_REQUIRE(static_cast<int>(payloads.size()) == net.n(), "one payload per player");
+  std::vector<std::size_t> len;
+  for (const Message& p : payloads) len.push_back(p.size_bits());
+  const std::size_t max_len = *std::max_element(len.begin(), len.end());  // n >= 1
+  const int rounds =
+      static_cast<int>(ceil_div(max_len, static_cast<std::uint64_t>(net.bandwidth())));
+  net.core_.charge_board(len, rounds);
   if (rounds_used != nullptr) *rounds_used = rounds;
-  return assembled;
+  return payloads;
 }
 
 }  // namespace cclique

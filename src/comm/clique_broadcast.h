@@ -6,10 +6,10 @@
 // cross any cut per round, which is what re-enables the bottleneck lower
 // bounds of Section 3.2.
 //
-// Built on the shared metered transport core (comm/engine.h): fill
-// callbacks may run concurrently (CC_THREADS) with bit-identical
-// accounting, and every round writes arena-backed slots with O(1) heap
-// allocations per round.
+// Built on the shared metered transport core (comm/engine.h): rounds write
+// arena-backed slots (callbacks may run concurrently under CC_THREADS, with
+// bit-identical accounting), and broadcast_payloads charges its writes in
+// closed form and hands the row over once.
 #pragma once
 
 #include <functional>
@@ -59,21 +59,22 @@ class CliqueBroadcast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
+  friend std::vector<Message> broadcast_payloads(CliqueBroadcast&, const std::vector<Message>&,
+                                                 int*);
+
   EngineCore core_;
   /// Blackboard slots, borrowed from the arena on the first round.
   std::vector<Message> slots_;
   std::vector<Message> board_;  ///< aliases of slots_, returned to callers
 };
 
-/// Broadcasts arbitrarily long per-player payloads by chunking into
-/// ceil(max_len / b) rounds; returns the full payload row (payloads[i] as
-/// every player now knows it) and sets *rounds_used.
+/// Broadcasts arbitrarily long per-player payloads, b bits per player per
+/// round, in ceil(max_len / b) rounds; returns the full payload row
+/// (payloads[i] as every player now knows it) and sets *rounds_used.
 ///
 /// Preconditions: payloads.size() == n (CC_REQUIRE). Cost: exactly
 /// ceil(max payload bits / b) rounds, sum-of-payload-bits written bits.
-/// Deterministic: the chunk schedule is a pure function of the payload
-/// lengths. The returned row is owned (copied out of the arena), so it
-/// may outlive subsequent rounds.
+/// The returned row is owned, so it may outlive subsequent rounds.
 std::vector<Message> broadcast_payloads(CliqueBroadcast& net,
                                         const std::vector<Message>& payloads,
                                         int* rounds_used);

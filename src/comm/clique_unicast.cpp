@@ -4,6 +4,7 @@
 
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
+#include "util/math_util.h"
 
 namespace cclique {
 
@@ -53,63 +54,53 @@ void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
   }
 }
 
-int unicast_payloads(CliqueUnicast& net,
-                     const std::vector<std::vector<Message>>& payload,
-                     std::vector<std::vector<Message>>* received) {
-  const int n = net.n();
-  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
-  // The whole driver is a chunk-schedule sink: rounds and slice lengths
-  // derive from Message *sizes* (already-committed lengths), never from
-  // payload values, and the blanket scope makes that machine-checked.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads chunk schedule"));
-  CC_REQUIRE(static_cast<int>(payload.size()) == n, "payload matrix must be n x n");
-  std::size_t max_len = 0;
-  for (int i = 0; i < n; ++i) {
-    const auto& row = payload[static_cast<std::size_t>(i)];
-    CC_REQUIRE(static_cast<int>(row.size()) == n, "payload matrix must be n x n");
-    CC_REQUIRE(row[static_cast<std::size_t>(i)].empty(),
-               "payloads cannot address the sender itself");
-    for (const auto& msg : row) max_len = std::max(max_len, msg.size_bits());
+namespace {
+
+using Payloads = std::vector<std::vector<Message>>;
+
+/// The stream lengths of an n x n payload matrix (CC_REQUIRE: n x n).
+LengthMatrix lengths_of(const Payloads& payload, std::size_t n) {
+  CC_REQUIRE(payload.size() == n, "payload matrix must be n x n");
+  LengthMatrix len(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(payload[v].size() == n, "payload matrix must be n x n");
+    for (const Message& msg : payload[v]) len[v].push_back(msg.size_bits());
   }
-  received->assign(static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  // Preallocate the assembly buffers: every received stream's final length
-  // is known up front, so the chunk rounds below never reallocate.
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      (*received)[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)].reserve_bits(
-          payload[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)].size_bits());
-    }
+  return len;
+}
+
+/// The one hand-over of both unicast transports: received[p][v] = payload[v][p].
+void hand_over(const Payloads& payload, Payloads* received) {
+  const std::size_t n = payload.size();
+  received->assign(n, std::vector<Message>(n));
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t p = 0; p < n; ++p) (*received)[p][v] = payload[v][p];
   }
-  const int rounds = static_cast<int>((max_len + b - 1) / b);
-  for (int r = 0; r < rounds; ++r) {
-    const std::size_t offset = static_cast<std::size_t>(r) * b;
-    net.round_fill(
-        [&](int i, Message* box) {
-          for (int j = 0; j < n; ++j) {
-            if (j == i) continue;
-            const Message& full = payload[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-            if (offset >= full.size_bits()) continue;
-            const std::size_t take = std::min(b, full.size_bits() - offset);
-            box[j].append_slice(full, offset, take);
-          }
-        },
-        [&](int receiver, const std::vector<Message>& inbox) {
-          for (int j = 0; j < n; ++j) {
-            const Message& chunk = inbox[static_cast<std::size_t>(j)];
-            if (!chunk.empty()) {
-              (*received)[static_cast<std::size_t>(receiver)][static_cast<std::size_t>(j)]
-                  .append(chunk);
-            }
-          }
-        });
+}
+
+}  // namespace
+
+int unicast_payloads(CliqueUnicast& net, const Payloads& payload, Payloads* received) {
+  // Stream-length sink: rounds and charges derive from Message *sizes*
+  // (already-committed lengths), never from payload values.
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads stream lengths"));
+  CC_REQUIRE(received != nullptr, "received matrix required");
+  const LengthMatrix len = lengths_of(payload, static_cast<std::size_t>(net.n()));
+  std::size_t longest = 0;
+  for (const std::vector<std::size_t>& row : len) {
+    longest = std::max(longest, *std::max_element(row.begin(), row.end()));
   }
+  const int rounds =
+      static_cast<int>(ceil_div(longest, static_cast<std::uint64_t>(net.bandwidth())));
+  net.core_.charge_stream(len, rounds);  // rejects self-payloads
+  hand_over(payload, received);
   return rounds;
 }
 
 std::vector<Message> all_gather(CliqueUnicast& net, int width, const GatherFillFn& fill) {
   const int n = net.n();
   CC_REQUIRE(width >= 0, "all-gather width must be non-negative");
-  // Every message is written before the first chunk moves, each inside its
+  // Every message is written before any bit moves, each inside its
   // player's scopes — the same contract as an engine fill callback.
   std::vector<Message> sent(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -120,34 +111,17 @@ std::vector<Message> all_gather(CliqueUnicast& net, int width, const GatherFillF
     CC_MODEL(msg.size_bits() <= static_cast<std::size_t>(width),
              "all-gather message exceeds its declared width");
   }
-  if (n == 1) return sent;
-  // Chunk schedule: ceil(width / b) rounds whatever the messages hold, so
-  // the round count is a function of the declared width alone.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("all_gather chunk schedule"));
-  const std::size_t b = static_cast<std::size_t>(net.bandwidth());
-  const int rounds = all_gather_cost(n, width, net.bandwidth()).rounds;
-  std::vector<Message> row(static_cast<std::size_t>(n));
-  row[0] = sent[0];  // player 0's own message is self-knowledge
-  for (int r = 0; r < rounds; ++r) {
-    const std::size_t offset = static_cast<std::size_t>(r) * b;
-    net.round_fill(
-        [&](int i, Message* box) {
-          const Message& full = sent[static_cast<std::size_t>(i)];
-          if (offset >= full.size_bits()) return;
-          const std::size_t take = std::min(b, full.size_bits() - offset);
-          for (int j = 0; j < n; ++j) {
-            if (j != i) box[j].append_slice(full, offset, take);
-          }
-        },
-        [&](int receiver, const std::vector<Message>& inbox) {
-          if (receiver != 0) return;  // identical decode everywhere; model once
-          for (int j = 1; j < n; ++j) {
-            row[static_cast<std::size_t>(j)].append(inbox[static_cast<std::size_t>(j)]);
-          }
-        });
+  // Every message streams to the n-1 others in ceil(width / b) rounds
+  // whatever the messages hold, so the round count is a function of the
+  // declared width alone (none on a 1-clique).
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("all_gather stream lengths"));
+  LengthMatrix len(sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    len[i].assign(sent.size(), sent[i].size_bits());
+    len[i][i] = 0;
   }
-  CC_CHECK(row == sent, "all-gather delivered a corrupted message");
-  return row;
+  net.core_.charge_stream(len, all_gather_cost(n, width, net.bandwidth()).rounds);
+  return sent;
 }
 
 AllGatherCost all_gather_cost(int n, int width, int bandwidth) {
@@ -162,83 +136,58 @@ AllGatherCost all_gather_cost(int n, int width, int bandwidth) {
   return cost;
 }
 
-RelayCost relay_cost(const LengthMatrix& len, int bandwidth) {
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
+namespace {
+
+/// The relay's two hops, from one walk of for_each_relay_chunk:
+/// load[0][v*n + t] bits travel v -> t and load[1][t*n + p] bits travel
+/// t -> p (a relay's own chunks stay put), hop h in ceil(max load / b)
+/// rounds. relay_cost prices these tables and the executor charges them.
+struct RelayHops {
+  std::vector<std::uint64_t> load[2];
+  int rounds[2] = {0, 0};
+  std::uint64_t bits = 0;
+};
+
+RelayHops relay_hops(const LengthMatrix& len, int bandwidth) {
   CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
-  // Per-edge loads hop1[v*n + t] and hop2[t*n + p]; a relay's own chunks stay put.
   const std::size_t n = len.size();
-  std::vector<std::uint64_t> hop1(n * n, 0), hop2(n * n, 0);
-  std::uint64_t max1 = 0, max2 = 0;
-  RelayCost cost;
+  RelayHops hops;
+  std::uint64_t peak[2] = {0, 0};
+  for (std::vector<std::uint64_t>& load : hops.load) load.assign(n * n, 0);
   for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
                                 std::size_t clen) {
-    if (t != v) max1 = std::max(max1, hop1[v * n + t] += clen);
-    if (t != p) max2 = std::max(max2, hop2[t * n + p] += clen);
-    cost.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
+    if (t != v) peak[0] = std::max(peak[0], hops.load[0][v * n + t] += clen);
+    if (t != p) peak[1] = std::max(peak[1], hops.load[1][t * n + p] += clen);
+    hops.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
   });
-  const std::uint64_t b = static_cast<std::uint64_t>(bandwidth);
-  cost.rounds = static_cast<int>((max1 + b - 1) / b + (max2 + b - 1) / b);
-  return cost;
+  for (int h : {0, 1}) {
+    hops.rounds[h] = static_cast<int>(ceil_div(peak[h], static_cast<std::uint64_t>(bandwidth)));
+  }
+  return hops;
 }
 
-int unicast_payloads_relayed(CliqueUnicast& net,
-                             const std::vector<std::vector<Message>>& payload,
-                             std::vector<std::vector<Message>>* received) {
+}  // namespace
+
+RelayCost relay_cost(const LengthMatrix& len, int bandwidth) {
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
+  const RelayHops hops = relay_hops(len, bandwidth);
+  return {hops.rounds[0] + hops.rounds[1], hops.bits};
+}
+
+int unicast_payloads_relayed(CliqueUnicast& net, const Payloads& payload, Payloads* received) {
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads_relayed stream lengths"));
+  CC_REQUIRE(received != nullptr, "received matrix required");
   const std::size_t n = static_cast<std::size_t>(net.n());
-  oblivious::SinkScope sink(
-      CC_OBLIVIOUS_SITE("unicast_payloads_relayed chunk schedule"));
-  CC_REQUIRE(payload.size() == n, "payload matrix must be n x n");
-  LengthMatrix len(n, std::vector<std::size_t>(n));
-  for (std::size_t v = 0; v < n; ++v) {
-    CC_REQUIRE(payload[v].size() == n, "payload matrix must be n x n");
-    for (std::size_t p = 0; p < n; ++p) len[v][p] = payload[v][p].size_bits();
-  }
-
-  // Hop 1: source v ships relay t its payloads' relay-t chunks in destination
-  // order; v is its own relay for the t == v chunks, so the diagonal stays empty.
-  std::vector<std::vector<Message>> h1(n, std::vector<Message>(n));
-  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
-                                std::size_t clen) {
-    if (t != v) h1[v][t].append_slice(payload[v][p], lo, clen);
-  });
-  std::vector<std::vector<Message>> recv1;
-  const int rounds1 = unicast_payloads(net, h1, &recv1);
-
-  // Relay stage (local): every relay t re-groups the chunks it holds by
-  // final destination, in source order, reading each stream recv1[t][v]
-  // front to back with cursor cur[t*n + v] (own chunks come straight from
-  // its payloads). hold[t] collects the chunks whose destination is t
-  // itself — the "t -> t stream" that never crosses the network.
-  std::vector<std::vector<Message>> h2(n, std::vector<Message>(n));
-  std::vector<Message> hold(n);
-  std::vector<std::size_t> cur(n * n, 0);
-  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
-                                std::size_t clen) {
-    Message& out = p == t ? hold[t] : h2[t][p];
-    if (t == v) {
-      out.append_slice(payload[v][p], lo, clen);
-    } else {
-      out.append_slice(recv1[t][v], cur[t * n + v], clen);
-      cur[t * n + v] += clen;
+  const RelayHops hops = relay_hops(lengths_of(payload, n), net.bandwidth());
+  LengthMatrix stream(n);  // each hop is one stream of its per-edge loads
+  for (int h : {0, 1}) {
+    for (std::size_t v = 0; v < n; ++v) {
+      stream[v].assign(hops.load[h].data() + v * n, hops.load[h].data() + (v + 1) * n);
     }
-  });
-  std::vector<std::vector<Message>> recv2;
-  const int rounds2 = unicast_payloads(net, h2, &recv2);
-
-  // Reassembly: destination p splices each payload back together in chunk
-  // order; relay t's stream (or the local hold) is consumed in the source
-  // order the relay stage wrote, with cursor cur[p*n + t].
-  received->assign(n, std::vector<Message>(n));
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t v = 0; v < n; ++v) (*received)[p][v].reserve_bits(len[v][p]);
+    net.core_.charge_stream(stream, hops.rounds[h]);
   }
-  std::fill(cur.begin(), cur.end(), 0);
-  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
-                                std::size_t clen) {
-    (*received)[p][v].append_slice(t == p ? hold[p] : recv2[p][t], cur[p * n + t], clen);
-    cur[p * n + t] += clen;
-  });
-  return rounds1 + rounds2;
+  hand_over(payload, received);
+  return hops.rounds[0] + hops.rounds[1];
 }
 
 }  // namespace cclique

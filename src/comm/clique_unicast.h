@@ -5,9 +5,10 @@
 // *different* messages on different links (Θ(n^2 b) bits/round total
 // capacity). This is the model of Sections 1–2 of the paper.
 //
-// Built on the shared metered transport core (comm/engine.h): fill callbacks
-// may run concurrently (CC_THREADS) with bit-identical accounting, and every
-// round fills arena-backed outboxes with O(1) heap allocations per round.
+// Built on the shared metered transport core (comm/engine.h): rounds fill
+// arena-backed outboxes (callbacks may run concurrently under CC_THREADS,
+// with bit-identical accounting), and the forwarding transports below charge
+// their streams in closed form and hand each payload over once.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,10 @@
 #include "util/check.h"
 
 namespace cclique {
+
+/// Player i's message for an all-gather: append at most `width` bits to
+/// `out` (initially empty), or leave it empty.
+using GatherFillFn = std::function<void(int player, Message& out)>;
 
 /// Round-synchronous engine for the unicast congested clique.
 ///
@@ -67,6 +72,12 @@ class CliqueUnicast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
+  friend int unicast_payloads(CliqueUnicast&, const std::vector<std::vector<Message>>&,
+                              std::vector<std::vector<Message>>*);
+  friend int unicast_payloads_relayed(CliqueUnicast&, const std::vector<std::vector<Message>>&,
+                                      std::vector<std::vector<Message>>*);
+  friend std::vector<Message> all_gather(CliqueUnicast&, int, const GatherFillFn&);
+
   EngineCore core_;
   /// Outbox matrix: slot i*n+j is the message i -> j, borrowed from the
   /// arena (allocated on the first round — the engine's geometry is fixed).
@@ -74,23 +85,18 @@ class CliqueUnicast {
   std::vector<Message> inbox_;  ///< the reused delivery inbox
 };
 
-/// Delivers arbitrarily long per-edge payloads by chunking them into
-/// ceil(L/b)-round streams (all edges progress in parallel). payload[i][j]
-/// is what player i wants player j to end up holding; on return,
-/// received[j][i] holds it. Returns the number of rounds used.
+/// Delivers arbitrarily long per-edge payloads as ceil(L/b)-round streams
+/// (all edges progress in parallel). payload[i][j] is what player i wants
+/// player j to end up holding; on return, received[j][i] holds it. Returns
+/// the number of rounds used.
 ///
-/// Preconditions (CC_REQUIRE, checked before any bit moves): payload is an
-/// n x n matrix with an empty diagonal. Cost: exactly
-/// ceil(max payload bits / b) rounds and sum-of-payload-bits network bits.
-/// Deterministic: the chunk schedule is a pure function of the payload
-/// lengths.
+/// Preconditions (CC_REQUIRE, checked before any bit moves): received is
+/// non-null and payload is an n x n matrix with an empty diagonal. Cost:
+/// exactly ceil(max payload bits / b) rounds and sum-of-payload-bits
+/// network bits.
 int unicast_payloads(CliqueUnicast& net,
                      const std::vector<std::vector<Message>>& payload,
                      std::vector<std::vector<Message>>* received);
-
-/// Player i's message for an all-gather: append at most `width` bits to
-/// `out` (initially empty), or leave it empty.
-using GatherFillFn = std::function<void(int player, Message& out)>;
 
 /// All-gather over unicast: every player's message reaches all n-1 others —
 /// one CLIQUE-BCAST round's worth of information, paid n-1 times over on
@@ -98,15 +104,13 @@ using GatherFillFn = std::function<void(int player, Message& out)>;
 /// player i's locality scope and an obliviousness length sink, exactly like
 /// an engine fill callback, so it serializes plain per-player values only.
 ///
-/// The schedule depends on `width` alone: ceil(width / b) chunked rounds on
-/// n >= 2 players, whatever the messages hold (short or empty messages still
-/// take every round), and none on a 1-clique. A message longer than `width`
+/// The schedule depends on `width` alone: ceil(width / b) rounds on n >= 2
+/// players, whatever the messages hold (short or empty messages still take
+/// every round), and none on a 1-clique. A message longer than `width`
 /// throws ModelViolation before any bit moves.
 ///
 /// Returns the common-knowledge row: row[i] is player i's message, which
-/// every player now holds ("identical decode everywhere; model once"). The
-/// row player 0 reassembled from the wire, completed by its own message, is
-/// CC_CHECKed against what was sent.
+/// every player now holds.
 std::vector<Message> all_gather(CliqueUnicast& net, int width, const GatherFillFn& fill);
 
 /// The schedule of one all_gather of `width`-bit messages at bandwidth `b`.
@@ -120,9 +124,6 @@ struct AllGatherCost {
 /// a common-knowledge subset charge sender_bits per sender instead of bits.
 /// Preconditions: n >= 1, width >= 0, bandwidth >= 1.
 AllGatherCost all_gather_cost(int n, int width, int bandwidth);
-
-/// len[v][p]: the length in bits of the v -> p payload.
-using LengthMatrix = std::vector<std::vector<std::size_t>>;
 
 /// The relayed delivery's chunk schedule, written once. A len-bit v -> p
 /// payload splits n ways, chunk c being bits [len*c/n, len*(c+1)/n) (sizes
@@ -162,34 +163,34 @@ struct RelayCost {
 };
 
 /// Prices unicast_payloads_relayed from its length matrix alone by summing
-/// for_each_relay_chunk into per-edge hop loads; the *_plan functions use
-/// it. Preconditions (CC_REQUIRE): the walk's, and bandwidth >= 1.
+/// for_each_relay_chunk into the hop loads the executor charges; the
+/// *_plan functions use it. Preconditions (CC_REQUIRE): the walk's, and
+/// bandwidth >= 1.
 RelayCost relay_cost(const LengthMatrix& len, int bandwidth);
 
 /// Delivers a payload matrix through the deterministic two-hop relay
 /// schedule (oblivious Valiant-style balancing; the same idea as the
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
-/// chunk of for_each_relay_chunk travels source -> relay t -> destination,
-/// and each hop is a plain unicast_payloads call. Hop-1 assembly, relay
-/// regrouping and reassembly are each one walk of that schedule. Per-edge
-/// load per hop is ~(per-player total)/n instead of the largest single
-/// payload, which is what turns the skewed block-distribution demand of
-/// the algebraic MM protocol into its O(n^{1/3}) round bound.
+/// chunk of for_each_relay_chunk travels source -> relay t -> destination.
+/// No relay computes on what it holds, so one walk yields both hops' loads,
+/// each hop is charged as one stream and payload[v][p] is handed to p once.
+/// Per-edge load per hop is ~(per-player total)/n instead of the largest
+/// single payload, which is what turns the skewed block-distribution demand
+/// of the algebraic MM protocol into its O(n^{1/3}) round bound.
 ///
 /// Contract: the *length* matrix of `payload` must be globally known (a
 /// data-independent function of the protocol's parameters, never of input
-/// values) — relays and receivers locate chunks by recomputing lengths, so
-/// data-dependent lengths would leak information outside the accounting.
-/// payload[v][v] must be empty (CC_REQUIRE). On return received[r][v]
-/// holds payload[v][r]. Returns the number of rounds used (both hops).
+/// values) — every charge is computed from the lengths, so data-dependent
+/// lengths would leak information outside the accounting.
+/// received must be non-null and payload[v][v] empty (CC_REQUIRE). On
+/// return received[r][v] holds payload[v][r]. Returns the number of rounds
+/// used (both hops).
 ///
 /// Cost: with per-player total load <= M bits, each hop's per-edge load is
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes
 /// ~2·ceil(M/(n·b)) rounds versus direct chunking's ceil(max single
 /// payload / b) — the skew-flattening the block-MM protocols ride
 /// (DESIGN.md §2.2/§2.4). relay_cost gives the exact cost from the lengths.
-/// Non-uniform payload widths (including zero-length pairs) are fine; the
-/// widths just must not depend on input data.
 int unicast_payloads_relayed(CliqueUnicast& net,
                              const std::vector<std::vector<Message>>& payload,
                              std::vector<std::vector<Message>>* received);

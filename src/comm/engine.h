@@ -7,6 +7,10 @@
 // accounting (including the per-player vectors), cut tracking, a per-round
 // payload arena, and a deterministic parallel scheduler for the send phase.
 //
+// Forwarding rule (DESIGN.md §2.1): where no player computes between rounds,
+// charge_stream / charge_board commit every round's charges in closed form
+// and the transport hands each payload over once.
+//
 // Determinism contract (DESIGN.md §2.1): fill callbacks are independent by
 // the locality discipline (comm/model.h), so send_phase may run them on a
 // thread pool sized by CC_THREADS (default: hardware concurrency; 1 =
@@ -30,6 +34,9 @@
 #include "util/check.h"
 
 namespace cclique {
+
+/// len[v][p]: the length in bits of the v -> p stream.
+using LengthMatrix = std::vector<std::vector<std::size_t>>;
 
 /// Worker count for the engines' send phase: CC_THREADS when set to a
 /// positive integer, otherwise the hardware concurrency (at least 1).
@@ -105,10 +112,6 @@ class EngineCore {
   const CommStats& stats() const { return stats_; }
   void reset_stats();
 
-  /// Per-round payload scratch. The engines re-borrow their outbox slots
-  /// from it; protocols must not hold arena-backed messages across rounds.
-  Arena& arena() { return arena_; }
-
   /// Borrows `count` empty message slots from the arena, each with capacity
   /// bandwidth() bits — the outbox geometry of every round_fill path. The
   /// storage lives as long as the engine (the geometry is fixed), so this
@@ -167,6 +170,18 @@ class EngineCore {
   void charge_receive(int receiver, std::uint64_t bits) {
     stats_.per_player_recv_bits[static_cast<std::size_t>(receiver)] += bits;
   }
+
+  /// Commits what `rounds` round_fill rounds charge for the len[i][j]-bit
+  /// i -> j streams in b-bit chunks: per edge, L bits (cut bits if the cut
+  /// separates i and j), ceil(L/b) messages, min(L, b) edge bits. Nothing
+  /// commits unless len is n x n with an empty diagonal (PreconditionError)
+  /// and ceil(L/b) <= rounds (ModelViolation). Only the forwarding
+  /// transports reach an engine's core: no protocol charges undelivered bits.
+  void charge_stream(const LengthMatrix& len, int rounds);
+
+  /// charge_stream for blackboard writes: player i writes len[i] bits, every
+  /// written bit crosses a registered cut and reaches the n-1 others.
+  void charge_board(const std::vector<std::size_t>& len, int rounds);
 
  private:
   int n_;

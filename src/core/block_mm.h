@@ -127,7 +127,7 @@ struct BlockGrid {
   int tk(int p) const { return p % m; }
 };
 
-using LengthMatrix = ::cclique::LengthMatrix;  // comm/clique_unicast.h
+using LengthMatrix = ::cclique::LengthMatrix;  // comm/engine.h
 
 /// Distribution-phase payload lengths in bits under whole-row ownership
 /// (player v holds row v of A, B and C): for each triple player p =

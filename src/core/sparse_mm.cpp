@@ -4,17 +4,22 @@
 
 namespace cclique {
 
+std::vector<std::size_t> block_nnz_counts(const Csr61& x, const blockmm::BlockGrid& g) {
+  CC_REQUIRE(x.n() == g.n, "grid built for another n");
+  std::vector<std::size_t> counts(static_cast<std::size_t>(g.n * g.m), 0);
+  const std::size_t* rp = x.row_ptr();
+  const int* cols = x.cols();
+  for (int v = 0; v < g.n; ++v) {
+    for (std::size_t e = rp[v]; e < rp[v + 1]; ++e) {
+      ++counts[static_cast<std::size_t>(v * g.m + cols[e] / g.bs)];
+    }
+  }
+  return counts;
+}
+
 SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b) {
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
-  const int n = a.n();
-  const blockmm::BlockGrid g(n);
-  SparseNnzProfile prof;
-  prof.n = n;
-  prof.grid = g.m;
-  prof.a_block_nnz.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(g.m), 0);
-  prof.b_block_nnz.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(g.m), 0);
+  const blockmm::BlockGrid g(a.n());
   // This is the sanctioned tainted->plain boundary (DESIGN.md §2.8): the
   // sparse schedule legitimately depends on the operands' sparsity
   // structure, so the structure reads happen under an explicit declaration
@@ -24,25 +29,8 @@ SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("declared_nnz_profile"));
   [[maybe_unused]] auto dd = oblivious::declared_dependence(
       CC_OBLIVIOUS_SITE("sparse schedule depends on announced nnz counts"));
-  const std::size_t* arp = a.row_ptr();
-  const int* acols = a.cols();
-  const std::size_t* brp = b.row_ptr();
-  const int* bcols = b.cols();
-  for (int v = 0; v < n; ++v) {
-    for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
-      const int k = acols[e] / g.bs;
-      ++prof.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(g.m) +
-                         static_cast<std::size_t>(k)];
-    }
-    for (std::size_t e = brp[v]; e < brp[v + 1]; ++e) {
-      const int j = bcols[e] / g.bs;
-      ++prof.b_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(g.m) +
-                         static_cast<std::size_t>(j)];
-    }
-  }
-  prof.a_nnz = static_cast<std::uint64_t>(a.nnz());
-  prof.b_nnz = static_cast<std::uint64_t>(b.nnz());
-  return prof;
+  return {g.n, g.m, block_nnz_counts(a, g), block_nnz_counts(b, g),
+          static_cast<std::uint64_t>(a.nnz()), static_cast<std::uint64_t>(b.nnz())};
 }
 
 SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,

@@ -70,6 +70,10 @@ struct SparseNnzProfile {
   std::uint64_t b_nnz = 0;  ///< total explicit entries of B
 };
 
+/// The explicit entries of `x` per (row v, column interval t) of grid g, at
+/// index v * g.m + t. Requires x.n() == g.n.
+std::vector<std::size_t> block_nnz_counts(const Csr61& x, const blockmm::BlockGrid& g);
+
 /// Buckets both operands' explicit entries by (row, column block) under an
 /// explicit oblivious::declared_dependence — the one sanctioned reading of
 /// sparsity structure for scheduling purposes (DESIGN.md §2.8). Requires
@@ -131,10 +135,10 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
 /// pairs before B pairs per (owner, triple), CSR column order within each
 /// block — the decode order); local sparse·dense block products;
 /// dense-width aggregation (blockmm::aggregate_partials, shared with
-/// run_block_mm). `plan` must be sparse_mm_plan(n, Ops::kWordBits,
-/// net.bandwidth(), profile) (PreconditionError before any bit moves
-/// otherwise); each phase's rounds and the total rounds/bits are
-/// CC_CHECKed against it on every run.
+/// run_block_mm). `profile` must describe the operands (block_nnz_counts,
+/// row by row) and `plan` must be sparse_mm_plan(n, Ops::kWordBits,
+/// net.bandwidth(), profile), else PreconditionError before any bit moves;
+/// each phase's rounds and the total rounds/bits are CC_CHECKed against it.
 template <typename Ops>
 void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                    typename Ops::Matrix* c, const SparseNnzProfile& profile,
@@ -147,10 +151,15 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
   CC_REQUIRE(c != nullptr, "output matrix required");
   CC_REQUIRE(a.ring() == Ops::kRing && b.ring() == Ops::kRing,
              "CSR ring does not match the Ops carrier");
-  CC_REQUIRE(profile.n == n, "profile built for another n");
   CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() && plan.word_bits == w,
              "plan priced for another engine or carrier");
   const blockmm::BlockGrid g(n);
+  // Each row owner checks its rows against the profile it will announce, so
+  // a profile of other operands fails here instead of mid-product.
+  CC_REQUIRE(profile.n == n && profile.grid == g.m &&
+                 block_nnz_counts(a, g) == profile.a_block_nnz &&
+                 block_nnz_counts(b, g) == profile.b_block_nnz,
+             "profile does not describe the operands");
   const int m = g.m;
   const int index_bits = plan.index_bits;
   const ChargedSince charged(net.stats());
@@ -215,14 +224,11 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
           profile.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
                               static_cast<std::size_t>(k)];
       if (v == p) {
-        std::size_t found = 0;
         for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
           if (acols[e] < g.lo(k) || acols[e] >= g.hi(k)) continue;
           cols.push_back(acols[e] - g.lo(k));
           vals.push_back(avals[e]);
-          ++found;
         }
-        CC_CHECK(found == cnt, "local row diverged from the declared profile");
       } else {
         const Message& src =
             recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];

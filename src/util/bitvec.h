@@ -158,7 +158,7 @@ class BitVec {
   void append(const BitVec& other) { append_slice(other, 0, other.nbits_); }
 
   /// Appends `len` bits of `src` starting at bit `pos` (word-at-a-time; the
-  /// hot path of the chunked payload helpers).
+  /// hot path of chunked streams such as congest_c4's).
   void append_slice(const BitVec& src, std::size_t pos, std::size_t len) {
     CC_REQUIRE(pos + len <= src.nbits_, "append_slice out of range");
     std::size_t done = 0;

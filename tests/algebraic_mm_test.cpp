@@ -106,6 +106,14 @@ TEST(RelayedPayloads, RejectsSelfPayloads) {
   EXPECT_THROW(unicast_payloads_relayed(net, payload, &got), PreconditionError);
 }
 
+TEST(RelayedPayloads, RejectsNullReceived) {
+  CliqueUnicast net(4, 8);
+  Payloads payload(4, std::vector<Message>(4));
+  payload[2][1].push_bit(true);
+  EXPECT_THROW(unicast_payloads_relayed(net, payload, nullptr), PreconditionError);
+  EXPECT_EQ(net.stats(), CliqueUnicast(4, 8).stats());
+}
+
 TEST(RelayedPayloads, NonUniformWidthsRoundTrip) {
   // Payload widths spread across the relay's regimes: zero-length (no
   // chunks at all), sub-chunk (len < n, so most relays carry an empty

@@ -158,6 +158,14 @@ TEST(CliqueUnicast, PayloadHelperRejectsSelfPayload) {
   EXPECT_EQ(net.stats(), CliqueUnicast(3, 4).stats());
 }
 
+TEST(CliqueUnicast, PayloadHelperRejectsNullReceived) {
+  CliqueUnicast net(3, 4);
+  std::vector<std::vector<Message>> payload(3, std::vector<Message>(3));
+  payload[0][1] = bits_of(0x3FF, 10);
+  EXPECT_THROW(unicast_payloads(net, payload, nullptr), PreconditionError);
+  EXPECT_EQ(net.stats(), CliqueUnicast(3, 4).stats());
+}
+
 TEST(AllGather, WideMessagesChunkAtBandwidth) {
   const int n = 5;
   CliqueUnicast net(n, 4);

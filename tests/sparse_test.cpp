@@ -304,6 +304,27 @@ TEST(SparseMm, ExecutorsRejectPlansPricedForAnotherEngine) {
   EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
 }
 
+TEST(SparseMm, ExecutorRejectsAProfileOfOtherOperands) {
+  // The profile (and its plan) of a denser graph, handed to the product of
+  // sparser operands: the relayed lengths would not match what was
+  // announced, so the executor refuses before any bit moves.
+  const int n = 27;
+  Rng rng(405);
+  const Csr61 sparse = Csr61::from_edges(n, gnp(n, 0.1, rng).edges());
+  const Csr61 dense = Csr61::from_edges(n, gnp(n, 0.3, rng).edges());
+  const SparseNnzProfile foreign = declared_nnz_profile(dense, dense);
+  const SparseMmPlan plan = sparse_mm_plan(n, 61, 64, foreign);
+  CliqueUnicast net(n, 64);
+  Mat61 c;
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c, foreign, plan),
+               PreconditionError);
+  EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
+  // The operands' own profile runs.
+  const SparseNnzProfile own = declared_nnz_profile(sparse, sparse);
+  run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c, own, sparse_mm_plan(n, 61, 64, own));
+  EXPECT_TRUE(c == m61_multiply_schoolbook(sparse.to_mat61(), sparse.to_mat61()));
+}
+
 TEST(SparseMm, AnnouncementRejectsCountsItCannotCarry) {
   // push_uint keeps only the low count_bits bits, so a count wider than the
   // field would announce a different profile, and a short table would be
