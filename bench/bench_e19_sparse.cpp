@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     const CommStats& st = net.stats();
     sw.add_row(
         {cell("%d", n), cell("%.2f", d),
-         cell("%llu", static_cast<unsigned long long>(plan.a_nnz)),
+         cell("%llu", static_cast<unsigned long long>(plan.profile.a_nnz)),
          cell("%d", st.rounds),
          cell("%llu", static_cast<unsigned long long>(st.total_bits)),
          cell("%llu", static_cast<unsigned long long>(plan.announce_bits)),

@@ -9,8 +9,8 @@ namespace locality {
 namespace detail {
 
 namespace {
-/// One slot per thread: the transport core's workers each execute a single
-/// player's callback at a time, so the active scope is a property of the
+/// One slot per thread: an engine runs one player's callback at a time on
+/// the thread that drives it, so the active scope is a property of that
 /// thread, never shared.
 thread_local int tls_current_player = kNoPlayer;
 }  // namespace

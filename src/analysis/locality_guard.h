@@ -11,9 +11,10 @@
 //
 //  * PlayerScope — an RAII scope the engines (comm/clique_unicast,
 //    comm/clique_broadcast, comm/congest) open around every send and
-//    receive callback. The scope is thread-local, so it composes with the
-//    transport core's parallel send phase: each worker thread carries the
-//    scope of exactly the player whose callback it is running.
+//    receive callback. The engines run one callback at a time on the
+//    thread that drives the round, so the scope names exactly the player
+//    whose callback is running; it is thread-local, so engines driven from
+//    different host threads never see each other's scope.
 //
 //  * PerPlayer<T> — an ownership-tagged per-player state array (the
 //    tag-on-construction helper for workload state structs). Element i is
@@ -23,8 +24,7 @@
 //    site. Outside any scope (orchestrator code that sets up a simulation,
 //    or "identical decode everywhere; model once" common-knowledge
 //    assembly) access is unrestricted — the discipline constrains
-//    *callbacks*, which is where both the model and the parallel scheduler
-//    are at stake.
+//    *callbacks*, which is where the model is at stake.
 //
 // Cost model: everything here compiles to nothing unless the build defines
 // CCLIQUE_LOCALITY_ENABLED (the CCLIQUE_LOCALITY=ON CMake option / the
@@ -55,9 +55,9 @@ constexpr int kNoPlayer = -1;
 #ifdef CCLIQUE_LOCALITY_ENABLED
 
 namespace detail {
-/// The active player scope of this thread (kNoPlayer when none). Worker
-/// threads of the parallel send phase each run one player's callback at a
-/// time, so a plain thread-local integer is exact, not approximate.
+/// The active player scope of this thread (kNoPlayer when none). An engine
+/// runs one player's callback at a time, so a plain thread-local integer is
+/// exact, not approximate.
 int current_player() noexcept;
 void set_current_player(int player) noexcept;
 /// Throws ModelViolation naming the scoped player, the owner, and the

@@ -10,14 +10,14 @@ namespace oblivious {
 namespace detail {
 
 namespace {
-/// One slot per thread, like the locality guard's player scope: the
-/// transport core's workers each execute a single player's callback at a
-/// time, so the active sink is a property of the thread, never shared.
+/// One slot per thread, like the locality guard's player scope: an engine
+/// runs one callback at a time on the thread that drives it, so the active
+/// sink is a property of that thread, never shared.
 thread_local const char* tls_active_sink = nullptr;
 thread_local const char* tls_active_declaration = nullptr;
-/// Process-wide: declared reads may happen concurrently on send-phase
-/// workers, so the audit counter is atomic (relaxed — it is a tally, not a
-/// synchronization point).
+/// Process-wide: engines driven from different host threads may declare
+/// reads at once, so the audit counter is atomic (relaxed — it is a tally,
+/// not a synchronization point).
 std::atomic<std::uint64_t> g_declared_uses{0};
 }  // namespace
 

@@ -22,8 +22,9 @@
 //    the forwarding transports' stream lengths (unicast_payloads,
 //    unicast_payloads_relayed, broadcast_payloads), the router's relay
 //    schedules, and — opened by the engines themselves — every send/fill
-//    callback. The scope is thread-local, so it composes with the transport
-//    core's parallel send phase exactly like locality::PlayerScope. A
+//    callback. The scope is thread-local exactly like
+//    locality::PlayerScope, and the engines open it on the thread that
+//    drives the round (the kernel pool's workers never open one). A
 //    source_touch while a SinkScope is active throws ModelViolation naming
 //    the source site and the sink site.
 //

@@ -7,8 +7,8 @@
 // bounds of Section 3.2.
 //
 // Built on the shared metered transport core (comm/engine.h): rounds write
-// arena-backed slots (callbacks may run concurrently under CC_THREADS, with
-// bit-identical accounting), and broadcast_payloads charges its writes in
+// arena-backed slots (callbacks run serially in player order, and a failed
+// round commits nothing), and broadcast_payloads charges its writes in
 // closed form and hands the row over once.
 #pragma once
 
@@ -23,8 +23,8 @@ namespace cclique {
 
 /// Round-synchronous engine for the broadcast congested clique.
 ///
-/// Determinism: accounting is bit-identical at any CC_THREADS value (the
-/// comm/engine.h contract). Cost model: one round_fill() call = exactly one
+/// Determinism: accounting is a function of the writes alone (the
+/// comm/engine.h round contract). Cost model: one round_fill() call = exactly one
 /// round and at most n·b written bits (each charged once — the blackboard
 /// is read, not re-sent).
 class CliqueBroadcast {
@@ -43,8 +43,8 @@ class CliqueBroadcast {
 
   /// Executes one round; returns the blackboard row (message of player i at
   /// index i). All players may read the returned row — that is the model.
-  /// Cost: 1 round, sum-of-broadcast-sizes bits. Fill callbacks may run
-  /// concurrently (locality discipline); a broadcast over bandwidth() bits
+  /// Cost: 1 round, sum-of-broadcast-sizes bits. Fill callbacks run in
+  /// player order (locality discipline); a broadcast over bandwidth() bits
   /// throws ModelViolation and the round charges nothing. The row lives in
   /// the engine's arena (no per-round heap allocation) and is valid until
   /// the next round begins.

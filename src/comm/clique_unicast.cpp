@@ -16,8 +16,8 @@ void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
     slots_ = core_.borrow_slots(static_cast<std::size_t>(nn) * static_cast<std::size_t>(nn));
   }
   // Fill and validate every outbox before any delivery: a synchronous round
-  // means sends are based on pre-round state only. Fill callbacks may run
-  // concurrently (see comm/engine.h for the determinism contract).
+  // means sends are based on pre-round state only (see comm/engine.h for
+  // the round contract).
   core_.send_phase([&](int i, PlayerCharge& charge) {
     locality::PlayerScope scope(i);
     // The callback's outputs become this round's message lengths, so the
@@ -37,7 +37,7 @@ void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
     }
   });
   // Zero-copy delivery: receiver r's inbox aliases column r of the outbox
-  // matrix. Serial, player order (see comm/engine.h).
+  // matrix, in player order (see comm/engine.h).
   inbox_.resize(static_cast<std::size_t>(nn));
   for (int r = 0; r < nn; ++r) {
     std::uint64_t recv_bits = 0;

@@ -6,8 +6,8 @@
 // capacity). This is the model of Sections 1–2 of the paper.
 //
 // Built on the shared metered transport core (comm/engine.h): rounds fill
-// arena-backed outboxes (callbacks may run concurrently under CC_THREADS,
-// with bit-identical accounting), and the forwarding transports below charge
+// arena-backed outboxes (callbacks run serially in player order, and a
+// failed round commits nothing), and the forwarding transports below charge
 // their streams in closed form and hand each payload over once.
 #pragma once
 
@@ -27,8 +27,8 @@ using GatherFillFn = std::function<void(int player, Message& out)>;
 
 /// Round-synchronous engine for the unicast congested clique.
 ///
-/// Determinism: all accounting (stats()) is bit-identical at any
-/// CC_THREADS value — see the contract in comm/engine.h / DESIGN.md §2.1.
+/// Determinism: all accounting (stats()) is a function of the messages
+/// alone — see the round contract in comm/engine.h / DESIGN.md §2.1.
 /// Cost model: one round_fill() call = exactly one round and at most
 /// n(n-1)·b network bits; every bit is charged to stats(), never estimated.
 class CliqueUnicast {
@@ -53,9 +53,9 @@ class CliqueUnicast {
 
   /// Executes one synchronous round: every outbox is filled and validated
   /// against pre-round state, then delivered. Cost: 1 round,
-  /// sum-of-message-sizes bits. Fill callbacks may run concurrently
-  /// (locality discipline: read only the player's own pre-round state);
-  /// receive callbacks run serially in player order. A non-empty self-slot
+  /// sum-of-message-sizes bits. Fill callbacks run in player order and read
+  /// only the player's own pre-round state (locality discipline); receive
+  /// callbacks run in player order after every fill. A non-empty self-slot
   /// throws ModelViolation and the round charges nothing. Outboxes live in
   /// the engine's arena and inboxes alias them (zero-copy delivery, no
   /// per-round heap allocation); borrowed messages are valid only until the

@@ -6,7 +6,7 @@
 // Lemma 13 and by the in-network 4-cycle detection upper bound.
 //
 // Built on the shared metered transport core (comm/engine.h): fill callbacks
-// may run concurrently (CC_THREADS) with bit-identical accounting.
+// run serially in player order, and a failed round commits nothing.
 #pragma once
 
 #include <functional>
@@ -38,8 +38,7 @@ class CongestUnicast {
   using RecvFn = std::function<void(int player, const std::vector<Message>& inbox)>;
 
   /// Executes one synchronous round: every outbox is filled against
-  /// pre-round state (concurrently under CC_THREADS), then delivered
-  /// serially in player order. Cost: 1 round, sum-of-message-sizes bits.
+  /// pre-round state in player order, then delivered in player order. Cost: 1 round, sum-of-message-sizes bits.
   /// Outboxes live in the engine's arena and inboxes alias them; borrowed
   /// messages are valid only until the next round begins.
   void round_fill(const FillFn& fill, const RecvFn& recv);

@@ -1,165 +1,10 @@
 #include "comm/engine.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <cstdlib>
-#include <map>
-#include <mutex>
-#include <thread>
 
 #include "util/math_util.h"
 
 namespace cclique {
-
-int cc_thread_count() {
-  const char* env = std::getenv("CC_THREADS");
-  if (env == nullptr || *env == '\0') {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 1024) {
-    return 1;  // unparseable or out of range: fail safe to serial
-  }
-  return static_cast<int>(v);
-}
-
-// ---------------------------------------------------------------- ThreadPool
-
-struct ThreadPool::Shared {
-  /// Serializes run_indexed callers (a pool is shared between engines).
-  std::mutex job_mutex;
-  /// Guards every field below.
-  std::mutex mutex;
-  std::condition_variable work_ready;
-  std::condition_variable job_done;
-  const std::function<void(int)>* fn = nullptr;
-  int count = 0;
-  int next = 0;     ///< next unclaimed index of the current job
-  int pending = 0;  ///< indices not yet completed
-  std::uint64_t generation = 0;
-  bool stop = false;
-  // First (lowest-index) exception observed this job.
-  int error_index = -1;
-  std::exception_ptr error;
-  std::vector<std::thread> workers;
-
-  // Claims and runs indices of job `gen` until exhausted. Caller and
-  // workers share this. Tickets are claimed under the mutex with a
-  // generation check, so a straggler that loops once more after the job's
-  // last index completed can never touch the *next* job's state (the
-  // caller only resets it, under the same mutex, after pending hit 0).
-  void drain(std::uint64_t gen) {
-    for (;;) {
-      int i;
-      const std::function<void(int)>* f;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (generation != gen || next >= count) return;
-        i = next++;
-        f = fn;
-      }
-      std::exception_ptr err;
-      try {
-        (*f)(i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (err && (error_index < 0 || i < error_index)) {
-        error_index = i;
-        error = err;
-      }
-      if (--pending == 0) job_done.notify_all();
-    }
-  }
-};
-
-ThreadPool::ThreadPool(int threads) : threads_(threads), shared_(new Shared) {
-  CC_REQUIRE(threads >= 1, "thread pool needs at least one thread");
-  Shared* s = shared_.get();
-  for (int t = 1; t < threads; ++t) {
-    s->workers.emplace_back([s] {
-      std::uint64_t seen = 0;
-      for (;;) {
-        {
-          std::unique_lock<std::mutex> lock(s->mutex);
-          s->work_ready.wait(lock, [&] { return s->stop || s->generation != seen; });
-          if (s->stop) return;
-          seen = s->generation;
-        }
-        s->drain(seen);
-      }
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    shared_->stop = true;
-  }
-  shared_->work_ready.notify_all();
-  for (std::thread& w : shared_->workers) w.join();
-}
-
-void ThreadPool::run_indexed(int count, const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  Shared* s = shared_.get();
-  std::lock_guard<std::mutex> job(s->job_mutex);
-  if (s->workers.empty()) {
-    // Serial mode: same contract (run everything, lowest-index exception).
-    int error_index = -1;
-    std::exception_ptr error;
-    for (int i = 0; i < count; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (error_index < 0) {
-          error_index = i;
-          error = std::current_exception();
-        }
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  std::uint64_t gen;
-  {
-    std::lock_guard<std::mutex> lock(s->mutex);
-    s->fn = &fn;
-    s->count = count;
-    s->next = 0;
-    s->pending = count;
-    s->error_index = -1;
-    s->error = nullptr;
-    gen = ++s->generation;
-  }
-  s->work_ready.notify_all();
-  s->drain(gen);
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(s->mutex);
-    s->job_done.wait(lock, [&] { return s->pending == 0; });
-    error = s->error;
-    s->fn = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-std::shared_ptr<ThreadPool> shared_thread_pool(int threads) {
-  static std::mutex cache_mutex;
-  static std::map<int, std::shared_ptr<ThreadPool>> cache;
-  std::lock_guard<std::mutex> lock(cache_mutex);
-  auto it = cache.find(threads);
-  if (it == cache.end()) {
-    it = cache.emplace(threads, std::make_shared<ThreadPool>(threads)).first;
-  }
-  return it->second;
-}
-
-// ---------------------------------------------------------------- EngineCore
 
 EngineCore::EngineCore(int n, int bandwidth) : n_(n), bandwidth_(bandwidth) {
   CC_REQUIRE(n >= 1, "need at least one player");
@@ -181,12 +26,12 @@ void EngineCore::reset_stats() {
 }
 
 void EngineCore::send_phase(const std::function<void(int, PlayerCharge&)>& fn) {
-  if (pool_ == nullptr) pool_ = shared_thread_pool(cc_thread_count());
-  for (PlayerCharge& c : charges_) c.reset();
-  pool_->run_indexed(n_, [&](int player) {
-    fn(player, charges_[static_cast<std::size_t>(player)]);
-  });
-  // No exception: commit charges in player order.
+  for (int i = 0; i < n_; ++i) {
+    PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
+    c.reset();
+    fn(i, c);
+  }
+  // Every callback returned: commit the charges in player order.
   for (int i = 0; i < n_; ++i) {
     const PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
     stats_.total_bits += c.bits;

@@ -5,28 +5,22 @@
 // validate them against the model's bandwidth rule, account every bit, and
 // deliver. EngineCore owns that loop once — bandwidth validation, CommStats
 // accounting (including the per-player vectors), cut tracking, a per-round
-// payload arena, and a deterministic parallel scheduler for the send phase.
+// payload arena, and the send phase.
 //
 // Forwarding rule (DESIGN.md §2.1): where no player computes between rounds,
 // charge_stream / charge_board commit every round's charges in closed form
 // and the transport hands each payload over once.
 //
-// Determinism contract (DESIGN.md §2.1): fill callbacks are independent by
-// the locality discipline (comm/model.h), so send_phase may run them on a
-// thread pool sized by CC_THREADS (default: hardware concurrency; 1 =
-// serial, the pre-parallel behavior). Each player's charges accumulate into
-// that player's private PlayerCharge slot and are committed to the engine's
-// CommStats *serially in player order* after the phase, so every CommStats
-// field is bit-identical at any thread count. If callbacks throw, every
-// player still runs (no early cancel — which callbacks executed must not
-// depend on scheduling), nothing is committed, and the exception of the
-// lowest-numbered player is rethrown. Delivery (receive callbacks) is
-// always serial in player order.
+// Round contract (DESIGN.md §2.1): a round is one synchronous step, so
+// send_phase runs the fill callbacks serially in player order, each
+// accumulating into its own PlayerCharge slot, and commits the slots to
+// CommStats in player order only after every callback returned. A throw
+// from player i's callback propagates at once: players above i never run,
+// nothing is committed, and the failed round does not count. Delivery
+// (receive callbacks) is serial in player order too.
 #pragma once
 
-#include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "comm/model.h"
@@ -38,49 +32,8 @@ namespace cclique {
 /// len[v][p]: the length in bits of the v -> p stream.
 using LengthMatrix = std::vector<std::vector<std::size_t>>;
 
-/// Worker count for the engines' send phase: CC_THREADS when set to a
-/// positive integer, otherwise the hardware concurrency (at least 1).
-/// Unparseable values fall back to 1 (serial).
-int cc_thread_count();
-
-/// A pool of persistent worker threads executing indexed tasks. With
-/// `threads` == 1 no workers are spawned and run_indexed degenerates to the
-/// serial loop. The calling thread always participates. One job runs at a
-/// time; concurrent run_indexed callers serialize on an internal mutex, so
-/// a pool may be shared between engines.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int threads() const { return threads_; }
-
-  /// Runs fn(i) for every i in [0, count), possibly concurrently; blocks
-  /// until all indices completed. Every index runs even if some throw; the
-  /// exception raised by the lowest index is rethrown afterwards.
-  void run_indexed(int count, const std::function<void(int)>& fn);
-
- private:
-  struct Shared;
-  int threads_;
-  std::unique_ptr<Shared> shared_;
-};
-
-/// Process-wide pool cache keyed by thread count: engines are created by
-/// the hundreds in bench sweeps, and spawning (and joining) a fresh set of
-/// workers per engine would dominate exactly the wall-clock the pool is
-/// meant to save. Pools persist for the process lifetime. The local-kernel
-/// dispatch layer (linalg/kernels) threads its row partitions over this
-/// same cache, so a CC_THREADS run never holds more than one worker set
-/// per distinct thread count — engine phases and local kernels run at
-/// disjoint times, never concurrently on one pool.
-std::shared_ptr<ThreadPool> shared_thread_pool(int threads);
-
 /// Per-player accounting scratch for one send phase. Filled by the owning
-/// player's task (possibly on a worker thread), committed serially.
+/// player's callback, committed once every callback has returned.
 struct PlayerCharge {
   std::uint64_t bits = 0;
   std::uint64_t messages = 0;
@@ -158,15 +111,14 @@ class EngineCore {
   }
 
   /// The send phase of one round: runs fn(player, charge) for every player
-  /// (parallel when CC_THREADS > 1), then — iff no callback threw — commits
-  /// all charges in player order and increments stats().rounds. On any
-  /// exception the round charges nothing and the lowest-player exception
-  /// propagates (see the determinism contract above).
+  /// in player order, then commits all charges in player order and
+  /// increments stats().rounds. A throw propagates at once and the round
+  /// charges nothing (see the round contract above).
   void send_phase(const std::function<void(int, PlayerCharge&)>& fn);
 
   /// Records bits landing at `receiver`. Must only be called from the
-  /// serial delivery loop (player order) — it writes stats directly, with
-  /// no per-player scratch, so it is not safe from send-phase workers.
+  /// delivery loop (player order) — it writes stats directly, with no
+  /// per-player scratch, so a send-phase callback must not call it.
   void charge_receive(int receiver, std::uint64_t bits) {
     stats_.per_player_recv_bits[static_cast<std::size_t>(receiver)] += bits;
   }
@@ -190,7 +142,6 @@ class EngineCore {
   CommStats stats_;
   Arena arena_;
   std::vector<PlayerCharge> charges_;
-  std::shared_ptr<ThreadPool> pool_;  ///< bound on first send_phase
 };
 
 /// Shared meter for the k-party reduction substrates (two-party channel,

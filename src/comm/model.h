@@ -15,10 +15,11 @@
 // locality::PerPlayer, and a cross-player access throws ModelViolation in
 // CCLIQUE_LOCALITY=ON builds (zero cost otherwise). tools/check_locality.py
 // lints the same rules statically in CI.
-// Because fill callbacks are local by contract, the transport core
-// (comm/engine.h) may run them concurrently (CC_THREADS); a callback that
-// touches shared mutable state breaks the discipline *and* the scheduler.
-// Receive callbacks are always invoked serially in player order.
+// The transport core (comm/engine.h) runs a round's fill callbacks in
+// player order and then its receive callbacks in player order: a round is
+// one synchronous step, so the call order carries no meaning, and a
+// callback that reads another player's state breaks the discipline even
+// though it would run without a race.
 //
 // Obliviousness discipline: round counts and message lengths must be
 // functions of (n, element width, bandwidth) alone — payload bits are
@@ -44,8 +45,9 @@ using Message = BitVec;
 ///
 /// Determinism contract: every field is a sum or max over per-(player,
 /// message) charges, each computed from the message alone, and the
-/// transport core commits charges in player order — so stats are
-/// bit-identical at every CC_THREADS setting.
+/// transport core commits a round's charges in player order, all or
+/// nothing — so stats are bit-identical at every CC_THREADS / CC_KERNEL
+/// setting (both knobs reach only the local kernels).
 struct CommStats {
   /// Synchronous rounds elapsed.
   int rounds = 0;

@@ -1,5 +1,6 @@
 #include "core/sparse_mm.h"
 
+#include <utility>
 #include <vector>
 
 namespace cclique {
@@ -33,8 +34,7 @@ SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b) {
           static_cast<std::uint64_t>(a.nnz()), static_cast<std::uint64_t>(b.nnz())};
 }
 
-SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
-                            const SparseNnzProfile& profile) {
+SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfile profile) {
   // Plan-function sink: the schedule is a function of (n, w, b) and the
   // *declared* profile alone — plain integers, no CSR structure reads here.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("sparse_mm_plan"));
@@ -57,8 +57,6 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   plan.count_bits =
       static_cast<int>(bits_for(static_cast<std::uint64_t>(g.bs) + 1));
   plan.bandwidth = bandwidth;
-  plan.a_nnz = profile.a_nnz;
-  plan.b_nnz = profile.b_nnz;
 
   // Announcement: every player all-gathers its 2m counts.
   const AllGatherCost announce = all_gather_cost(n, 2 * m * plan.count_bits, bandwidth);
@@ -100,6 +98,7 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
   plan.aggregate_rounds = ac.rounds;
   plan.total_rounds = plan.announce_rounds + dc.rounds + ac.rounds;
   plan.total_bits = plan.announce_bits + dc.bits + ac.bits;
+  plan.profile = std::move(profile);
   return plan;
 }
 
@@ -131,19 +130,17 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
 
 SparseMmPlan sparse_mm_m61(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                            Mat61* c) {
-  const SparseNnzProfile profile = declared_nnz_profile(a, b);
-  const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), blockmm::M61Ops::kWordBits, net.bandwidth(), profile);
-  run_sparse_mm<blockmm::M61Ops>(net, a, b, c, profile, plan);
+  const SparseMmPlan plan = sparse_mm_plan(a.n(), blockmm::M61Ops::kWordBits, net.bandwidth(),
+                                           declared_nnz_profile(a, b));
+  run_sparse_mm<blockmm::M61Ops>(net, a, b, c, plan);
   return plan;
 }
 
 SparseMmPlan sparse_min_plus_mm(CliqueUnicast& net, const Csr61& a,
                                 const Csr61& b, TropicalMat* c) {
-  const SparseNnzProfile profile = declared_nnz_profile(a, b);
-  const SparseMmPlan plan =
-      sparse_mm_plan(a.n(), blockmm::TropicalOps::kWordBits, net.bandwidth(), profile);
-  run_sparse_mm<blockmm::TropicalOps>(net, a, b, c, profile, plan);
+  const SparseMmPlan plan = sparse_mm_plan(a.n(), blockmm::TropicalOps::kWordBits,
+                                           net.bandwidth(), declared_nnz_profile(a, b));
+  run_sparse_mm<blockmm::TropicalOps>(net, a, b, c, plan);
   return plan;
 }
 

@@ -81,7 +81,7 @@ std::vector<std::size_t> block_nnz_counts(const Csr61& x, const blockmm::BlockGr
 SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b);
 
 /// The nnz-dependent cost schedule of one sparse product: a pure function
-/// of (n, word_bits, bandwidth) and the declared profile.
+/// of (n, word_bits, bandwidth) and the declared profile, which it keeps.
 struct SparseMmPlan {
   int n = 0;
   int grid = 0;        ///< m: block grid dimension
@@ -90,8 +90,7 @@ struct SparseMmPlan {
   int index_bits = 0;  ///< bits per local column index (bits_for(block))
   int count_bits = 0;  ///< bits per announced per-block count (bits_for(block+1))
   int bandwidth = 0;
-  std::uint64_t a_nnz = 0;  ///< from the declared profile
-  std::uint64_t b_nnz = 0;
+  SparseNnzProfile profile;   ///< the declared profile this plan prices
   int announce_rounds = 0;    ///< per-player 2m-count broadcast
   int distribute_rounds = 0;  ///< (index, value)-pair delivery (two relay hops)
   int aggregate_rounds = 0;   ///< dense-width partial delivery (two relay hops)
@@ -100,11 +99,10 @@ struct SparseMmPlan {
   std::uint64_t total_bits = 0;  ///< all three phases
 };
 
-/// Prices the three-phase sparse schedule for the declared profile.
-/// Preconditions: profile matches (n, BlockGrid(n).m); word_bits in [1, 64];
-/// bandwidth >= 1.
-SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth,
-                            const SparseNnzProfile& profile);
+/// Prices the three-phase sparse schedule for the declared profile and
+/// keeps the profile in the plan. Preconditions: profile matches
+/// (n, BlockGrid(n).m); word_bits in [1, 64]; bandwidth >= 1.
+SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfile profile);
 
 /// The adaptive-protocol crossover rule (DESIGN.md §2.8): both branches of
 /// an adaptive protocol must pay the announcement before choosing, so
@@ -135,14 +133,14 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
 /// pairs before B pairs per (owner, triple), CSR column order within each
 /// block — the decode order); local sparse·dense block products;
 /// dense-width aggregation (blockmm::aggregate_partials, shared with
-/// run_block_mm). `profile` must describe the operands (block_nnz_counts,
-/// row by row) and `plan` must be sparse_mm_plan(n, Ops::kWordBits,
-/// net.bandwidth(), profile), else PreconditionError before any bit moves;
-/// each phase's rounds and the total rounds/bits are CC_CHECKed against it.
+/// run_block_mm). `plan` must be sparse_mm_plan(n, Ops::kWordBits,
+/// net.bandwidth(), profile) of a profile that describes the operands
+/// (block_nnz_counts, row by row), else PreconditionError before any bit
+/// moves; each phase's rounds and the total rounds/bits are CC_CHECKed
+/// against it.
 template <typename Ops>
 void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
-                   typename Ops::Matrix* c, const SparseNnzProfile& profile,
-                   const SparseMmPlan& plan) {
+                   typename Ops::Matrix* c, const SparseMmPlan& plan) {
   using Matrix = typename Ops::Matrix;
   constexpr int w = Ops::kWordBits;
   const int n = a.n();
@@ -155,7 +153,8 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
              "plan priced for another engine or carrier");
   const blockmm::BlockGrid g(n);
   // Each row owner checks its rows against the profile it will announce, so
-  // a profile of other operands fails here instead of mid-product.
+  // a plan priced for other operands fails here instead of mid-product.
+  const SparseNnzProfile& profile = plan.profile;
   CC_REQUIRE(profile.n == n && profile.grid == g.m &&
                  block_nnz_counts(a, g) == profile.a_block_nnz &&
                  block_nnz_counts(b, g) == profile.b_block_nnz,
@@ -284,9 +283,9 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
 /// caller's dense plan `dense` (algebraic_mm_plan(n, Ops::kWordBits,
 /// net.bandwidth()), priced once by the caller). kDense runs run_block_mm
 /// and declares nothing. kSparse and kAuto build A's CSR once, declare and
-/// price its profile once, and then either hand that profile and plan to
-/// run_sparse_mm or — kAuto above the crossover — pay the announcement the
-/// decision needed and run the dense product. Returns the branch taken and
+/// price its profile once, and then either hand that plan to run_sparse_mm
+/// or — kAuto above the crossover — pay the announcement the decision
+/// needed and run the dense product. Returns the branch taken and
 /// its planned cost; the executors CC_CHECK the products against their
 /// plans, and callers check whole runs against the sum of step plans.
 template <typename Ops>
@@ -298,19 +297,18 @@ ProductStep run_routed_square(CliqueUnicast& net, const typename Ops::Matrix& a,
   step.planned_bits = dense.total_bits;
   if (backend != CountBackend::kDense) {
     const Csr61 sa = Csr61::from_dense(a);
-    const SparseNnzProfile profile = declared_nnz_profile(sa, sa);
     const SparseMmPlan plan =
-        sparse_mm_plan(a.n(), Ops::kWordBits, net.bandwidth(), profile);
-    step.declared_nnz = profile.a_nnz;
+        sparse_mm_plan(a.n(), Ops::kWordBits, net.bandwidth(), declared_nnz_profile(sa, sa));
+    step.declared_nnz = plan.profile.a_nnz;
     step.used_sparse =
         backend == CountBackend::kSparse || sparse_backend_preferred(plan, dense);
     if (step.used_sparse) {
-      run_sparse_mm<Ops>(net, sa, sa, c, profile, plan);
+      run_sparse_mm<Ops>(net, sa, sa, c, plan);
       step.planned_rounds = plan.total_rounds;
       step.planned_bits = plan.total_bits;
       return step;
     }
-    run_nnz_announcement(net, profile, plan.count_bits);
+    run_nnz_announcement(net, plan.profile, plan.count_bits);
     step.planned_rounds += plan.announce_rounds;
     step.planned_bits += plan.announce_bits;
   }

@@ -1,12 +1,18 @@
 #include "linalg/kernels.h"
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
-#include "comm/engine.h"
 #include "util/field.h"
 
 namespace cclique {
@@ -47,6 +53,173 @@ KernelKind active_kernel() {
   // (the CC_THREADS fallback convention).
   return KernelKind::kScalar;
 }
+
+int cc_thread_count() {
+  const char* env = std::getenv("CC_THREADS");
+  if (env == nullptr || *env == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || v < 1 || v > 1024) {
+    return 1;  // unparseable or out of range: fail safe to serial
+  }
+  return static_cast<int>(v);
+}
+
+// ------------------------------------------------------- static row partition
+
+namespace {
+
+/// Persistent workers for the row partition: threads - 1 workers plus the
+/// caller claim the indices of one job at a time. Spawning threads per
+/// product would cost more than a 128-dim product's parts save.
+class ThreadPool {
+ public:
+  explicit ThreadPool(int threads) {
+    for (int t = 1; t < threads; ++t) {
+      workers_.emplace_back([this] {
+        std::uint64_t seen = 0;
+        for (;;) {
+          {
+            std::unique_lock<std::mutex> lock(mutex_);
+            work_ready_.wait(lock, [&] { return stop_ || generation_ != seen; });
+            if (stop_) return;
+            seen = generation_;
+          }
+          drain(seen);
+        }
+      });
+    }
+  }
+
+  ~ThreadPool() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    work_ready_.notify_all();
+    for (std::thread& w : workers_) w.join();
+  }
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  /// Runs fn(i) for every i in [0, count) and blocks until all completed.
+  /// Every index runs even if some throw; the first exception caught is
+  /// rethrown afterwards. Concurrent callers take turns.
+  void run_indexed(int count, const std::function<void(int)>& fn) {
+    std::lock_guard<std::mutex> job(job_mutex_);
+    std::uint64_t gen;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      fn_ = &fn;
+      count_ = count;
+      next_ = 0;
+      pending_ = count;
+      error_ = nullptr;
+      gen = ++generation_;
+    }
+    work_ready_.notify_all();
+    drain(gen);
+    std::exception_ptr error;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      job_done_.wait(lock, [&] { return pending_ == 0; });
+      error = error_;
+      fn_ = nullptr;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  // Claims and runs indices of job `gen` until exhausted; the caller and
+  // the workers share this. Tickets are claimed under the mutex with a
+  // generation check, so a straggler that loops once more after the job's
+  // last index completed never touches the next job's state.
+  void drain(std::uint64_t gen) {
+    for (;;) {
+      int i;
+      const std::function<void(int)>* f;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (generation_ != gen || next_ >= count_) return;
+        i = next_++;
+        f = fn_;
+      }
+      std::exception_ptr err;
+      try {
+        (*f)(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (err && !error_) error_ = err;
+      if (--pending_ == 0) job_done_.notify_all();
+    }
+  }
+
+  std::mutex job_mutex_;  ///< one job at a time
+  std::mutex mutex_;      ///< guards every field below
+  std::condition_variable work_ready_;
+  std::condition_variable job_done_;
+  const std::function<void(int)>* fn_ = nullptr;
+  int count_ = 0;
+  int next_ = 0;     ///< next unclaimed index of the current job
+  int pending_ = 0;  ///< indices not yet completed
+  std::uint64_t generation_ = 0;
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::vector<std::thread> workers_;
+};
+
+/// The pool for a requested thread count, built on first use and kept for
+/// the process lifetime (kernels run by the thousands in bench sweeps).
+ThreadPool& kernel_pool(int threads) {
+  static std::mutex cache_mutex;
+  static std::map<int, std::unique_ptr<ThreadPool>> cache;
+  std::lock_guard<std::mutex> lock(cache_mutex);
+  std::unique_ptr<ThreadPool>& pool = cache[threads];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+  return *pool;
+}
+
+/// P = min(threads, n): the part count of n rows at `threads` workers, so
+/// every part owns at least one row (none when n == 0).
+int row_parts(int n, int threads) {
+  CC_REQUIRE(threads >= 1, "kernel thread count must be >= 1");
+  return std::min(threads, n);
+}
+
+/// The static row partition every kernel threads over: part t of
+/// P = row_parts(n, threads) computes rows [n*t/P, n*(t+1)/P) start to
+/// finish through fn(t, i0, i1), a pure function of (n, P), so the thread
+/// count never changes a bit of the output. One part runs on the caller;
+/// more run on the pool for `threads`, whatever n is.
+template <typename PartFn>
+void run_row_parts(int n, int threads, const PartFn& fn) {
+  const int parts = row_parts(n, threads);
+  const auto part = [&](int t) {
+    fn(t, static_cast<int>(static_cast<std::int64_t>(n) * t / parts),
+       static_cast<int>(static_cast<std::int64_t>(n) * (t + 1) / parts));
+  };
+  if (parts > 1) {
+    kernel_pool(threads).run_indexed(parts, part);
+  } else if (parts == 1) {
+    part(0);
+  }
+}
+
+/// Below this dimension the pool handoff costs more than the product; the
+/// distributed protocols' per-player blocks (bs = ceil(n/m) rows) live here.
+constexpr int kThreadMinDim = 128;
+
+int dispatch_threads(int n) {
+  return n < kThreadMinDim ? 1 : cc_thread_count();
+}
+
+}  // namespace
 
 // ------------------------------------------------------------ scalar kernels
 
@@ -135,51 +308,31 @@ RowRangeFn tropical_rows_fn(KernelKind kind) {
   return &tropical_mm_rows_scalar;
 }
 
-/// Static row partition: worker t computes rows [n*t/T, n*(t+1)/T) — a pure
-/// function of (n, T), every row computed start-to-finish by one worker.
-void run_rows(RowRangeFn fn, const std::uint64_t* a, const std::uint64_t* b,
-              std::uint64_t* c, int n, int threads) {
-  CC_REQUIRE(threads >= 1, "kernel thread count must be >= 1");
-  if (threads > n) threads = n;
-  if (threads <= 1) {
-    fn(a, b, c, n, 0, n);
-    return;
-  }
-  shared_thread_pool(threads)->run_indexed(threads, [&](int t) {
-    const int i0 = static_cast<int>(static_cast<std::int64_t>(n) * t / threads);
-    const int i1 =
-        static_cast<int>(static_cast<std::int64_t>(n) * (t + 1) / threads);
-    if (i0 < i1) fn(a, b, c, n, i0, i1);
-  });
-}
-
-/// Below this dimension the pool handoff costs more than the product; the
-/// distributed protocols' per-player blocks (bs = ceil(n/m) rows) live here.
-constexpr int kThreadMinDim = 128;
-
-int dispatch_threads(int n) {
-  return n < kThreadMinDim ? 1 : cc_thread_count();
-}
-
 }  // namespace
 
 Mat61 m61_multiply_kernel(const Mat61& a, const Mat61& b, KernelKind kind,
                           int threads) {
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
-  Mat61 out(a.n());
-  if (a.n() == 0) return out;
-  run_rows(m61_rows_fn(kind), a.data(), b.data(), out.mutable_data(), a.n(),
-           threads);
+  const int n = a.n();
+  Mat61 out(n);
+  const RowRangeFn fn = m61_rows_fn(kind);
+  const std::uint64_t* ad = a.data();
+  const std::uint64_t* bd = b.data();
+  std::uint64_t* cd = out.mutable_data();
+  run_row_parts(n, threads, [&](int, int i0, int i1) { fn(ad, bd, cd, n, i0, i1); });
   return out;
 }
 
 TropicalMat tropical_multiply_kernel(const TropicalMat& a, const TropicalMat& b,
                                      KernelKind kind, int threads) {
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
-  TropicalMat out(a.n());
-  if (a.n() == 0) return out;
-  run_rows(tropical_rows_fn(kind), a.data(), b.data(), out.mutable_data(),
-           a.n(), threads);
+  const int n = a.n();
+  TropicalMat out(n);
+  const RowRangeFn fn = tropical_rows_fn(kind);
+  const std::uint64_t* ad = a.data();
+  const std::uint64_t* bd = b.data();
+  std::uint64_t* cd = out.mutable_data();
+  run_row_parts(n, threads, [&](int, int i0, int i1) { fn(ad, bd, cd, n, i0, i1); });
   return out;
 }
 
@@ -247,40 +400,17 @@ void tropical_spmm_rows_scalar(const std::size_t* row_ptr, const int* cols,
   }
 }
 
-namespace {
-
-/// Static row partition for the sparse kernels — identical arithmetic to
-/// run_rows, generalized to any row closure.
-template <typename RowsFn>
-void run_row_ranges(int n, int threads, const RowsFn& fn) {
-  CC_REQUIRE(threads >= 1, "kernel thread count must be >= 1");
-  if (threads > n) threads = n;
-  if (threads <= 1) {
-    fn(0, n);
-    return;
-  }
-  shared_thread_pool(threads)->run_indexed(threads, [&](int t) {
-    const int i0 = static_cast<int>(static_cast<std::int64_t>(n) * t / threads);
-    const int i1 =
-        static_cast<int>(static_cast<std::int64_t>(n) * (t + 1) / threads);
-    if (i0 < i1) fn(i0, i1);
-  });
-}
-
-}  // namespace
-
 Mat61 m61_spmm_kernel(const Csr61& a, const Mat61& b, int threads) {
   CC_REQUIRE(a.ring() == SparseRing::kM61, "sparse operand is not over F_{2^61-1}");
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
   Mat61 out(a.n());
-  if (a.n() == 0) return out;
   const std::size_t* rp = a.row_ptr();
   const int* cols = a.cols();
   const std::uint64_t* vals = a.vals();
   const std::uint64_t* bd = b.data();
   std::uint64_t* cd = out.mutable_data();
   const int n = a.n();
-  run_row_ranges(n, threads, [&](int i0, int i1) {
+  run_row_parts(n, threads, [&](int, int i0, int i1) {
     m61_spmm_rows_scalar(rp, cols, vals, bd, cd, n, i0, i1);
   });
   return out;
@@ -290,14 +420,13 @@ TropicalMat tropical_spmm_kernel(const Csr61& a, const TropicalMat& b, int threa
   CC_REQUIRE(a.ring() == SparseRing::kTropical, "sparse operand is not tropical");
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
   TropicalMat out(a.n());
-  if (a.n() == 0) return out;
   const std::size_t* rp = a.row_ptr();
   const int* cols = a.cols();
   const std::uint64_t* vals = a.vals();
   const std::uint64_t* bd = b.data();
   std::uint64_t* cd = out.mutable_data();
   const int n = a.n();
-  run_row_ranges(n, threads, [&](int i0, int i1) {
+  run_row_parts(n, threads, [&](int, int i0, int i1) {
     tropical_spmm_rows_scalar(rp, cols, vals, bd, cd, n, i0, i1);
   });
   return out;
@@ -373,12 +502,9 @@ void gustavson_rows(const Csr61& a, const Csr61& b, int i0, int i1,
 Csr61 csr_multiply_csr_kernel(const Csr61& a, const Csr61& b, int threads) {
   CC_REQUIRE(a.n() == b.n(), "size mismatch");
   CC_REQUIRE(a.ring() == b.ring(), "mixed-ring sparse product");
-  CC_REQUIRE(threads >= 1, "kernel thread count must be >= 1");
   const int n = a.n();
-  if (threads > n) threads = n;
-  if (threads < 1) threads = 1;  // n == 0
-  std::vector<CsrSlice> slices(static_cast<std::size_t>(threads > 0 ? threads : 1));
-  auto run_slice = [&](int t, int i0, int i1) {
+  std::vector<CsrSlice> slices(static_cast<std::size_t>(row_parts(n, threads)));
+  run_row_parts(n, threads, [&](int t, int i0, int i1) {
     CsrSlice* out = &slices[static_cast<std::size_t>(t)];
     if (a.ring() == SparseRing::kM61) {
       gustavson_rows(
@@ -399,17 +525,7 @@ Csr61 csr_multiply_csr_kernel(const Csr61& a, const Csr61& b, int threads) {
           },
           [](std::uint64_t v) { return v < kTropicalInf; }, out);
     }
-  };
-  if (threads <= 1) {
-    run_slice(0, 0, n);
-  } else {
-    shared_thread_pool(threads)->run_indexed(threads, [&](int t) {
-      const int i0 = static_cast<int>(static_cast<std::int64_t>(n) * t / threads);
-      const int i1 =
-          static_cast<int>(static_cast<std::int64_t>(n) * (t + 1) / threads);
-      if (i0 < i1) run_slice(t, i0, i1);
-    });
-  }
+  });
   std::vector<std::size_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
   std::vector<int> cols;
   std::vector<std::uint64_t> vals;

@@ -7,8 +7,9 @@
 // (linalg/mat61) and APSP squaring (linalg/tropical). This module is the
 // raw-speed lever: vectorized (AVX2) variants of both kernels compiled in a
 // separate -mavx2 translation unit behind runtime CPUID detection, threaded
-// over the transport core's shared pool (comm/engine.h), with the scalar
-// kernels as the always-correct fallback.
+// over this module's own persistent worker pool (CC_THREADS workers, the
+// only threads in the library), with the scalar kernels as the
+// always-correct fallback.
 //
 // Determinism contract (DESIGN.md §2.6): kernel choice and thread count may
 // change wall-clock, never values and never CommStats.
@@ -18,9 +19,9 @@
 //    kernel performs the same mathematical reduction, so outputs are
 //    bit-identical across every {scalar, avx2} x CC_THREADS combination
 //    (asserted by tests/kernel_dispatch_test, not hoped). Threading uses
-//    deterministic static row partitioning: output rows are independent,
-//    each is computed start-to-finish by exactly one worker, and the
-//    partition is a pure function of (n, thread count).
+//    one deterministic static row partition: n rows split into
+//    P = min(threads, n) parts, each row computed start-to-finish by
+//    exactly one worker, so the partition is a pure function of (n, P).
 //  * CommStats: the kernels are local compute between metered phases; no
 //    code path here touches an engine, so the planned round/bit schedule
 //    (algebraic_mm_plan / apsp_plan) is kernel-independent by construction
@@ -60,6 +61,12 @@ bool cpu_has_avx2();
 /// call below will run. Reads the environment on every call so tests can
 /// flip the knob at runtime (the resolution itself is trivially cheap).
 KernelKind active_kernel();
+
+/// Worker count of the dispatch calls below: CC_THREADS when it is an
+/// integer in [1, 1024], the hardware concurrency (at least 1) when it is
+/// unset or empty, and 1 (serial) for any other value. Read on every call,
+/// like CC_KERNEL.
+int cc_thread_count();
 
 // ---------------------------------------------------------------------------
 // Raw row-range kernels. All operate on row-major n x n storage
@@ -126,7 +133,7 @@ void tropical_spmm_rows_scalar(const std::size_t* row_ptr, const int* cols,
 Mat61 m61_spmm_kernel(const Csr61& a, const Mat61& b, int threads);
 TropicalMat tropical_spmm_kernel(const Csr61& a, const TropicalMat& b, int threads);
 
-/// Env-driven sparse·dense dispatch (CC_THREADS via cc_thread_count, small
+/// Env-driven sparse·dense dispatch (cc_thread_count() workers, small
 /// products kept serial like the dense dispatch). The local kernel of the
 /// sparse MM schedule (core/algebraic_mm).
 Mat61 m61_spmm_dispatch(const Csr61& a, const Mat61& b);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "graph/subgraph.h"
 #include "linalg/f2matrix.h"
 #include "linalg/mat61.h"
+#include "scoped_env.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -375,18 +375,14 @@ TEST(AlgebraicMm, StatsAreThreadCountInvariant) {
     algebraic_mm_m61(net, a, b, &c);
     return net.stats();
   };
-  const char* old = std::getenv("CC_THREADS");
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv("CC_THREADS", "1", 1);
-  const CommStats serial = run();
-  for (const char* threads : {"2", "5"}) {
-    ::setenv("CC_THREADS", threads, 1);
-    EXPECT_EQ(run(), serial) << "CC_THREADS=" << threads;
+  CommStats serial;
+  {
+    ScopedEnv scoped("CC_THREADS", "1");
+    serial = run();
   }
-  if (old != nullptr) {
-    ::setenv("CC_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("CC_THREADS");
+  for (const char* threads : {"2", "5"}) {
+    ScopedEnv scoped("CC_THREADS", threads);
+    EXPECT_EQ(run(), serial) << "CC_THREADS=" << threads;
   }
 }
 

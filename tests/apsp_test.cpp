@@ -9,8 +9,6 @@
 // scheduler-independence of the stats.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "analysis/oblivious_guard.h"
@@ -19,6 +17,7 @@
 #include "graph/generators.h"
 #include "linalg/sparse.h"
 #include "linalg/tropical.h"
+#include "scoped_env.h"
 #include "util/rng.h"
 
 namespace cclique {
@@ -34,30 +33,6 @@ std::vector<std::uint32_t> random_weights(const Graph& g, Rng& rng,
 std::vector<std::uint32_t> unit_weights(const Graph& g) {
   return std::vector<std::uint32_t>(g.num_edges(), 1);
 }
-
-/// Scoped environment override (kernel_dispatch_test's idiom): the kernel
-/// dispatcher re-reads CC_KERNEL on every call.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// The local reference APSP: ceil(log2(n-1)) schoolbook squarings of W.
 TropicalMat schoolbook_squarings(const Graph& g, const std::vector<std::uint32_t>& w) {
@@ -522,18 +497,14 @@ TEST(Apsp, StatsAreThreadCountInvariant) {
     apsp_run(net, g, w);
     return net.stats();
   };
-  const char* old = std::getenv("CC_THREADS");
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv("CC_THREADS", "1", 1);
-  const CommStats serial = run();
-  for (const char* threads : {"2", "5"}) {
-    ::setenv("CC_THREADS", threads, 1);
-    EXPECT_EQ(run(), serial) << "CC_THREADS=" << threads;
+  CommStats serial;
+  {
+    ScopedEnv scoped("CC_THREADS", "1");
+    serial = run();
   }
-  if (old != nullptr) {
-    ::setenv("CC_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("CC_THREADS");
+  for (const char* threads : {"2", "5"}) {
+    ScopedEnv scoped("CC_THREADS", threads);
+    EXPECT_EQ(run(), serial) << "CC_THREADS=" << threads;
   }
 }
 

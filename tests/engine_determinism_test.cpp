@@ -1,10 +1,10 @@
-// Adversarial tests for the transport core's parallel round scheduler
-// (comm/engine.h): CommStats must be bit-identical at every CC_THREADS
-// setting, and exceptions raised on worker threads must propagate
-// deterministically (lowest player wins, nothing committed).
+// Tests for the transport core's round contract (comm/engine.h): a round is
+// one synchronous step, run serially in player order. CommStats must be
+// bit-identical at every CC_THREADS setting (the knob reaches only the local
+// kernels), and a throwing callback must end its round at once: later
+// players never run and nothing is committed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "analysis/locality_guard.h"
@@ -13,33 +13,12 @@
 #include "comm/congest.h"
 #include "comm/engine.h"
 #include "graph/generators.h"
+#include "linalg/kernels.h"
+#include "scoped_env.h"
 #include "util/rng.h"
 
 namespace cclique {
 namespace {
-
-/// Scoped CC_THREADS override. Engines read the variable when they first
-/// schedule a round, so each protocol run constructs fresh engines.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv("CC_THREADS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("CC_THREADS", value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_old_) {
-      ::setenv("CC_THREADS", old_.c_str(), 1);
-    } else {
-      ::unsetenv("CC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// A fixed protocol exercising every engine: a unicast round of varying
 /// per-pair widths, chunked all-pairs payloads, chunked broadcasts, and a
@@ -112,7 +91,7 @@ ProtocolStats run_fixed_protocol() {
 }
 
 TEST(EngineDeterminism, CommStatsBitIdenticalAcrossThreadCounts) {
-  ScopedThreads base("1");
+  ScopedEnv base("CC_THREADS", "1");
   const ProtocolStats serial = run_fixed_protocol();
   // Fixed protocol sanity: something nontrivial was charged everywhere.
   EXPECT_GT(serial.unicast.total_bits, 0u);
@@ -120,21 +99,21 @@ TEST(EngineDeterminism, CommStatsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.broadcast.cut_bits, 0u);
   EXPECT_GT(serial.congest.total_bits, 0u);
   for (const char* threads : {"2", "8"}) {
-    ScopedThreads scoped(threads);
-    const ProtocolStats parallel = run_fixed_protocol();
+    ScopedEnv scoped("CC_THREADS", threads);
+    const ProtocolStats other = run_fixed_protocol();
     // Every field, including cut_bits, max_edge_bits_in_round, and the
-    // per-player vectors, must match the serial run exactly.
-    EXPECT_EQ(parallel.unicast, serial.unicast) << "CC_THREADS=" << threads;
-    EXPECT_EQ(parallel.broadcast, serial.broadcast) << "CC_THREADS=" << threads;
-    EXPECT_EQ(parallel.congest, serial.congest) << "CC_THREADS=" << threads;
+    // per-player vectors, must match the CC_THREADS=1 run exactly.
+    EXPECT_EQ(other.unicast, serial.unicast) << "CC_THREADS=" << threads;
+    EXPECT_EQ(other.broadcast, serial.broadcast) << "CC_THREADS=" << threads;
+    EXPECT_EQ(other.congest, serial.congest) << "CC_THREADS=" << threads;
   }
 }
 
 TEST(EngineDeterminism, ModelViolationPropagatesFromWorkerThread) {
-  ScopedThreads scoped("8");
+  ScopedEnv scoped("CC_THREADS", "8");
   CliqueUnicast net(8, 4);
   const auto oversend = [&](int i, Message* box) {
-    if (i == 5) box[2].push_uint(0, 5);  // 5 > 4 bits, raised on a worker
+    if (i == 5) box[2].push_uint(0, 5);  // 5 > 4 bits
   };
   EXPECT_THROW(net.round_fill(oversend, [](int, const std::vector<Message>&) {}),
                ModelViolation);
@@ -146,7 +125,7 @@ TEST(EngineDeterminism, ModelViolationPropagatesFromWorkerThread) {
 }
 
 TEST(EngineDeterminism, ArenaOverflowThrowsFromWorkerThread) {
-  ScopedThreads scoped("8");
+  ScopedEnv scoped("CC_THREADS", "8");
   CliqueUnicast net(8, 4);
   EXPECT_THROW(net.round_fill(
                    [&](int i, Message* box) {
@@ -159,11 +138,10 @@ TEST(EngineDeterminism, ArenaOverflowThrowsFromWorkerThread) {
 
 TEST(EngineDeterminism, LowestPlayerExceptionWinsAtEveryThreadCount) {
   for (const char* threads : {"1", "2", "8"}) {
-    ScopedThreads scoped(threads);
+    ScopedEnv scoped("CC_THREADS", threads);
     CliqueUnicast net(16, 8);
     // Two different players fail with different exception types; the
-    // scheduler must always surface player 2's, regardless of which worker
-    // observed its own failure first.
+    // serial send phase stops at player 2, so player 2's always surfaces.
     const auto fill = [&](int i, Message*) {
       if (i == 2) throw PreconditionError("player 2 failed");
       if (i == 9) throw InvariantError("player 9 failed");
@@ -174,13 +152,41 @@ TEST(EngineDeterminism, LowestPlayerExceptionWinsAtEveryThreadCount) {
   }
 }
 
+TEST(EngineDeterminism, FailedRoundStopsAtTheFailingPlayer) {
+  // Player 2's callback throws: the round ends there, players 3..n-1 never
+  // run, the engine's stats stay those of a fresh engine, and the next
+  // round commits.
+  const auto no_recv = [](int, const std::vector<Message>&) {};
+  for (const char* threads : {"1", "2", "8"}) {
+    ScopedEnv scoped("CC_THREADS", threads);
+    const int n = 8;
+    CliqueUnicast net(n, 8);
+    std::vector<int> ran(static_cast<std::size_t>(n), 0);
+    const auto fill = [&](int i, Message* box) {
+      ran[static_cast<std::size_t>(i)] = 1;
+      box[(i + 1) % n].push_uint(1, 4);
+      if (i == 2) throw PreconditionError("player 2 failed");
+    };
+    EXPECT_THROW(net.round_fill(fill, no_recv), PreconditionError) << "CC_THREADS=" << threads;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ran[static_cast<std::size_t>(i)], i <= 2 ? 1 : 0)
+          << "player " << i << ", CC_THREADS=" << threads;
+    }
+    EXPECT_EQ(net.stats(), CliqueUnicast(n, 8).stats()) << "CC_THREADS=" << threads;
+    net.round_fill([&](int i, Message* box) { box[(i + 1) % n].push_uint(1, 4); }, no_recv);
+    EXPECT_EQ(net.stats().rounds, 1) << "CC_THREADS=" << threads;
+    EXPECT_EQ(net.stats().total_bits, static_cast<std::uint64_t>(4 * n))
+        << "CC_THREADS=" << threads;
+  }
+}
+
 TEST(EngineDeterminism, LocalityViolationPropagatesAtEveryThreadCount) {
   // A cross-player access tripped by the locality guard must behave exactly
-  // like every other worker-thread exception: it escapes the engine at any
+  // like every other callback exception: it escapes the engine at any
   // CC_THREADS setting, the violating round commits nothing, and the engine
   // stays usable. In guard-off builds the same protocol runs untouched.
   for (const char* threads : {"1", "2", "8"}) {
-    ScopedThreads scoped(threads);
+    ScopedEnv scoped("CC_THREADS", threads);
     const int n = 12;
     CliqueUnicast net(n, 8);
     locality::PerPlayer<std::uint64_t> secret(
@@ -205,11 +211,11 @@ TEST(EngineDeterminism, LocalityViolationPropagatesAtEveryThreadCount) {
 TEST(EngineDeterminism, LowestPlayerWinsForLocalityViolations) {
   if (!locality::enabled()) GTEST_SKIP() << "guard compiled out";
   // Two players violate the locality discipline in the same round; the
-  // scheduler's lowest-player-wins rule applies to guard exceptions exactly
-  // as it does to CC_* exceptions, so the surfaced message must name the
+  // send phase stops at the first failing player for guard exceptions
+  // exactly as for CC_* exceptions, so the surfaced message must name the
   // lower violator at every thread count.
   for (const char* threads : {"1", "2", "8"}) {
-    ScopedThreads scoped(threads);
+    ScopedEnv scoped("CC_THREADS", threads);
     const int n = 16;
     CliqueUnicast net(n, 8);
     locality::PerPlayer<std::uint64_t> secret(
@@ -230,15 +236,15 @@ TEST(EngineDeterminism, LowestPlayerWinsForLocalityViolations) {
 
 TEST(EngineDeterminism, ThreadCountParsing) {
   {
-    ScopedThreads scoped("3");
+    ScopedEnv scoped("CC_THREADS", "3");
     EXPECT_EQ(cc_thread_count(), 3);
   }
   {
-    ScopedThreads scoped("not-a-number");
+    ScopedEnv scoped("CC_THREADS", "not-a-number");
     EXPECT_EQ(cc_thread_count(), 1);
   }
   {
-    ScopedThreads scoped("-2");
+    ScopedEnv scoped("CC_THREADS", "-2");
     EXPECT_EQ(cc_thread_count(), 1);
   }
 }

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "core/congest_c4.h"
@@ -16,35 +15,12 @@
 #include "graph/extremal.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
+#include "scoped_env.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 
 namespace cclique {
 namespace {
-
-/// Scoped CC_THREADS override (same pattern as engine_determinism_test):
-/// engines read the variable when they first schedule a round, so each
-/// protocol run constructs fresh engines.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv("CC_THREADS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("CC_THREADS", value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_old_) {
-      ::setenv("CC_THREADS", old_.c_str(), 1);
-    } else {
-      ::unsetenv("CC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 void expect_tree_equals(const std::vector<WeightedEdge>& got,
                         const std::vector<WeightedEdge>& ref,
@@ -402,7 +378,7 @@ TEST(CliqueMst, StatsIdenticalAcrossThreadCounts) {
   } base;
   bool have_base = false;
   for (const char* threads : {"1", "2", "8"}) {
-    ScopedThreads scoped(threads);
+    ScopedEnv scoped("CC_THREADS", threads);
     CliqueUnicast net1(n, 64), net2(n, 64), net3(n, 64);
     auto bor = clique_mst(net1, g, w, MstAlgorithm::kBoruvka);
     auto lot = clique_mst(net2, g, w, MstAlgorithm::kLotker);

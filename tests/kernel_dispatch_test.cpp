@@ -6,8 +6,6 @@
 // core/apsp through the dispatcher must leave CommStats untouched.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "comm/clique_unicast.h"
@@ -17,36 +15,12 @@
 #include "linalg/kernels.h"
 #include "linalg/mat61.h"
 #include "linalg/tropical.h"
+#include "scoped_env.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace cclique {
 namespace {
-
-/// Scoped environment override (same idiom as engine_determinism_test's
-/// ScopedThreads) — active_kernel() re-reads CC_KERNEL on every call, so a
-/// scoped set is enough to steer dispatch inside the block.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// The ablation grid: every kernel this host can run, crossed with the
 /// thread counts the CI legs pin (1, 2, 8).

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,34 +23,11 @@
 #include "graph/generators.h"
 #include "linalg/mat61.h"
 #include "linalg/tropical.h"
+#include "scoped_env.h"
 #include "util/check.h"
 
 namespace cclique {
 namespace {
-
-/// Scoped CC_THREADS override (same shape as engine_determinism_test.cpp).
-/// Engines read the variable when they first schedule a round, so each
-/// protocol run constructs fresh engines.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv("CC_THREADS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("CC_THREADS", value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_old_) {
-      ::setenv("CC_THREADS", old_.c_str(), 1);
-    } else {
-      ::unsetenv("CC_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 Message bits_of(std::uint64_t v, int w) {
   Message m;
@@ -258,13 +233,9 @@ TEST(ObliviousGuard, NofReductionInheritsBroadcastSink) {
   const int n = 3;
   CliqueBroadcast net(n, 16);
   NofBlackboard board;
-  // The callbacks run in parallel and the board is shared, so writes are
-  // serialized (a data race under TSan at CC_THREADS > 1 otherwise).
-  std::mutex board_mu;
   const Mat61 payload = counting_matrix(n);
   const auto leaky_reduction = [&](int i, Message& out) {
     out.push_uint(0, 1 + static_cast<int>(payload.get(i, 0) % 3));
-    const std::lock_guard<std::mutex> lock(board_mu);
     board.write(i, out);
   };
   if (oblivious::enabled()) {
@@ -292,11 +263,11 @@ TEST(ObliviousGuard, TwoPartySinkScopeIsTheMeterSeam) {
 }
 
 TEST(ObliviousGuard, SinkScopePropagatesAcrossWorkerThreads) {
-  // The sink scope is constructed inside the engine's send callback, which
-  // may run on a pool thread: the guard must hold at every CC_THREADS
-  // setting (thread_local state is per-worker, set inside the callback).
+  // The sink scope is constructed inside the engine's send callback: the
+  // guard must hold at every CC_THREADS setting, a knob that reaches only
+  // the local kernels' pool, never the send phase.
   for (const char* threads : {"1", "2", "8"}) {
-    ScopedThreads scope(threads);
+    ScopedEnv scope("CC_THREADS", threads);
     const int n = 8;
     CliqueUnicast net(n, 16);
     const Mat61 payload = counting_matrix(n);

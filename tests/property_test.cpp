@@ -223,9 +223,8 @@ TEST(EngineProperty, BitAccountingIsExact) {
       }
     }
     // Messages are drawn before the round: send callbacks must be local
-    // (comm/model.h), and the parallel scheduler relies on it — a shared
-    // Rng inside the callback would be both a discipline violation and a
-    // data race at CC_THREADS > 1.
+    // (comm/model.h) — a shared Rng inside the callback would make one
+    // player's messages depend on the draws of the players before it.
     std::vector<std::vector<Message>> outbox(static_cast<std::size_t>(n),
                                              std::vector<Message>(static_cast<std::size_t>(n)));
     for (int i = 0; i < n; ++i) {

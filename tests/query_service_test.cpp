@@ -7,8 +7,6 @@
 // lives in serving_property_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "analysis/locality_guard.h"
@@ -17,36 +15,12 @@
 #include "core/query_service.h"
 #include "graph/generators.h"
 #include "linalg/tropical.h"
+#include "scoped_env.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace cclique {
 namespace {
-
-/// Scoped environment override (the engine_determinism_test /
-/// kernel_dispatch_test idiom): engines and dispatchers re-read their
-/// variables per construction / per call, so each run uses fresh objects.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// Weighted fixture: a connected-ish gnp graph with random small weights.
 struct Fixture {

@@ -289,11 +289,9 @@ TEST(SparseMm, ExecutorsRejectPlansPricedForAnotherEngine) {
   const SparseNnzProfile profile = declared_nnz_profile(sa, sa);
   CliqueUnicast net(n, 64);
   Mat61 c;
-  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, profile,
-                                              sparse_mm_plan(n, 61, 32, profile)),
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, sparse_mm_plan(n, 61, 32, profile)),
                PreconditionError);
-  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, profile,
-                                              sparse_mm_plan(n, 1, 64, profile)),
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, sparse_mm_plan(n, 1, 64, profile)),
                PreconditionError);
   for (const AlgebraicMmPlan& foreign :
        {algebraic_mm_plan(n, 61, 32), algebraic_mm_plan(8, 61, 64),
@@ -305,23 +303,22 @@ TEST(SparseMm, ExecutorsRejectPlansPricedForAnotherEngine) {
 }
 
 TEST(SparseMm, ExecutorRejectsAProfileOfOtherOperands) {
-  // The profile (and its plan) of a denser graph, handed to the product of
+  // A plan priced from a denser graph's profile, handed to the product of
   // sparser operands: the relayed lengths would not match what was
   // announced, so the executor refuses before any bit moves.
   const int n = 27;
   Rng rng(405);
   const Csr61 sparse = Csr61::from_edges(n, gnp(n, 0.1, rng).edges());
   const Csr61 dense = Csr61::from_edges(n, gnp(n, 0.3, rng).edges());
-  const SparseNnzProfile foreign = declared_nnz_profile(dense, dense);
-  const SparseMmPlan plan = sparse_mm_plan(n, 61, 64, foreign);
+  const SparseMmPlan foreign = sparse_mm_plan(n, 61, 64, declared_nnz_profile(dense, dense));
   CliqueUnicast net(n, 64);
   Mat61 c;
-  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c, foreign, plan),
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c, foreign),
                PreconditionError);
   EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
-  // The operands' own profile runs.
-  const SparseNnzProfile own = declared_nnz_profile(sparse, sparse);
-  run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c, own, sparse_mm_plan(n, 61, 64, own));
+  // The plan of the operands' own profile runs.
+  run_sparse_mm<blockmm::M61Ops>(net, sparse, sparse, &c,
+                                 sparse_mm_plan(n, 61, 64, declared_nnz_profile(sparse, sparse)));
   EXPECT_TRUE(c == m61_multiply_schoolbook(sparse.to_mat61(), sparse.to_mat61()));
 }
 
@@ -428,7 +425,7 @@ TEST(CountBackend, CountCostsItsStepPlanPlusTheShare) {
 }
 
 TEST(CountBackend, AutoDeclaresAndPricesTheProfileOnce) {
-  // kAuto decides from the profile it then hands to the sparse product, so
+  // kAuto decides from the plan it then hands to the sparse product, so
   // the guard's declared-read counter moves by exactly one profile (and not
   // at all in builds without the guard).
   Rng rng(501);

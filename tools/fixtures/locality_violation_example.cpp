@@ -39,7 +39,7 @@ void planted_violations(CliqueUnicast& net, int n) {
         // check 1: player i reads player (i+1)%n's tagged private state.
         const std::uint64_t stolen = secret[(i + 1) % n];
         // check 2: player i writes a reference-captured engine-wide array
-        // at a non-self index (a data race under CC_THREADS > 1).
+        // at a non-self index (another player's slot).
         shared[0] += stolen;
         box[0].push_uint(stolen, 5);  // writing the outbox is fine — not flagged
       },
