@@ -11,35 +11,26 @@ namespace cclique {
 CliqueBroadcast::CliqueBroadcast(int n, int bandwidth) : core_(n, bandwidth) {}
 
 const std::vector<Message>& CliqueBroadcast::round_fill(const FillFn& fill) {
-  const int nn = n();
-  if (slots_.empty()) slots_ = core_.borrow_slots(static_cast<std::size_t>(nn));
-  core_.send_phase([&](int i, PlayerCharge& charge) {
-    locality::PlayerScope scope(i);
+  const std::size_t nn = static_cast<std::size_t>(n());
+  const std::size_t b = static_cast<std::size_t>(bandwidth());
+  slots_.resize(nn);
+  len_.resize(nn);
+  for (std::size_t i = 0; i < nn; ++i) {
+    locality::PlayerScope scope(static_cast<int>(i));
     // The callback's output becomes this round's blackboard write length:
     // a length sink, like every engine fill path (see oblivious_guard.h).
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-BCAST fill callback"));
-    Message& slot = slots_[static_cast<std::size_t>(i)];
+    Message& slot = slots_[i];
     slot.clear();
-    fill(i, slot);
-    core_.charge_broadcast(i, slot.size_bits(), charge,
-                           "per-player bandwidth exceeded in CLIQUE-BCAST");
-  });
-  // Every written bit is read by the other n-1 players: player i's receive
-  // load this round is the board total minus its own write.
-  board_.resize(static_cast<std::size_t>(nn));
-  std::uint64_t total = 0;
-  for (int i = 0; i < nn; ++i) {
-    board_[static_cast<std::size_t>(i)] = Message::alias(slots_[static_cast<std::size_t>(i)]);
-    total += board_[static_cast<std::size_t>(i)].size_bits();
+    fill(static_cast<int>(i), slot);
+    CC_MODEL(slot.size_bits() <= b, "per-player bandwidth exceeded in CLIQUE-BCAST");
+    len_[i] = slot.size_bits();
   }
-  for (int i = 0; i < nn; ++i) {
-    core_.charge_receive(i, total - board_[static_cast<std::size_t>(i)].size_bits());
-  }
-  return board_;
+  core_.charge_board(len_, 1);
+  return slots_;
 }
 
-std::vector<Message> broadcast_payloads(CliqueBroadcast& net,
-                                        const std::vector<Message>& payloads,
+std::vector<Message> broadcast_payloads(CliqueBroadcast& net, std::vector<Message> payloads,
                                         int* rounds_used) {
   // Write-length sink, mirroring unicast_payloads: rounds and charges
   // derive from Message sizes only.

@@ -7,9 +7,10 @@
 // bounds of Section 3.2.
 //
 // Built on the shared metered transport core (comm/engine.h): rounds write
-// arena-backed slots (callbacks run serially in player order, and a failed
-// round commits nothing), and broadcast_payloads charges its writes in
-// closed form and hands the row over once.
+// the engine's reused slots (callbacks run serially in player order, and a
+// failed round commits nothing) and commit through one charge_board call,
+// and broadcast_payloads charges its writes in closed form and hands the
+// row over once.
 #pragma once
 
 #include <functional>
@@ -36,18 +37,19 @@ class CliqueBroadcast {
   int n() const { return core_.n(); }
   int bandwidth() const { return core_.bandwidth(); }
 
-  /// Broadcast-filling callback: append player i's broadcast into `out`
-  /// (initially empty, capacity bandwidth() bits; overflow throws
-  /// ModelViolation immediately).
+  /// Broadcast-filling callback: append at most bandwidth() bits of player
+  /// i's broadcast into `out` (initially empty). A longer write throws
+  /// ModelViolation when the callback returns, before the next player runs.
   using FillFn = std::function<void(int player, Message& out)>;
 
   /// Executes one round; returns the blackboard row (message of player i at
   /// index i). All players may read the returned row — that is the model.
-  /// Cost: 1 round, sum-of-broadcast-sizes bits. Fill callbacks run in
-  /// player order (locality discipline); a broadcast over bandwidth() bits
-  /// throws ModelViolation and the round charges nothing. The row lives in
-  /// the engine's arena (no per-round heap allocation) and is valid until
-  /// the next round begins.
+  /// Cost: 1 round, sum-of-broadcast-sizes bits, committed with one
+  /// charge_board(len, 1) call. Fill callbacks run in player order
+  /// (locality discipline); a broadcast over bandwidth() bits throws
+  /// ModelViolation and the round charges nothing. The row is the engine's
+  /// own slots, reused round after round (no per-round heap allocation), so
+  /// it is valid until the next round begins.
   const std::vector<Message>& round_fill(const FillFn& fill);
 
   /// Registers a 2-party partition for cut accounting: a broadcast bit by a
@@ -59,13 +61,11 @@ class CliqueBroadcast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
-  friend std::vector<Message> broadcast_payloads(CliqueBroadcast&, const std::vector<Message>&,
-                                                 int*);
+  friend std::vector<Message> broadcast_payloads(CliqueBroadcast&, std::vector<Message>, int*);
 
   EngineCore core_;
-  /// Blackboard slots, borrowed from the arena on the first round.
-  std::vector<Message> slots_;
-  std::vector<Message> board_;  ///< aliases of slots_, returned to callers
+  std::vector<Message> slots_;   ///< the blackboard row, returned to callers
+  std::vector<std::size_t> len_;  ///< the round's write lengths
 };
 
 /// Broadcasts arbitrarily long per-player payloads, b bits per player per
@@ -74,9 +74,9 @@ class CliqueBroadcast {
 ///
 /// Preconditions: payloads.size() == n (CC_REQUIRE). Cost: exactly
 /// ceil(max payload bits / b) rounds, sum-of-payload-bits written bits.
-/// The returned row is owned, so it may outlive subsequent rounds.
-std::vector<Message> broadcast_payloads(CliqueBroadcast& net,
-                                        const std::vector<Message>& payloads,
+/// The returned row is the payloads moved out (pass them with std::move
+/// unless the caller keeps them), so it may outlive subsequent rounds.
+std::vector<Message> broadcast_payloads(CliqueBroadcast& net, std::vector<Message> payloads,
                                         int* rounds_used);
 
 }  // namespace cclique

@@ -1,6 +1,7 @@
 #include "comm/clique_unicast.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
@@ -11,46 +12,42 @@ namespace cclique {
 CliqueUnicast::CliqueUnicast(int n, int bandwidth) : core_(n, bandwidth) {}
 
 void CliqueUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
-  const int nn = n();
-  if (slots_.empty()) {
-    slots_ = core_.borrow_slots(static_cast<std::size_t>(nn) * static_cast<std::size_t>(nn));
+  const std::size_t nn = static_cast<std::size_t>(n());
+  const std::size_t b = static_cast<std::size_t>(bandwidth());
+  if (len_.empty()) {
+    slots_.resize(nn * nn);
+    inbox_.resize(nn);
+    len_.assign(nn, std::vector<std::size_t>(nn, 0));
   }
-  // Fill and validate every outbox before any delivery: a synchronous round
+  // Fill and check every outbox before any delivery: a synchronous round
   // means sends are based on pre-round state only (see comm/engine.h for
   // the round contract).
-  core_.send_phase([&](int i, PlayerCharge& charge) {
-    locality::PlayerScope scope(i);
+  for (std::size_t i = 0; i < nn; ++i) {
+    locality::PlayerScope scope(static_cast<int>(i));
     // The callback's outputs become this round's message lengths, so the
     // whole callback is a length sink: payloads must be pre-serialized
     // (comm/model.h), never read here.
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("CLIQUE-UCAST fill callback"));
-    Message* box = &slots_[static_cast<std::size_t>(i) * static_cast<std::size_t>(nn)];
-    for (int j = 0; j < nn; ++j) box[j].clear();
-    fill(i, box);
-    for (int j = 0; j < nn; ++j) {
+    Message* box = &slots_[i * nn];
+    for (std::size_t j = 0; j < nn; ++j) box[j].clear();
+    fill(static_cast<int>(i), box);
+    for (std::size_t j = 0; j < nn; ++j) {
       if (j == i) {
         CC_MODEL(box[j].empty(), "players cannot message themselves");
-        continue;
+      } else {
+        CC_MODEL(box[j].size_bits() <= b, "per-edge bandwidth exceeded in CLIQUE-UCAST");
       }
-      core_.charge_message(i, j, box[j].size_bits(), charge,
-                           "per-edge bandwidth exceeded in CLIQUE-UCAST");
+      len_[i][j] = box[j].size_bits();
     }
-  });
-  // Zero-copy delivery: receiver r's inbox aliases column r of the outbox
-  // matrix, in player order (see comm/engine.h).
-  inbox_.resize(static_cast<std::size_t>(nn));
-  for (int r = 0; r < nn; ++r) {
-    std::uint64_t recv_bits = 0;
-    for (int j = 0; j < nn; ++j) {
-      const Message& msg =
-          slots_[static_cast<std::size_t>(j) * static_cast<std::size_t>(nn) +
-                 static_cast<std::size_t>(r)];
-      recv_bits += msg.size_bits();
-      inbox_[static_cast<std::size_t>(j)] = Message::alias(msg);
-    }
-    core_.charge_receive(r, recv_bits);
-    locality::PlayerScope scope(r);
-    recv(r, inbox_);
+  }
+  core_.charge_stream(len_, 1);
+  // Delivery in player order: receiver r's column of the outbox matrix is
+  // swapped into the inbox for its callback and back.
+  for (std::size_t r = 0; r < nn; ++r) {
+    for (std::size_t j = 0; j < nn; ++j) std::swap(inbox_[j], slots_[j * nn + r]);
+    locality::PlayerScope scope(static_cast<int>(r));
+    recv(static_cast<int>(r), inbox_);
+    for (std::size_t j = 0; j < nn; ++j) std::swap(inbox_[j], slots_[j * nn + r]);
   }
 }
 
@@ -69,18 +66,19 @@ LengthMatrix lengths_of(const Payloads& payload, std::size_t n) {
   return len;
 }
 
-/// The one hand-over of both unicast transports: received[p][v] = payload[v][p].
-void hand_over(const Payloads& payload, Payloads* received) {
+/// The one hand-over of both unicast transports: payload[v][p] moves to
+/// received[p][v].
+void hand_over(Payloads& payload, Payloads* received) {
   const std::size_t n = payload.size();
   received->assign(n, std::vector<Message>(n));
   for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t p = 0; p < n; ++p) (*received)[p][v] = payload[v][p];
+    for (std::size_t p = 0; p < n; ++p) (*received)[p][v] = std::move(payload[v][p]);
   }
 }
 
 }  // namespace
 
-int unicast_payloads(CliqueUnicast& net, const Payloads& payload, Payloads* received) {
+int unicast_payloads(CliqueUnicast& net, Payloads payload, Payloads* received) {
   // Stream-length sink: rounds and charges derive from Message *sizes*
   // (already-committed lengths), never from payload values.
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads stream lengths"));
@@ -174,7 +172,7 @@ RelayCost relay_cost(const LengthMatrix& len, int bandwidth) {
   return {hops.rounds[0] + hops.rounds[1], hops.bits};
 }
 
-int unicast_payloads_relayed(CliqueUnicast& net, const Payloads& payload, Payloads* received) {
+int unicast_payloads_relayed(CliqueUnicast& net, Payloads payload, Payloads* received) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads_relayed stream lengths"));
   CC_REQUIRE(received != nullptr, "received matrix required");
   const std::size_t n = static_cast<std::size_t>(net.n());

@@ -6,9 +6,10 @@
 // capacity). This is the model of Sections 1–2 of the paper.
 //
 // Built on the shared metered transport core (comm/engine.h): rounds fill
-// arena-backed outboxes (callbacks run serially in player order, and a
-// failed round commits nothing), and the forwarding transports below charge
-// their streams in closed form and hand each payload over once.
+// the engine's reused outboxes (callbacks run serially in player order, and
+// a failed round commits nothing) and commit through one charge_stream
+// call, and the forwarding transports below charge their streams in closed
+// form and hand each payload over once.
 #pragma once
 
 #include <cstdint>
@@ -41,25 +42,27 @@ class CliqueUnicast {
   int bandwidth() const { return core_.bandwidth(); }
 
   /// Outbox-filling callback: `outbox` points at n engine-owned messages
-  /// (initially empty, capacity bandwidth() bits); append to outbox[j] to
-  /// address player j. Slot `player` (self) must stay empty. Writing past
-  /// the capacity throws ModelViolation immediately.
+  /// (initially empty); append at most bandwidth() bits to outbox[j] to
+  /// address player j. Slot `player` (self) must stay empty. When the
+  /// callback returns, a non-empty self slot or a message over bandwidth()
+  /// bits throws ModelViolation before the next player runs.
   using FillFn = std::function<void(int player, Message* outbox)>;
 
   /// Receiver callback: inbox[j] is the message player j sent this round.
-  /// The inbox aliases the engine's arena and is valid only for the
+  /// The engine swaps the player's column of outboxes into its reused inbox
+  /// for the call and back afterwards, so the inbox is valid only for the
   /// duration of the callback — copy what must outlive it.
   using RecvFn = std::function<void(int player, const std::vector<Message>& inbox)>;
 
-  /// Executes one synchronous round: every outbox is filled and validated
-  /// against pre-round state, then delivered. Cost: 1 round,
+  /// Executes one synchronous round: every outbox is filled and checked
+  /// against pre-round state, the round is committed with one
+  /// charge_stream(len, 1) call, and then it is delivered. Cost: 1 round,
   /// sum-of-message-sizes bits. Fill callbacks run in player order and read
   /// only the player's own pre-round state (locality discipline); receive
-  /// callbacks run in player order after every fill. A non-empty self-slot
-  /// throws ModelViolation and the round charges nothing. Outboxes live in
-  /// the engine's arena and inboxes alias them (zero-copy delivery, no
-  /// per-round heap allocation); borrowed messages are valid only until the
-  /// next round begins (DESIGN.md §2.1, arena lifetime rule).
+  /// callbacks run in player order after every fill. A failed check throws
+  /// ModelViolation and the round charges nothing. The outboxes and the
+  /// inbox are reused round after round, so a steady-state round performs
+  /// no heap allocation (DESIGN.md §2.1).
   void round_fill(const FillFn& fill, const RecvFn& recv);
 
   /// Registers a 2-party partition (side[i] in {0,1}) so stats().cut_bits
@@ -72,30 +75,31 @@ class CliqueUnicast {
   void reset_stats() { core_.reset_stats(); }
 
  private:
-  friend int unicast_payloads(CliqueUnicast&, const std::vector<std::vector<Message>>&,
+  friend int unicast_payloads(CliqueUnicast&, std::vector<std::vector<Message>>,
                               std::vector<std::vector<Message>>*);
-  friend int unicast_payloads_relayed(CliqueUnicast&, const std::vector<std::vector<Message>>&,
+  friend int unicast_payloads_relayed(CliqueUnicast&, std::vector<std::vector<Message>>,
                                       std::vector<std::vector<Message>>*);
   friend std::vector<Message> all_gather(CliqueUnicast&, int, const GatherFillFn&);
 
   EngineCore core_;
-  /// Outbox matrix: slot i*n+j is the message i -> j, borrowed from the
-  /// arena (allocated on the first round — the engine's geometry is fixed).
+  /// Outbox matrix: slot i*n+j is the message i -> j (allocated on the
+  /// first round; the engine's geometry is fixed).
   std::vector<Message> slots_;
   std::vector<Message> inbox_;  ///< the reused delivery inbox
+  LengthMatrix len_;            ///< the round's message lengths
 };
 
 /// Delivers arbitrarily long per-edge payloads as ceil(L/b)-round streams
 /// (all edges progress in parallel). payload[i][j] is what player i wants
-/// player j to end up holding; on return, received[j][i] holds it. Returns
-/// the number of rounds used.
+/// player j to end up holding; on return, received[j][i] holds it (moved
+/// in, so pass the matrix with std::move unless the caller keeps it).
+/// Returns the number of rounds used.
 ///
 /// Preconditions (CC_REQUIRE, checked before any bit moves): received is
 /// non-null and payload is an n x n matrix with an empty diagonal. Cost:
 /// exactly ceil(max payload bits / b) rounds and sum-of-payload-bits
 /// network bits.
-int unicast_payloads(CliqueUnicast& net,
-                     const std::vector<std::vector<Message>>& payload,
+int unicast_payloads(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
                      std::vector<std::vector<Message>>* received);
 
 /// All-gather over unicast: every player's message reaches all n-1 others —
@@ -183,16 +187,15 @@ RelayCost relay_cost(const LengthMatrix& len, int bandwidth);
 /// values) — every charge is computed from the lengths, so data-dependent
 /// lengths would leak information outside the accounting.
 /// received must be non-null and payload[v][v] empty (CC_REQUIRE). On
-/// return received[r][v] holds payload[v][r]. Returns the number of rounds
-/// used (both hops).
+/// return received[r][v] holds payload[v][r], moved in as in
+/// unicast_payloads. Returns the number of rounds used (both hops).
 ///
 /// Cost: with per-player total load <= M bits, each hop's per-edge load is
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes
 /// ~2·ceil(M/(n·b)) rounds versus direct chunking's ceil(max single
 /// payload / b) — the skew-flattening the block-MM protocols ride
 /// (DESIGN.md §2.2/§2.4). relay_cost gives the exact cost from the lengths.
-int unicast_payloads_relayed(CliqueUnicast& net,
-                             const std::vector<std::vector<Message>>& payload,
+int unicast_payloads_relayed(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
                              std::vector<std::vector<Message>>* received);
 
 }  // namespace cclique

@@ -1,6 +1,7 @@
 #include "comm/congest.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
@@ -29,8 +30,13 @@ CongestUnicast::CongestUnicast(const Graph& topology, int bandwidth)
 
 void CongestUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
   const int nv = n();
-  if (slots_.empty()) slots_ = core_.borrow_slots(slot_begin_.back());
-  core_.send_phase([&](int v, PlayerCharge& charge) {
+  const std::size_t b = static_cast<std::size_t>(bandwidth());
+  if (len_.empty()) {
+    const std::size_t n = static_cast<std::size_t>(nv);
+    slots_.resize(slot_begin_.back());
+    len_.assign(n, std::vector<std::size_t>(n, 0));
+  }
+  for (int v = 0; v < nv; ++v) {
     locality::PlayerScope scope(v);
     // Length sink like the clique engines. The *topology* (neighbor lists)
     // is not a tainted source — in CONGEST the input graph is the network,
@@ -41,25 +47,27 @@ void CongestUnicast::round_fill(const FillFn& fill, const RecvFn& recv) {
     for (std::size_t k = 0; k < nbrs.size(); ++k) box[k].clear();
     fill(v, box);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      core_.charge_message(v, nbrs[k], box[k].size_bits(), charge,
-                           "per-edge bandwidth exceeded in CONGEST");
+      CC_MODEL(box[k].size_bits() <= b, "per-edge bandwidth exceeded in CONGEST");
+      len_[static_cast<std::size_t>(v)][static_cast<std::size_t>(nbrs[k])] = box[k].size_bits();
     }
-  });
+  }
+  // Pairs that are not edges keep length 0.
+  core_.charge_stream(len_, 1);
   for (int v = 0; v < nv; ++v) {
     const auto& nbrs = topology_.neighbors(v);
     inbox_.resize(nbrs.size());
-    std::uint64_t recv_bits = 0;
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      // v's slot in its k-th neighbor's outbox, precomputed in the
-      // constructor; the inbox aliases it (zero-copy delivery).
-      const Message& msg = slots_[slot_begin_[static_cast<std::size_t>(nbrs[k])] +
-                                  reverse_slot_[static_cast<std::size_t>(v)][k]];
-      inbox_[k] = Message::alias(msg);
-      recv_bits += msg.size_bits();
-    }
-    core_.charge_receive(v, recv_bits);
+    // v's slot in its k-th neighbor's outbox (precomputed in the
+    // constructor) is swapped into the inbox for the callback and back.
+    const auto swap_inbox = [&] {
+      for (std::size_t k = 0; k < nbrs.size(); ++k) {
+        std::swap(inbox_[k], slots_[slot_begin_[static_cast<std::size_t>(nbrs[k])] +
+                                    reverse_slot_[static_cast<std::size_t>(v)][k]]);
+      }
+    };
+    swap_inbox();
     locality::PlayerScope scope(v);
     recv(v, inbox_);
+    swap_inbox();
   }
 }
 

@@ -9,7 +9,6 @@ namespace cclique {
 EngineCore::EngineCore(int n, int bandwidth) : n_(n), bandwidth_(bandwidth) {
   CC_REQUIRE(n >= 1, "need at least one player");
   CC_REQUIRE(bandwidth >= 1, "bandwidth must be at least 1 bit");
-  charges_.resize(static_cast<std::size_t>(n));
   reset_stats();
 }
 
@@ -25,30 +24,10 @@ void EngineCore::reset_stats() {
   stats_.per_player_recv_bits.assign(static_cast<std::size_t>(n_), 0);
 }
 
-void EngineCore::send_phase(const std::function<void(int, PlayerCharge&)>& fn) {
-  for (int i = 0; i < n_; ++i) {
-    PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
-    c.reset();
-    fn(i, c);
-  }
-  // Every callback returned: commit the charges in player order.
-  for (int i = 0; i < n_; ++i) {
-    const PlayerCharge& c = charges_[static_cast<std::size_t>(i)];
-    stats_.total_bits += c.bits;
-    stats_.total_messages += c.messages;
-    stats_.cut_bits += c.cut_bits;
-    if (c.max_edge_bits > stats_.max_edge_bits_in_round) {
-      stats_.max_edge_bits_in_round = c.max_edge_bits;
-    }
-    stats_.per_player_sent_bits[static_cast<std::size_t>(i)] += c.bits;
-  }
-  ++stats_.rounds;
-}
-
 namespace {
 
-/// What send_phase commits over all rounds for one `bits`-bit stream from
-/// `sender` in b-bit chunks, receives aside (an empty stream adds nothing).
+/// What one `bits`-bit stream from `sender` in b-bit chunks commits over all
+/// its rounds, receives aside (an empty stream adds nothing).
 void commit_stream(CommStats& s, std::size_t sender, std::uint64_t bits, std::uint64_t b,
                    bool crosses_cut) {
   s.total_bits += bits;

@@ -15,8 +15,8 @@
 // locality::PerPlayer, and a cross-player access throws ModelViolation in
 // CCLIQUE_LOCALITY=ON builds (zero cost otherwise). tools/check_locality.py
 // lints the same rules statically in CI.
-// The transport core (comm/engine.h) runs a round's fill callbacks in
-// player order and then its receive callbacks in player order: a round is
+// Every engine runs a round's fill callbacks in player order and then its
+// receive callbacks in player order (comm/engine.h): a round is
 // one synchronous step, so the call order carries no meaning, and a
 // callback that reads another player's state breaks the discipline even
 // though it would run without a race.
@@ -45,7 +45,7 @@ using Message = BitVec;
 ///
 /// Determinism contract: every field is a sum or max over per-(player,
 /// message) charges, each computed from the message alone, and the
-/// transport core commits a round's charges in player order, all or
+/// transport core commits a round's charges with one call, all or
 /// nothing — so stats are bit-identical at every CC_THREADS / CC_KERNEL
 /// setting (both knobs reach only the local kernels).
 struct CommStats {

@@ -63,7 +63,7 @@ class NofBlackboard {
   void write(int who, const Message& m) {
     locality::check_actor(who, "NOF blackboard write");
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("NOF blackboard write"));
-    meter_.charge_message(who, m.size_bits());
+    meter_.send(who, m.size_bits());
   }
 
   std::uint64_t total_bits() const { return meter_.total_bits(); }

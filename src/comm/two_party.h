@@ -59,12 +59,12 @@ class TwoPartyChannel {
   void send_from_alice(const Message& m) {
     locality::check_actor(0, "two-party send from Alice");
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("two-party send from Alice"));
-    meter_.charge_message(0, m.size_bits());
+    meter_.send(0, m.size_bits());
   }
   void send_from_bob(const Message& m) {
     locality::check_actor(1, "two-party send from Bob");
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("two-party send from Bob"));
-    meter_.charge_message(1, m.size_bits());
+    meter_.send(1, m.size_bits());
   }
   /// Convenience for raw accounting when a reduction computes cost in bulk.
   void charge_alice(std::uint64_t bits) { meter_.charge(0, bits); }

@@ -18,7 +18,7 @@ ReconstructionResult run_algorithm_a(CliqueBroadcast& net, const Graph& gj, int 
     payloads[static_cast<std::size_t>(v)] = serialize_sketch(make_sketch(gj, v, k), n);
   }
   int rounds_used = 0;
-  const std::vector<Message> board = broadcast_payloads(net, payloads, &rounds_used);
+  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
   std::vector<NodeSketch> sketches;
   sketches.reserve(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
@@ -49,7 +49,7 @@ AdaptiveDetectResult adaptive_subgraph_detect(CliqueBroadcast& net, const Graph&
       payloads[static_cast<std::size_t>(v)] = std::move(m);
     }
     int rounds_used = 0;
-    broadcast_payloads(net, payloads, &rounds_used);
+    broadcast_payloads(net, std::move(payloads), &rounds_used);
   }
   const int l = floor_log2(static_cast<std::uint64_t>(n));
 

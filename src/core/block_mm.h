@@ -197,7 +197,7 @@ int aggregate_partials(CliqueUnicast& net, const BlockGrid& g,
     }
   }
   std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads_relayed(net, payload, &recv);
+  const int rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
 
   *c = typename Ops::Matrix(n);
   for (int p = 0; p < g.triples(); ++p) {
@@ -260,7 +260,7 @@ void run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
     }
   }
   std::vector<std::vector<Message>> recv;
-  const int distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  const int distribute_rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
   CC_CHECK(distribute_rounds == plan.distribute_rounds,
            "block MM distribution left the planned schedule");
 

@@ -214,7 +214,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
           }
         }
         std::vector<std::vector<Message>> received;
-        unicast_payloads(net, payload, &received);
+        unicast_payloads(net, std::move(payload), &received);
         // Combine at owners.
         for (int g : layers[layer]) {
           if (!heavy[static_cast<std::size_t>(g)]) continue;
@@ -266,7 +266,7 @@ CircuitSimResult CircuitSimulation::run(CliqueUnicast& net,
       }
       if (any) {
         std::vector<std::vector<Message>> received;
-        unicast_payloads(net, payload, &received);
+        unicast_payloads(net, std::move(payload), &received);
         for (int g : layers[layer]) {
           if (heavy[static_cast<std::size_t>(g)]) continue;
           const int consumer = plan_.owner[static_cast<std::size_t>(g)];

@@ -400,7 +400,7 @@ void MstEngine::run_lotker_phase(int submit_cap) {
     }
   }
   std::vector<std::vector<Message>> scatter_recv;
-  unicast_payloads(net, scatter, &scatter_recv);
+  unicast_payloads(net, std::move(scatter), &scatter_recv);
   for (int p = 0; p < n; ++p) {
     for (int src = 0; src < n; ++src) {
       const Message& stream = scatter_recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(src)];
@@ -429,7 +429,7 @@ void MstEngine::run_lotker_phase(int submit_cap) {
     }
   }
   std::vector<std::vector<Message>> bcast_recv;
-  unicast_payloads(net, bcast, &bcast_recv);
+  unicast_payloads(net, std::move(bcast), &bcast_recv);
   std::vector<EdgeRecord> submitted;
   submitted.reserve(static_cast<std::size_t>(total));
   for (int q = 0; q < n; ++q) {

@@ -201,7 +201,7 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
     }
   }
   std::vector<std::vector<Message>> recv;
-  const int distribute_rounds = unicast_payloads_relayed(net, payload, &recv);
+  const int distribute_rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
   CC_CHECK(distribute_rounds == plan.distribute_rounds,
            "sparse MM distribution left the planned schedule");
 

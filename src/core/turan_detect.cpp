@@ -21,7 +21,7 @@ TuranDetectResult turan_subgraph_detect(CliqueBroadcast& net, const Graph& g,
     payloads[static_cast<std::size_t>(v)] = serialize_sketch(make_sketch(g, v, k), n);
   }
   int rounds_used = 0;
-  const std::vector<Message> board = broadcast_payloads(net, payloads, &rounds_used);
+  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
 
   // Referee-side reconstruction (every node runs the same deterministic
   // computation on the blackboard contents).
@@ -57,7 +57,7 @@ TuranDetectResult full_broadcast_detect(CliqueBroadcast& net, const Graph& g,
     payloads[static_cast<std::size_t>(v)] = std::move(m);
   }
   int rounds_used = 0;
-  const std::vector<Message> board = broadcast_payloads(net, payloads, &rounds_used);
+  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
 
   Graph rec(n);
   for (int v = 0; v < n; ++v) {

@@ -69,7 +69,7 @@ RoutingResult run_relay_plan(CliqueUnicast& net, const RoutingDemand& demand,
     stream.push_uint(m.payload, w);
   }
   std::vector<std::vector<Message>> recv1;
-  int rounds = unicast_payloads(net, p1, &recv1);
+  int rounds = unicast_payloads(net, std::move(p1), &recv1);
 
   for (int r = 0; r < n; ++r) {
     for (int src = 0; src < n; ++src) {
@@ -102,7 +102,7 @@ RoutingResult run_relay_plan(CliqueUnicast& net, const RoutingDemand& demand,
     }
   }
   std::vector<std::vector<Message>> recv2;
-  rounds += unicast_payloads(net, p2, &recv2);
+  rounds += unicast_payloads(net, std::move(p2), &recv2);
 
   for (int j = 0; j < n; ++j) {
     for (int r = 0; r < n; ++r) {
@@ -147,7 +147,7 @@ RoutingResult route_direct(CliqueUnicast& net, const RoutingDemand& demand) {
     p[static_cast<std::size_t>(m.source)][static_cast<std::size_t>(m.dest)].push_uint(m.payload, w);
   }
   std::vector<std::vector<Message>> recv;
-  result.rounds = unicast_payloads(net, p, &recv);
+  result.rounds = unicast_payloads(net, std::move(p), &recv);
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < n; ++i) {
       const Message& stream = recv[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];

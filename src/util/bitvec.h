@@ -5,18 +5,10 @@
 // reader. A BitVec knows its exact length in bits; the engines use that
 // length to enforce per-edge / per-player bandwidth caps.
 //
-// Storage modes:
-//  * owned    — the default; bits live in a std::vector and grow on demand.
-//  * borrowed — bits live in caller-provided storage (typically an Arena,
-//    util/arena.h) with a fixed bit capacity. The transport core builds its
-//    per-round outboxes in borrowed mode so a round performs O(1) heap
-//    allocations instead of O(n^2); exceeding the reserved capacity throws
-//    ModelViolation, which doubles as eager bandwidth enforcement.
-//
-// Copying a BitVec always deep-copies into owned storage (a copy never
-// aliases arena memory whose round may end); moving transfers the
-// representation, borrowed or not. alias() makes an explicit shallow
-// read-only view when zero-copy delivery is wanted.
+// A BitVec always owns its bits (a std::vector of words that grows on
+// demand). Copying deep-copies; moving hands the words over and leaves the
+// source empty. clear() keeps the capacity, so the engines' outbox slots
+// are refilled round after round without reallocating.
 #pragma once
 
 #include <cstdint>
@@ -33,63 +25,20 @@ class BitVec {
  public:
   BitVec() = default;
 
-  /// Constructs an all-zero owned vector of `nbits` bits.
+  /// Constructs an all-zero vector of `nbits` bits.
   explicit BitVec(std::size_t nbits) : nbits_(nbits), words_((nbits + 63) / 64, 0) {}
 
-  /// An empty borrowed writer over caller storage of `capacity_bits` bits.
-  /// The storage must stay valid for the BitVec's lifetime; bits are
-  /// zeroed lazily as they are appended.
-  static BitVec borrow(std::uint64_t* storage, std::size_t capacity_bits) {
-    BitVec v;
-    v.ext_ = storage;
-    v.cap_bits_ = capacity_bits;
-    return v;
-  }
-
-  /// A shallow read-only view of `other`'s current contents (no copy). The
-  /// view is full (at capacity), so appending to it throws. Valid only
-  /// while `other`'s storage is.
-  static BitVec alias(const BitVec& other) {
-    BitVec v;
-    v.ext_ = const_cast<std::uint64_t*>(other.word_data());
-    v.cap_bits_ = other.nbits_;
-    v.nbits_ = other.nbits_;
-    return v;
-  }
-
-  BitVec(const BitVec& other)
-      : nbits_(other.nbits_),
-        words_(other.word_data(), other.word_data() + other.word_count()) {}
-
-  BitVec& operator=(const BitVec& other) {
-    if (this != &other) {
-      words_.assign(other.word_data(), other.word_data() + other.word_count());
-      nbits_ = other.nbits_;
-      ext_ = nullptr;
-      cap_bits_ = 0;
-    }
-    return *this;
-  }
+  BitVec(const BitVec&) = default;
+  BitVec& operator=(const BitVec&) = default;
 
   BitVec(BitVec&& other) noexcept
-      : nbits_(other.nbits_),
-        words_(std::move(other.words_)),
-        ext_(other.ext_),
-        cap_bits_(other.cap_bits_) {
-    other.nbits_ = 0;
-    other.ext_ = nullptr;
-    other.cap_bits_ = 0;
-  }
+      : nbits_(std::exchange(other.nbits_, 0)), words_(std::move(other.words_)) {}
 
   BitVec& operator=(BitVec&& other) noexcept {
     if (this != &other) {
-      nbits_ = other.nbits_;
+      nbits_ = std::exchange(other.nbits_, 0);
       words_ = std::move(other.words_);
-      ext_ = other.ext_;
-      cap_bits_ = other.cap_bits_;
-      other.nbits_ = 0;
-      other.ext_ = nullptr;
-      other.cap_bits_ = 0;
+      other.words_.clear();
     }
     return *this;
   }
@@ -99,26 +48,20 @@ class BitVec {
 
   bool empty() const { return nbits_ == 0; }
 
-  /// True when the bits live in caller-provided (arena) storage.
-  bool borrowed() const { return ext_ != nullptr; }
-
-  /// Drops the contents but keeps the storage mode and capacity, so a
-  /// borrowed slot can be refilled round after round without reallocation.
+  /// Drops the contents but keeps the capacity, so a slot can be refilled
+  /// round after round without reallocation.
   void clear() {
     nbits_ = 0;
     words_.clear();  // keeps vector capacity; appends re-zero on entry
   }
 
-  /// Owned mode only: preallocates capacity for `nbits` bits.
-  void reserve_bits(std::size_t nbits) {
-    CC_REQUIRE(!borrowed(), "reserve_bits on a borrowed BitVec");
-    words_.reserve((nbits + 63) / 64);
-  }
+  /// Preallocates capacity for `nbits` bits.
+  void reserve_bits(std::size_t nbits) { words_.reserve((nbits + 63) / 64); }
 
   /// Reads the bit at `pos` (0-based). Requires pos < size_bits().
   bool get(std::size_t pos) const {
     CC_REQUIRE(pos < nbits_, "BitVec::get out of range");
-    return (word_data()[pos >> 6] >> (pos & 63)) & 1ULL;
+    return (words_[pos >> 6] >> (pos & 63)) & 1ULL;
   }
 
   /// Writes the bit at `pos`. Requires pos < size_bits().
@@ -126,16 +69,16 @@ class BitVec {
     CC_REQUIRE(pos < nbits_, "BitVec::set out of range");
     const std::uint64_t mask = 1ULL << (pos & 63);
     if (value) {
-      mutable_word_data()[pos >> 6] |= mask;
+      words_[pos >> 6] |= mask;
     } else {
-      mutable_word_data()[pos >> 6] &= ~mask;
+      words_[pos >> 6] &= ~mask;
     }
   }
 
   /// Appends a single bit.
   void push_bit(bool value) {
     grow_for(1);
-    if (value) mutable_word_data()[nbits_ >> 6] |= 1ULL << (nbits_ & 63);
+    if (value) words_[nbits_ >> 6] |= 1ULL << (nbits_ & 63);
     ++nbits_;
   }
 
@@ -146,7 +89,7 @@ class BitVec {
     if (width == 0) return;
     if (width < 64) value &= (1ULL << width) - 1;
     grow_for(static_cast<std::size_t>(width));
-    std::uint64_t* w = mutable_word_data();
+    std::uint64_t* w = words_.data();
     const std::size_t word = nbits_ >> 6;
     const int off = static_cast<int>(nbits_ & 63);
     w[word] |= value << off;
@@ -176,7 +119,7 @@ class BitVec {
     CC_REQUIRE(pos + static_cast<std::size_t>(width) <= nbits_,
                "read_uint out of range");
     if (width == 0) return 0;
-    const std::uint64_t* w = word_data();
+    const std::uint64_t* w = words_.data();
     const std::size_t word = pos >> 6;
     const int off = static_cast<int>(pos & 63);
     std::uint64_t out = w[word] >> off;
@@ -188,8 +131,8 @@ class BitVec {
   bool operator==(const BitVec& other) const {
     if (nbits_ != other.nbits_) return false;
     const std::size_t full = nbits_ >> 6;
-    const std::uint64_t* a = word_data();
-    const std::uint64_t* b = other.word_data();
+    const std::uint64_t* a = words_.data();
+    const std::uint64_t* b = other.words_.data();
     for (std::size_t i = 0; i < full; ++i) {
       if (a[i] != b[i]) return false;
     }
@@ -211,32 +154,16 @@ class BitVec {
   }
 
  private:
-  const std::uint64_t* word_data() const { return ext_ != nullptr ? ext_ : words_.data(); }
-  std::uint64_t* mutable_word_data() { return ext_ != nullptr ? ext_ : words_.data(); }
-  std::size_t word_count() const { return (nbits_ + 63) / 64; }
-
   /// Makes room for `extra` more bits. Invariant maintained by all writers:
   /// in the word holding position nbits_, every bit at or above nbits_&63 is
-  /// zero, so appends can OR into place. Owned mode zero-fills on resize;
-  /// borrowed (arena) storage is uninitialized, so the word being entered at
-  /// a 64-bit boundary is zeroed here.
+  /// zero, so appends can OR into place; resize zero-fills the new words.
   void grow_for(std::size_t extra) {
-    if (extra == 0) return;
-    if (ext_ != nullptr) {
-      CC_MODEL(nbits_ + extra <= cap_bits_,
-               "write past a borrowed message's reserved capacity (the "
-               "engine reserves exactly the model's bandwidth cap)");
-      if ((nbits_ & 63) == 0) ext_[nbits_ >> 6] = 0;
-    } else {
-      const std::size_t need_words = (nbits_ + extra + 63) / 64;
-      if (words_.size() < need_words) words_.resize(need_words, 0);
-    }
+    const std::size_t need_words = (nbits_ + extra + 63) / 64;
+    if (words_.size() < need_words) words_.resize(need_words, 0);
   }
 
   std::size_t nbits_ = 0;
-  std::vector<std::uint64_t> words_;  ///< owned-mode storage
-  std::uint64_t* ext_ = nullptr;      ///< borrowed-mode storage (not owned)
-  std::size_t cap_bits_ = 0;          ///< borrowed-mode bit capacity
+  std::vector<std::uint64_t> words_;
 };
 
 /// Sequential reader over a BitVec; tracks a cursor so protocol code can

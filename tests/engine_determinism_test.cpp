@@ -1,8 +1,8 @@
 // Tests for the transport core's round contract (comm/engine.h): a round is
 // one synchronous step, run serially in player order. CommStats must be
 // bit-identical at every CC_THREADS setting (the knob reaches only the local
-// kernels), and a throwing callback must end its round at once: later
-// players never run and nothing is committed.
+// kernels), and a throwing callback or a failed bandwidth check must end its
+// round at once: later players never run and nothing is committed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -129,7 +129,7 @@ TEST(EngineDeterminism, ArenaOverflowThrowsFromWorkerThread) {
   CliqueUnicast net(8, 4);
   EXPECT_THROW(net.round_fill(
                    [&](int i, Message* box) {
-                     if (i == 3) box[6].push_uint(0, 5);  // past capacity 4
+                     if (i == 3) box[6].push_uint(0, 5);  // past the 4-bit cap
                    },
                    [](int, const std::vector<Message>&) {}),
                ModelViolation);
@@ -141,7 +141,7 @@ TEST(EngineDeterminism, LowestPlayerExceptionWinsAtEveryThreadCount) {
     ScopedEnv scoped("CC_THREADS", threads);
     CliqueUnicast net(16, 8);
     // Two different players fail with different exception types; the
-    // serial send phase stops at player 2, so player 2's always surfaces.
+    // serial fill loop stops at player 2, so player 2's always surfaces.
     const auto fill = [&](int i, Message*) {
       if (i == 2) throw PreconditionError("player 2 failed");
       if (i == 9) throw InvariantError("player 9 failed");
@@ -180,6 +180,93 @@ TEST(EngineDeterminism, FailedRoundStopsAtTheFailingPlayer) {
   }
 }
 
+TEST(EngineDeterminism, OverlongMessageStopsAtTheFailingPlayer) {
+  // On each round engine player 2 writes one bit past the b-bit cap. The
+  // check as its callback returns throws ModelViolation: players 3..n-1
+  // never run, the stats stay those of a fresh engine, and the next round
+  // commits and delivers exactly its own messages.
+  const int n = 8, b = 4;
+  std::vector<int> ran;
+  const auto fill_width = [&](int i) {
+    ran[static_cast<std::size_t>(i)] = 1;
+    return i == 2 ? b + 1 : b;
+  };
+  const auto expect_stopped_at_player_2 = [&](const char* engine) {
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ran[static_cast<std::size_t>(i)], i <= 2 ? 1 : 0) << engine << ", player " << i;
+    }
+  };
+  const auto expect_one_round = [&](const CommStats& s, const char* engine) {
+    EXPECT_EQ(s.rounds, 1) << engine;
+    EXPECT_EQ(s.total_bits, static_cast<std::uint64_t>(n * b)) << engine;
+  };
+  {
+    CliqueUnicast net(n, b);
+    ran.assign(static_cast<std::size_t>(n), 0);
+    const auto overlong = [&](int i, Message* box) {
+      box[(i + 1) % n].push_uint(0, fill_width(i));
+    };
+    EXPECT_THROW(net.round_fill(overlong, [](int, const std::vector<Message>&) {}),
+                 ModelViolation);
+    expect_stopped_at_player_2("CLIQUE-UCAST");
+    EXPECT_EQ(net.stats(), CliqueUnicast(n, b).stats());
+    net.round_fill(
+        [&](int i, Message* box) { box[(i + 1) % n].push_uint(static_cast<std::uint64_t>(i), b); },
+        [&](int r, const std::vector<Message>& inbox) {
+          const int from = (r + n - 1) % n;
+          for (int j = 0; j < n; ++j) {
+            const Message& m = inbox[static_cast<std::size_t>(j)];
+            if (j == from) {
+              ASSERT_EQ(m.size_bits(), static_cast<std::size_t>(b)) << j << " -> " << r;
+              EXPECT_EQ(m.read_uint(0, b), static_cast<std::uint64_t>(from));
+            } else {
+              EXPECT_TRUE(m.empty()) << j << " -> " << r;
+            }
+          }
+        });
+    expect_one_round(net.stats(), "CLIQUE-UCAST");
+  }
+  {
+    CliqueBroadcast net(n, b);
+    ran.assign(static_cast<std::size_t>(n), 0);
+    EXPECT_THROW(net.round_fill([&](int i, Message& out) { out.push_uint(0, fill_width(i)); }),
+                 ModelViolation);
+    expect_stopped_at_player_2("CLIQUE-BCAST");
+    EXPECT_EQ(net.stats(), CliqueBroadcast(n, b).stats());
+    const std::vector<Message>& board = net.round_fill(
+        [&](int i, Message& out) { out.push_uint(static_cast<std::uint64_t>(i), b); });
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(board[static_cast<std::size_t>(i)].read_uint(0, b), static_cast<std::uint64_t>(i));
+    }
+    expect_one_round(net.stats(), "CLIQUE-BCAST");
+  }
+  {
+    const Graph ring = cycle_graph(n);
+    CongestUnicast net(ring, b);
+    ran.assign(static_cast<std::size_t>(n), 0);
+    EXPECT_THROW(net.round_fill([&](int v, Message* box) { box[0].push_uint(0, fill_width(v)); },
+                                [](int, const std::vector<Message>&) {}),
+                 ModelViolation);
+    expect_stopped_at_player_2("CONGEST");
+    EXPECT_EQ(net.stats(), CongestUnicast(ring, b).stats());
+    net.round_fill(
+        [&](int v, Message* box) { box[0].push_uint(static_cast<std::uint64_t>(v), b); },
+        [&](int v, const std::vector<Message>& inbox) {
+          // Each neighbor u sent to its first neighbor only.
+          const auto& nbrs = ring.neighbors(v);
+          for (std::size_t k = 0; k < nbrs.size(); ++k) {
+            const int u = nbrs[k];
+            if (ring.neighbors(u)[0] == v) {
+              EXPECT_EQ(inbox[k].read_uint(0, b), static_cast<std::uint64_t>(u));
+            } else {
+              EXPECT_TRUE(inbox[k].empty()) << u << " -> " << v;
+            }
+          }
+        });
+    expect_one_round(net.stats(), "CONGEST");
+  }
+}
+
 TEST(EngineDeterminism, LocalityViolationPropagatesAtEveryThreadCount) {
   // A cross-player access tripped by the locality guard must behave exactly
   // like every other callback exception: it escapes the engine at any
@@ -211,7 +298,7 @@ TEST(EngineDeterminism, LocalityViolationPropagatesAtEveryThreadCount) {
 TEST(EngineDeterminism, LowestPlayerWinsForLocalityViolations) {
   if (!locality::enabled()) GTEST_SKIP() << "guard compiled out";
   // Two players violate the locality discipline in the same round; the
-  // send phase stops at the first failing player for guard exceptions
+  // fill loop stops at the first failing player for guard exceptions
   // exactly as for CC_* exceptions, so the surfaced message must name the
   // lower violator at every thread count.
   for (const char* threads : {"1", "2", "8"}) {

@@ -265,7 +265,7 @@ TEST(ObliviousGuard, TwoPartySinkScopeIsTheMeterSeam) {
 TEST(ObliviousGuard, SinkScopePropagatesAcrossWorkerThreads) {
   // The sink scope is constructed inside the engine's send callback: the
   // guard must hold at every CC_THREADS setting, a knob that reaches only
-  // the local kernels' pool, never the send phase.
+  // the local kernels' pool, never the engines' rounds.
   for (const char* threads : {"1", "2", "8"}) {
     ScopedEnv scope("CC_THREADS", threads);
     const int n = 8;

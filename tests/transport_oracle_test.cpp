@@ -7,8 +7,15 @@
 // transport and its twin must agree on every CommStats field and on every
 // delivered payload: over random length matrices (all-zero rows, lengths
 // below n, one hot sender), the MM distribute and aggregate geometries,
-// broadcasts, and all-gathers of short and empty messages. The ChargeStream
-// tests pin the closed form's own checks: a rejected charge commits nothing.
+// broadcasts, and all-gathers of short and empty messages.
+//
+// A round_fill round commits through the same meter (charge_stream(len, 1),
+// or charge_board(len, 1) on the blackboard), so the twins compare R
+// metered rounds against one closed-form charge of R rounds. The RoundTally
+// tests close the loop: on all three round engines, every CommStats field
+// must equal a per-message tally kept here, apart from the engine. The
+// ChargeStream tests pin the closed form's own checks: a rejected charge
+// commits nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +26,10 @@
 #include "chunked_transports.h"
 #include "comm/clique_broadcast.h"
 #include "comm/clique_unicast.h"
+#include "comm/congest.h"
 #include "comm/engine.h"
 #include "core/block_mm.h"
+#include "graph/generators.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -65,12 +74,13 @@ void expect_same_stats(const CommStats& metered, const CommStats& chunked) {
   EXPECT_EQ(metered.per_player_recv_bits, chunked.per_player_recv_bits);
 }
 
-using UnicastTransport = int (*)(CliqueUnicast&, const Payloads&, Payloads*);
+using UnicastTransport = int (*)(CliqueUnicast&, Payloads, Payloads*);
+using ChunkedTransport = int (*)(CliqueUnicast&, const Payloads&, Payloads*);
 
 /// Runs `metered` and its chunked twin on random payloads of lengths `len`,
 /// each on a fresh engine with the same cut; both must charge the same and
 /// deliver payload[v][p] to received[p][v].
-void expect_unicast_twins(UnicastTransport metered, UnicastTransport chunked,
+void expect_unicast_twins(UnicastTransport metered, ChunkedTransport chunked,
                           const LengthMatrix& len, int bandwidth, Rng& rng) {
   const int n = static_cast<int>(len.size());
   const Payloads payload = random_payloads(len, rng);
@@ -220,6 +230,151 @@ TEST(TransportOracle, AllGatherMatchesChunkedWithShortAndEmptyMessages) {
         EXPECT_EQ(row, twin_row);
         EXPECT_EQ(row, messages);
       }
+    }
+  }
+}
+
+/// CommStats as a per-message tally: each message adds its own bits to the
+/// totals, the edge maximum and both per-player vectors, and to cut_bits
+/// when it crosses the cut.
+class Tally {
+ public:
+  explicit Tally(int n) {
+    stats_.per_player_sent_bits.assign(static_cast<std::size_t>(n), 0);
+    stats_.per_player_recv_bits.assign(static_cast<std::size_t>(n), 0);
+  }
+
+  /// One `bits`-bit message from `from`, read by every player in `to`.
+  void message(int from, const std::vector<int>& to, std::size_t bits, bool crosses_cut) {
+    stats_.total_bits += bits;
+    if (bits != 0) ++stats_.total_messages;
+    stats_.max_edge_bits_in_round = std::max<std::uint64_t>(stats_.max_edge_bits_in_round, bits);
+    if (crosses_cut) stats_.cut_bits += bits;
+    stats_.per_player_sent_bits[static_cast<std::size_t>(from)] += bits;
+    for (const int r : to) stats_.per_player_recv_bits[static_cast<std::size_t>(r)] += bits;
+  }
+  void round() { ++stats_.rounds; }
+
+  const CommStats& stats() const { return stats_; }
+
+ private:
+  CommStats stats_;
+};
+
+/// A random message of 0, 1, b-1 or b bits.
+Message random_round_message(int b, Rng& rng) {
+  const int choices[] = {0, 1, b - 1, b};
+  return random_message(static_cast<std::size_t>(choices[rng.uniform(4)]), rng);
+}
+
+const int kTallyRounds = 3;
+
+TEST(RoundTally, UnicastRoundsMatchAPerMessageTally) {
+  Rng rng(2306);
+  for (int n : kSizes) {
+    for (int b : kBandwidths) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b));
+      const std::vector<int> cut = random_cut(n, rng);
+      CliqueUnicast net(n, b);
+      net.set_cut(cut);
+      Tally tally(n);
+      for (int round = 0; round < kTallyRounds; ++round) {
+        Payloads sent(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < n; ++j) {
+            std::vector<Message>& row = sent[static_cast<std::size_t>(i)];
+            row.push_back(i == j ? Message() : random_round_message(b, rng));
+            tally.message(i, {j}, row.back().size_bits(),
+                          cut[static_cast<std::size_t>(i)] != cut[static_cast<std::size_t>(j)]);
+          }
+        }
+        tally.round();
+        net.round_fill(
+            [&](int i, Message* box) {
+              for (int j = 0; j < n; ++j) {
+                box[j].append(sent[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+              }
+            },
+            [&](int r, const std::vector<Message>& inbox) {
+              for (int j = 0; j < n; ++j) {
+                EXPECT_EQ(inbox[static_cast<std::size_t>(j)],
+                          sent[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)])
+                    << "message " << j << " -> " << r;
+              }
+            });
+      }
+      expect_same_stats(net.stats(), tally.stats());
+    }
+  }
+}
+
+TEST(RoundTally, BroadcastRoundsMatchAPerMessageTally) {
+  Rng rng(2307);
+  for (int n : kSizes) {
+    for (int b : kBandwidths) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b));
+      CliqueBroadcast net(n, b);
+      net.set_cut(random_cut(n, rng));  // every written bit crosses a registered cut
+      Tally tally(n);
+      for (int round = 0; round < kTallyRounds; ++round) {
+        std::vector<Message> written;
+        for (int i = 0; i < n; ++i) {
+          written.push_back(random_round_message(b, rng));
+          std::vector<int> readers;
+          for (int j = 0; j < n; ++j) {
+            if (j != i) readers.push_back(j);
+          }
+          tally.message(i, readers, written.back().size_bits(), true);
+        }
+        tally.round();
+        const std::vector<Message>& board = net.round_fill(
+            [&](int i, Message& out) { out.append(written[static_cast<std::size_t>(i)]); });
+        EXPECT_EQ(board, written);
+      }
+      expect_same_stats(net.stats(), tally.stats());
+    }
+  }
+}
+
+TEST(RoundTally, CongestRoundsMatchAPerMessageTally) {
+  Rng rng(2308);
+  for (int n : kSizes) {
+    for (int b : kBandwidths) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b));
+      const Graph topology = gnp(n, 0.4, rng);
+      const std::vector<int> cut = random_cut(n, rng);
+      CongestUnicast net(topology, b);
+      net.set_cut(cut);
+      Tally tally(n);
+      for (int round = 0; round < kTallyRounds; ++round) {
+        // sent[v][k]: v's message to its k-th neighbor.
+        Payloads sent(static_cast<std::size_t>(n));
+        for (int v = 0; v < n; ++v) {
+          for (const int u : topology.neighbors(v)) {
+            sent[static_cast<std::size_t>(v)].push_back(random_round_message(b, rng));
+            tally.message(v, {u}, sent[static_cast<std::size_t>(v)].back().size_bits(),
+                          cut[static_cast<std::size_t>(v)] != cut[static_cast<std::size_t>(u)]);
+          }
+        }
+        tally.round();
+        net.round_fill(
+            [&](int v, Message* box) {
+              const std::vector<Message>& mine = sent[static_cast<std::size_t>(v)];
+              for (std::size_t k = 0; k < mine.size(); ++k) box[k].append(mine[k]);
+            },
+            [&](int v, const std::vector<Message>& inbox) {
+              const auto& nbrs = topology.neighbors(v);
+              ASSERT_EQ(inbox.size(), nbrs.size());
+              for (std::size_t k = 0; k < nbrs.size(); ++k) {
+                const auto& back = topology.neighbors(nbrs[k]);
+                const std::size_t slot = static_cast<std::size_t>(
+                    std::lower_bound(back.begin(), back.end(), v) - back.begin());
+                EXPECT_EQ(inbox[k], sent[static_cast<std::size_t>(nbrs[k])][slot])
+                    << "message " << nbrs[k] << " -> " << v;
+              }
+            });
+      }
+      expect_same_stats(net.stats(), tally.stats());
     }
   }
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "util/bitvec.h"
 #include "util/check.h"
@@ -86,6 +88,59 @@ TEST(BitVec, OutOfRangeThrows) {
   BitVec v(4);
   EXPECT_THROW(v.get(4), PreconditionError);
   EXPECT_THROW(v.read_uint(2, 3), PreconditionError);
+}
+
+TEST(BitVec, OwnsItsBitsThroughMoveCopyAndClear) {
+  // 130 bits: a full word, a second full word and a 2-bit tail.
+  const auto fill = [](BitVec& v) {
+    v.push_uint(0x0123456789ABCDEFULL, 64);
+    v.push_uint(0xFEDCBA9876543210ULL, 64);
+    v.push_uint(0b10, 2);
+  };
+  BitVec reference;
+  fill(reference);
+
+  // A moved-from BitVec reads empty and accepts new appends.
+  BitVec src;
+  fill(src);
+  BitVec moved(std::move(src));
+  EXPECT_EQ(moved, reference);
+  EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+  src.push_uint(0b101, 3);
+  ASSERT_EQ(src.size_bits(), 3u);
+  EXPECT_EQ(src.read_uint(0, 3), 0b101u);
+  BitVec assigned;
+  assigned.push_bit(true);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned, reference);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  moved.push_bit(true);
+  EXPECT_EQ(moved.to_string(), "1");
+
+  // A copy is deep: writing either side leaves the other as it was.
+  const std::string bits = reference.to_string();
+  BitVec copy = reference;
+  copy.set(0, !copy.get(0));
+  copy.push_bit(true);
+  EXPECT_EQ(reference.to_string(), bits);
+  BitVec copy_assigned;
+  copy_assigned = reference;
+  reference.set(129, false);
+  EXPECT_EQ(copy_assigned.to_string(), bits);
+
+  // clear() then a refill reproduces the same bits, even over all-ones
+  // leftovers that an OR-ing append would otherwise pick up.
+  BitVec slot;
+  fill(slot);
+  slot.clear();
+  EXPECT_TRUE(slot.empty());
+  fill(slot);
+  EXPECT_EQ(slot.to_string(), bits);
+  slot.clear();
+  for (int i = 0; i < 130; ++i) slot.push_bit(true);
+  slot.clear();
+  fill(slot);
+  EXPECT_EQ(slot.to_string(), bits);
 }
 
 TEST(BitReader, ExhaustionThrows) {

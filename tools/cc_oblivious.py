@@ -15,9 +15,9 @@ value copied out of a source before the sink opens). Five checks:
    function of entry values.
 
 2. Payload-sized message: inside an engine callback lambda (an argument of
-   `.round_fill(` / `.send_phase(` / `all_gather(`), a `push_uint` width
-   argument or an `append_slice` offset/length argument derives from a
-   payload accessor — the emitted *length* leaks payload.
+   `.round_fill(` / `all_gather(`), a `push_uint` width argument or an
+   `append_slice` offset/length argument derives from a payload accessor —
+   the emitted *length* leaks payload.
 
 3. Branch on payload in a callback: an `if` condition inside an engine
    callback reads a payload accessor, so whether (or what) a player sends
@@ -80,7 +80,7 @@ PAYLOAD_READ_RE = re.compile(r"\.(?:get|row)\s*\(|\.data\s*\(\s*\)|\bweights\s*\
 # Sparse structure accessors (linalg/sparse.h): tainted like payload, but
 # plans may read them *through a declared dependence* (check 5).
 NNZ_READ_RE = re.compile(r"\.(?:nnz|row_nnz|row_ptr|cols|vals)\s*\(")
-CALLBACK_CALL_RE = re.compile(r"(?:\.round_fill|\.send_phase|\ball_gather)\s*\(")
+CALLBACK_CALL_RE = re.compile(r"(?:\.round_fill|\ball_gather)\s*\(")
 LAMBDA_RE = re.compile(r"\[&\]\s*\(\s*(?:const\s+)?int\s+(\w+)([^)]*)\)")
 
 
@@ -202,11 +202,7 @@ class LibclangFrontend:
                 brace = text.find("{", start, end)
                 if brace >= 0:
                     plan_defs.append((child.spelling, text[brace:end], brace))
-            if child.kind == ck.CALL_EXPR and child.spelling in (
-                "round_fill",
-                "send_phase",
-                "all_gather",
-            ):
+            if child.kind == ck.CALL_EXPR and child.spelling in ("round_fill", "all_gather"):
                 lams = self._lambdas(child)
                 if lams:
                     # First lambda in source order = the send/fill callback;

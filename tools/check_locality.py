@@ -7,7 +7,7 @@ rules statically, so a violation is caught even on paths no test executes.
 Three checks, all heuristic but tuned to this codebase's idiom:
 
 1. Tagged cross-player access: inside an engine callback lambda (an
-   argument of `.round_fill(` / `.send_phase(` / `all_gather(`), any index of a
+   argument of `.round_fill(` / `all_gather(`), any index of a
    `locality::PerPlayer` variable must be exactly the callback's player
    parameter, or sit inside a branch guarded by `if (index == player)`.
    Anything else is the PR-4 splitter bug shape: a callback reaching into
@@ -51,7 +51,7 @@ import lint_common as lc
 FIXTURE = os.path.join(lc.REPO, "tools", "fixtures", "locality_violation_example.cpp")
 
 TAGGED_RE = re.compile(r"locality::PerPlayer<[\w:<>,\s]*>\s+(\w+)\s*\(")
-CALLBACK_CALL_RE = re.compile(r"(?:\.round_fill|\.send_phase|\ball_gather)\s*\(")
+CALLBACK_CALL_RE = re.compile(r"(?:\.round_fill|\ball_gather)\s*\(")
 LAMBDA_RE = re.compile(r"\[&\]\s*\(\s*(?:const\s+)?int\s+(\w+)([^)]*)\)")
 ACCESS_RE = re.compile(r"\b(\w+)\[([^\][]+)\]")
 WRITE_TAIL_RE = re.compile(r"\s*(?:=[^=]|\+=|-=|\.push_back|\.append|\.push_uint)")
