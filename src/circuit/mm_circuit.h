@@ -45,7 +45,9 @@ Circuit f2_matmul_circuit(int n, bool use_strassen, int cutoff = 2);
 /// matrix (n^2 inputs, row-major; the diagonal must be fed zeros — simple
 /// graph). Output: a single bit that is 0 whenever the graph is
 /// triangle-free and, with probability at least 1 - (3/4)^reps over the
-/// baked-in masks, 1 when it has a triangle. Uses Strassen products.
+/// baked-in masks, 1 when it has a triangle. Uses Strassen products down
+/// to blocks of size <= cutoff, which multiply naively; cutoff >= n gives
+/// the naive Theta(n^3)-wire circuit from the same mask draws.
 Circuit triangle_witness_circuit(int n, int reps, Rng& rng, int cutoff = 2);
 
 }  // namespace cclique

@@ -27,10 +27,15 @@
 //
 // Every bit of communication flows through the metered CliqueUnicast
 // engine, so the O(D)-round / O(b+s)-bandwidth claim is measured, not
-// assumed. (Bookkeeping overhead relative to the paper: wire records carry
-// explicit gate ids — an O(log #gates) factor folded into the bandwidth,
-// since our router is general-purpose rather than Lenzen's positional
-// scheme; see DESIGN.md §4.)
+// assumed. The routed phases ride the router's positional record streams
+// (route_two_phase: one stream per player pair through the two-hop
+// relay), whose schedule depends only on the per-pair record counts; here
+// those are fixed by the public circuit and owner map, so every phase's
+// schedule is common knowledge. (Bookkeeping overhead relative to the
+// paper: wire records still carry explicit gate ids — an O(log #gates)
+// factor folded into the bandwidth, since the streams do not yet order
+// records by the public wiring as Lenzen's positional scheme would; see
+// DESIGN.md §4a.)
 #pragma once
 
 #include <cstdint>

@@ -28,42 +28,10 @@ MmTriangleResult mm_triangle_run(CliqueUnicast& net, const Graph& g, int reps,
     return out;
   }
 
-  const bool use_strassen = backend == TriangleBackend::kCircuitStrassen;
-  Circuit circuit;
-  if (use_strassen) {
-    circuit = triangle_witness_circuit(n, reps, rng, /*cutoff=*/2);
-  } else {
-    // Naive ablation: same witness construction but cubic products.
-    // (triangle_witness_circuit always uses Strassen; rebuild inline.)
-    Circuit c;
-    MatrixWires a;
-    a.n = n;
-    for (int i = 0; i < n * n; ++i) a.w.push_back(c.add_input());
-    const int zero = c.add_const(false);
-    std::vector<int> rep_bits;
-    for (int rep = 0; rep < reps; ++rep) {
-      MatrixWires ar = a, arp = a;
-      for (int j = 0; j < n; ++j) {
-        const bool rj = rng.coin();
-        const bool rpj = rng.coin();
-        for (int i = 0; i < n; ++i) {
-          const std::size_t idx =
-              static_cast<std::size_t>(i) * static_cast<std::size_t>(n) + static_cast<std::size_t>(j);
-          if (!rj) ar.w[idx] = zero;
-          if (!rpj) arp.w[idx] = zero;
-        }
-      }
-      const MatrixWires p = add_f2_matmul_naive(c, ar, arp);
-      const MatrixWires q = add_f2_matmul_naive(c, p, a);
-      std::vector<int> diag;
-      for (int i = 0; i < n; ++i) diag.push_back(q.at(i, i));
-      rep_bits.push_back(c.add_gate(GateKind::kOr, std::move(diag)));
-    }
-    const int out = rep_bits.size() == 1 ? rep_bits[0]
-                                         : c.add_gate(GateKind::kOr, std::move(rep_bits));
-    c.mark_output(out);
-    circuit = std::move(c);
-  }
+  // The naive ablation is the same witness circuit with cubic products:
+  // a Strassen cutoff of n multiplies every block naively.
+  const Circuit circuit = triangle_witness_circuit(
+      n, reps, rng, backend == TriangleBackend::kCircuitStrassen ? /*cutoff=*/2 : n);
 
   // Input partition: entry (i, j) of the adjacency matrix belongs to player
   // i — each player holds exactly its n incident-edge bits, the paper's

@@ -43,6 +43,8 @@ struct MmTriangleResult {
 /// matrix) over the given engine. `reps` repetitions of the Shamir masking
 /// give miss probability <= (3/4)^reps for graphs with a triangle.
 /// use_strassen=false swaps in the naive Theta(n^3)-wire circuit (ablation).
+/// Both circuit backends build triangle_witness_circuit, so they need
+/// n >= 3 (CC_REQUIRE).
 MmTriangleResult mm_triangle_detect(CliqueUnicast& net, const Graph& g, int reps,
                                     Rng& rng, bool use_strassen = true);
 

@@ -97,21 +97,24 @@ std::vector<std::vector<std::uint32_t>> build_incident_weights(
   return weight_at;
 }
 
-/// Provable per-(directed edge, hop) record cap for route_two_phase at
-/// per-player demand <= m: when a message is placed, fewer than n/2 relays
-/// have sender-side load >= ceil(2m/n) and fewer than n/2 have
-/// receiver-side load >= ceil(2m/n), so the greedy always finds a relay
-/// below the cap on both sides.
-std::uint64_t route_edge_records(std::uint64_t m, int n) {
-  return ceil_div(2 * m, static_cast<std::uint64_t>(n));
-}
-
-/// Round cap for one route_two_phase call (two unicast_payloads hops).
-int route_cap_rounds(std::uint64_t m, int n, int wire_record_bits, int b) {
+/// Round cap for one route_two_phase call of w-bit records when every
+/// player sends and receives at most m of them. The call ships one
+/// positional stream per (source, destination) pair through the two-hop
+/// relay (comm/clique_unicast.h, for_each_relay_chunk). The relay splits an
+/// L-bit stream v -> p into n chunks of at most ceil(L/n) bits and sends
+/// exactly one of them over each hop-1 edge v -> t and one over each hop-2
+/// edge t -> p. So hop-1 edge v -> t carries at most
+///   sum_p ceil(L_vp / n) <= (sum_p L_vp) / n + #{p : L_vp > 0}
+///                        <= m*w/n + min(m, n-1)
+/// bits, hence at most ceil(m*w/n) + min(m, n-1): at most m records leave
+/// v, filling at most min(m, n-1) non-empty streams. The bound on hop-2
+/// edge t -> p follows the same way from p's in-count. Each hop takes
+/// ceil(edge bits / b) rounds.
+int route_cap_rounds(std::uint64_t m, int n, std::uint64_t w, int b) {
   if (m == 0) return 0;
-  const std::uint64_t per_edge_bits =
-      route_edge_records(m, n) * static_cast<std::uint64_t>(wire_record_bits);
-  return 2 * static_cast<int>(ceil_div(per_edge_bits, static_cast<std::uint64_t>(b)));
+  const std::uint64_t un = static_cast<std::uint64_t>(n);
+  const std::uint64_t edge_bits = ceil_div(m * w, un) + std::min(m, un - 1);
+  return 2 * static_cast<int>(ceil_div(edge_bits, static_cast<std::uint64_t>(b)));
 }
 
 /// Shared per-run state of the two schedules: fragment bookkeeping is the
@@ -414,36 +417,18 @@ void MstEngine::run_lotker_phase(int submit_cap) {
              "balanced scatter must deliver exactly one record per slot");
   }
 
-  // --- stage E: all-broadcast of held records; every player assembles the
-  // full submitted fragment graph (identical decode everywhere; model once).
-  std::vector<std::vector<Message>> bcast(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < n; ++p) {
-    if (held[p].empty()) continue;
-    Message stream;
-    for (const EdgeRecord& rec : held[p]) {
-      stream.push_uint(pack_record(rec, addr), rec_bits);
-    }
-    for (int q = 0; q < n; ++q) {
-      if (q != p) bcast[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)] = stream;
-    }
-  }
-  std::vector<std::vector<Message>> bcast_recv;
-  unicast_payloads(net, std::move(bcast), &bcast_recv);
+  // --- stage E: all-gather of the held records (at most one per player);
+  // every player assembles the full submitted fragment graph (identical
+  // decode everywhere; model once).
+  const std::vector<Message> gathered = all_gather(net, rec_bits, [&](int p, Message& out) {
+    if (!held[p].empty()) out.push_uint(pack_record(held[p].front(), addr), rec_bits);
+  });
   std::vector<EdgeRecord> submitted;
   submitted.reserve(static_cast<std::size_t>(total));
-  for (int q = 0; q < n; ++q) {
-    if (q == 0) {
-      for (const EdgeRecord& rec : held[0]) submitted.push_back(rec);
-      continue;
-    }
-    const Message& stream = bcast_recv[0][static_cast<std::size_t>(q)];
-    BitReader reader(stream);
-    while (reader.remaining() > 0) {
-      submitted.push_back(unpack_record(reader.read_uint(rec_bits), addr));
-    }
+  for (const Message& m : gathered) {
+    if (!m.empty()) submitted.push_back(unpack_record(m.read_uint(0, rec_bits), addr));
   }
-  CC_CHECK(submitted.size() == total, "all-broadcast must reassemble every record");
+  CC_CHECK(submitted.size() == total, "all-gather must reassemble every record");
   std::sort(submitted.begin(), submitted.end(), record_less);
 
   // --- local capped merge of the fragment graph (identical everywhere) ---
@@ -528,7 +513,6 @@ MstPhasePlan mst_phase_plan(MstAlgorithm algorithm, int n, int live_fragments,
   CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
   const int addr = bits_for(static_cast<std::uint64_t>(std::max(1, n)));
   const std::uint64_t rec = static_cast<std::uint64_t>(2 * addr + 32);
-  const std::uint64_t wire_rec = static_cast<std::uint64_t>(addr) + rec;  // router framing
   const std::uint64_t un = static_cast<std::uint64_t>(n);
   const std::uint64_t uf = static_cast<std::uint64_t>(live_fragments);
   // The all-gathers: every node's fragment id, then (Borůvka) each live
@@ -549,26 +533,27 @@ MstPhasePlan mst_phase_plan(MstAlgorithm algorithm, int n, int live_fragments,
   // Stage demand bounds, data-independent given (n, F): members send one
   // record per adjacent fragment (<= F-1 out) to rank-sliced aggregators
   // (<= ceil(F/m)*m <= F+n in); aggregators forward <= F-1 records to the
-  // leader; the count round and the (<= 1 record per edge) scatter and
-  // all-broadcast are single chunked exchanges.
+  // leader; the count round, the (<= 1 record per edge) scatter and the
+  // all-gather of the scattered records are single chunked exchanges.
   const std::uint64_t m_a = uf + un;
   const std::uint64_t m_b = uf;
   const AllGatherCost counts = all_gather_cost(n, addr, bandwidth);  // per live leader
+  const AllGatherCost gather = all_gather_cost(n, static_cast<int>(rec), bandwidth);
   const int single_record_rounds =
       static_cast<int>(ceil_div(rec, static_cast<std::uint64_t>(bandwidth)));
   plan.max_rounds = announce.rounds
-                    + route_cap_rounds(m_a, n, static_cast<int>(wire_rec), bandwidth)
-                    + route_cap_rounds(m_b, n, static_cast<int>(wire_rec), bandwidth)
+                    + route_cap_rounds(m_a, n, rec, bandwidth)
+                    + route_cap_rounds(m_b, n, rec, bandwidth)
                     + counts.rounds
-                    + single_record_rounds   // scatter
-                    + single_record_rounds;  // all-broadcast
+                    + single_record_rounds  // scatter
+                    + gather.rounds;        // all-gather
   const std::uint64_t f_minus = uf == 0 ? 0 : uf - 1;
   plan.max_bits = announce.bits
-                  + 2 * un * f_minus * wire_rec   // stage A, two hops
-                  + 2 * uf * f_minus * wire_rec   // stage B, two hops
+                  + 2 * un * f_minus * rec        // stage A, two hops
+                  + 2 * uf * f_minus * rec        // stage B, two hops
                   + uf * counts.sender_bits
                   + un * rec                      // scatter, <= n records
-                  + un * (un - 1) * rec;          // all-broadcast
+                  + gather.bits;                  // all-gather
   return plan;
 }
 

@@ -14,11 +14,12 @@
 //    live fragments every fragment computes its minimum outgoing edge to
 //    *each* other fragment (not just one). The per-target minima are
 //    aggregated inside the fragment (members -> rank-sliced aggregators ->
-//    leader, both hops through the balanced two-phase router; the demand
-//    is balanced: <= F-1 records per fragment and <= F + n per receiver),
+//    leader, both stages as positional record streams through the two-hop
+//    relay of route_two_phase; the demand is balanced: <= F-1 records per
+//    fragment and <= F + n per receiver),
 //    each leader submits its k = max(1, n/F) lightest minima (announced
 //    counts make the submission layout common knowledge, so a perfectly
-//    balanced scatter + all-broadcast delivers all <= n submitted records
+//    balanced scatter + all_gather delivers all <= n submitted records
 //    to every player in O(1) rounds), and every player runs the same
 //    deterministic capped merge of the resulting fragment graph: clusters
 //    of at most k fragments repeatedly merge along their true minimum
@@ -34,7 +35,9 @@
 // data — and CC_CHECK the measured per-phase cost against it, the same way
 // core/algebraic_mm checks its plan. Borůvka's round cost is exact (== 3);
 // the Lotker stages route data-dependent demands through data-independent
-// balance bounds, so its caps are checked as upper bounds.
+// balance bounds, so its caps are checked as upper bounds: a relay hop
+// edge carries at most ceil(m*w/n) + min(m, n-1) bits when every player
+// sends and receives at most m w-bit records.
 //
 // Edge weights must be distinct (ties are broken by endpoint ids
 // internally, so any weights work; the returned MST is unique under the

@@ -1,9 +1,7 @@
 #include "routing/router.h"
 
 #include <algorithm>
-#include <numeric>
 
-#include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "util/math_util.h"
 
@@ -11,223 +9,132 @@ namespace cclique {
 
 namespace {
 
-std::vector<std::size_t> out_counts(const RoutingDemand& d, int n) {
-  std::vector<std::size_t> c(static_cast<std::size_t>(n), 0);
-  for (const auto& m : d.messages) {
-    CC_REQUIRE(m.source >= 0 && m.source < n && m.dest >= 0 && m.dest < n,
-               "message endpoints out of range");
-    ++c[static_cast<std::size_t>(m.source)];
-  }
-  return c;
+using Payloads = std::vector<std::vector<Message>>;
+using Transport = int (*)(CliqueUnicast&, Payloads, Payloads*);
+
+void check_endpoints(const RoutedMessage& m, int n) {
+  CC_REQUIRE(m.source >= 0 && m.source < n && m.dest >= 0 && m.dest < n,
+             "message endpoints out of range");
 }
 
-std::vector<std::size_t> in_counts(const RoutingDemand& d, int n) {
-  std::vector<std::size_t> c(static_cast<std::size_t>(n), 0);
-  for (const auto& m : d.messages) ++c[static_cast<std::size_t>(m.dest)];
-  return c;
-}
-
-void check_payload_widths(const RoutingDemand& d) {
+/// The routers' one precondition check, run before any bit moves: every
+/// endpoint lies in [0, n) and every payload fits the declared width.
+void check_demand(const RoutingDemand& d, int n) {
   CC_REQUIRE(d.payload_bits >= 0 && d.payload_bits <= 64,
              "payload width must be in [0, 64]");
   for (const auto& m : d.messages) {
+    check_endpoints(m, n);
     CC_REQUIRE(d.payload_bits == 64 || (m.payload >> d.payload_bits) == 0,
                "payload does not fit declared width");
   }
 }
 
-// Runs the relay plan: phase 1 ships [dest, payload] records to relays,
-// phase 2 ships [source, payload] records to destinations. `relay_of[k]`
-// gives message k's relay. Shared by the deterministic and randomized
-// routers.
-RoutingResult run_relay_plan(CliqueUnicast& net, const RoutingDemand& demand,
-                             const std::vector<int>& relay_of) {
+/// Max over players of the messages whose `end` endpoint is that player.
+std::size_t max_count(const RoutingDemand& d, int n, int RoutedMessage::*end) {
+  std::vector<std::size_t> count(static_cast<std::size_t>(n), 0);
+  std::size_t most = 0;
+  for (const auto& m : d.messages) {
+    check_endpoints(m, n);
+    most = std::max(most, ++count[static_cast<std::size_t>(m.*end)]);
+  }
+  return most;
+}
+
+/// Ships the demand as one positional record stream per (source,
+/// destination) pair: that pair's payloads in demand order, each
+/// max(payload_bits, 1) bits wide. The stream names both ends, so records
+/// carry no address; a receiver decodes stream length / width records.
+/// Self-messages are delivered locally.
+RoutingResult route_records(CliqueUnicast& net, const RoutingDemand& demand,
+                            Transport transport) {
   const int n = net.n();
-  const int addr = bits_for(static_cast<std::uint64_t>(n));
-  const int w = demand.payload_bits;
-
-  // Phase 1: source -> relay, record = [dest | payload].
-  std::vector<std::vector<Message>> p1(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  // Self-relay records (relay == source) skip the wire. Every relay holds
-  // ~M/n of the demand; reserving that up front keeps the hold lists from
-  // reallocating while the chunk rounds run.
-  locality::PerPlayer<std::vector<RoutedMessage>> held(
-      n, CC_LOCALITY_SITE("relay's held records"));
-  for (int r = 0; r < n; ++r) {
-    held[r].reserve(demand.messages.size() / static_cast<std::size_t>(n) + 1);
-  }
-  for (std::size_t k = 0; k < demand.messages.size(); ++k) {
-    const auto& m = demand.messages[k];
-    const int r = relay_of[k];
-    if (r == m.source) {
-      held[r].push_back(m);
-      continue;
-    }
-    Message& stream = p1[static_cast<std::size_t>(m.source)][static_cast<std::size_t>(r)];
-    stream.push_uint(static_cast<std::uint64_t>(m.dest), addr);
-    stream.push_uint(m.payload, w);
-  }
-  std::vector<std::vector<Message>> recv1;
-  int rounds = unicast_payloads(net, std::move(p1), &recv1);
-
-  for (int r = 0; r < n; ++r) {
-    for (int src = 0; src < n; ++src) {
-      const Message& stream = recv1[static_cast<std::size_t>(r)][static_cast<std::size_t>(src)];
-      BitReader reader(stream);
-      while (reader.remaining() > 0) {
-        RoutedMessage m;
-        m.source = src;
-        m.dest = static_cast<int>(reader.read_uint(addr));
-        m.payload = reader.read_uint(w);
-        held[r].push_back(m);
-      }
-    }
-  }
-
-  // Phase 2: relay -> dest, record = [source | payload].
-  std::vector<std::vector<Message>> p2(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
+  check_demand(demand, n);
+  const int w = std::max(demand.payload_bits, 1);
+  const std::size_t un = static_cast<std::size_t>(n);
   RoutingResult result;
-  result.delivered.assign(static_cast<std::size_t>(n), {});
-  for (int r = 0; r < n; ++r) {
-    for (const auto& m : held[r]) {
-      if (m.dest == r) {
-        result.delivered[static_cast<std::size_t>(r)].emplace_back(m.source, m.payload);
-        continue;
-      }
-      Message& stream = p2[static_cast<std::size_t>(r)][static_cast<std::size_t>(m.dest)];
-      stream.push_uint(static_cast<std::uint64_t>(m.source), addr);
-      stream.push_uint(m.payload, w);
+  result.delivered.assign(un, {});
+  Payloads streams(un, std::vector<Message>(un));
+  for (const auto& m : demand.messages) {
+    const std::size_t s = static_cast<std::size_t>(m.source);
+    const std::size_t d = static_cast<std::size_t>(m.dest);
+    if (s == d) {
+      result.delivered[d].emplace_back(m.source, m.payload);
+    } else {
+      streams[s][d].push_uint(m.payload, w);
     }
   }
-  std::vector<std::vector<Message>> recv2;
-  rounds += unicast_payloads(net, std::move(p2), &recv2);
-
-  for (int j = 0; j < n; ++j) {
-    for (int r = 0; r < n; ++r) {
-      const Message& stream = recv2[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)];
-      BitReader reader(stream);
+  Payloads received;
+  result.rounds = transport(net, std::move(streams), &received);
+  for (std::size_t j = 0; j < un; ++j) {
+    for (std::size_t i = 0; i < un; ++i) {
+      BitReader reader(received[j][i]);
       while (reader.remaining() > 0) {
-        const int src = static_cast<int>(reader.read_uint(addr));
-        const std::uint64_t payload = reader.read_uint(w);
-        result.delivered[static_cast<std::size_t>(j)].emplace_back(src, payload);
+        result.delivered[j].emplace_back(static_cast<int>(i), reader.read_uint(w));
       }
     }
   }
-  result.rounds = rounds;
   return result;
 }
 
 }  // namespace
 
 std::size_t RoutingDemand::max_out(int n) const {
-  auto c = out_counts(*this, n);
-  return c.empty() ? 0 : *std::max_element(c.begin(), c.end());
+  return max_count(*this, n, &RoutedMessage::source);
 }
 
 std::size_t RoutingDemand::max_in(int n) const {
-  auto c = in_counts(*this, n);
-  return c.empty() ? 0 : *std::max_element(c.begin(), c.end());
+  return max_count(*this, n, &RoutedMessage::dest);
 }
 
 RoutingResult route_direct(CliqueUnicast& net, const RoutingDemand& demand) {
-  check_payload_widths(demand);
-  const int n = net.n();
-  const int w = demand.payload_bits;
-  std::vector<std::vector<Message>> p(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  RoutingResult result;
-  result.delivered.assign(static_cast<std::size_t>(n), {});
-  for (const auto& m : demand.messages) {
-    if (m.dest == m.source) {
-      result.delivered[static_cast<std::size_t>(m.dest)].emplace_back(m.source, m.payload);
-      continue;
-    }
-    p[static_cast<std::size_t>(m.source)][static_cast<std::size_t>(m.dest)].push_uint(m.payload, w);
-  }
-  std::vector<std::vector<Message>> recv;
-  result.rounds = unicast_payloads(net, std::move(p), &recv);
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      const Message& stream = recv[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
-      BitReader reader(stream);
-      while (reader.remaining() > 0) {
-        result.delivered[static_cast<std::size_t>(j)].emplace_back(i, reader.read_uint(w));
-      }
-    }
-  }
-  return result;
+  return route_records(net, demand, unicast_payloads);
 }
 
 RoutingResult route_two_phase(CliqueUnicast& net, const RoutingDemand& demand) {
-  check_payload_widths(demand);
-  const int n = net.n();
-  // Offline relay schedule over the whole demand pattern — which no single
-  // player holds unless the pattern is public; no announcement runs (DESIGN.md
-  // §4a). A fractional assignment sending d_ij/n of each (i,j) group to
-  // every relay meets the per-(sender,relay) and per-(relay,dest) caps
-  // ceil(M_i/n), ceil(m_j/n); flow integrality guarantees an integral
-  // schedule exists. The greedy below places each message on the relay
-  // minimizing its two incident edge loads: provably <= ceil(2M/n) per edge
-  // (route_edge_records, core/mst.cpp), and no proof gives ceil(M/n).
-  std::vector<int> relay_of(demand.messages.size(), 0);
-  {
-    // Schedule-computation sink: the relay assignment may read the demand
-    // *pattern* (sources, destinations) but never the message payloads.
-    // run_relay_plan below is the executor and is exempt.
-    oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("route_two_phase relay schedule"));
-    std::vector<std::vector<std::uint32_t>> load_out(
-        static_cast<std::size_t>(n), std::vector<std::uint32_t>(static_cast<std::size_t>(n), 0));
-    std::vector<std::vector<std::uint32_t>> load_in(
-        static_cast<std::size_t>(n), std::vector<std::uint32_t>(static_cast<std::size_t>(n), 0));
-
-    // Deterministic processing order: sort message indices by (dest, source).
-    std::vector<std::size_t> order(demand.messages.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const auto& ma = demand.messages[a];
-      const auto& mb = demand.messages[b];
-      if (ma.dest != mb.dest) return ma.dest < mb.dest;
-      if (ma.source != mb.source) return ma.source < mb.source;
-      return a < b;
-    });
-
-    for (std::size_t k : order) {
-      const auto& m = demand.messages[k];
-      int best = -1;
-      std::uint32_t best_max = 0, best_sum = 0;
-      for (int r = 0; r < n; ++r) {
-        const std::uint32_t lo = load_out[static_cast<std::size_t>(m.source)][static_cast<std::size_t>(r)];
-        const std::uint32_t li = load_in[static_cast<std::size_t>(r)][static_cast<std::size_t>(m.dest)];
-        const std::uint32_t mx = std::max(lo, li);
-        const std::uint32_t sum = lo + li;
-        if (best < 0 || mx < best_max || (mx == best_max && sum < best_sum)) {
-          best = r;
-          best_max = mx;
-          best_sum = sum;
-        }
-      }
-      relay_of[k] = best;
-      ++load_out[static_cast<std::size_t>(m.source)][static_cast<std::size_t>(best)];
-      ++load_in[static_cast<std::size_t>(best)][static_cast<std::size_t>(m.dest)];
-    }
-  }
-  return run_relay_plan(net, demand, relay_of);
+  return route_records(net, demand, unicast_payloads_relayed);
 }
 
 RoutingResult route_valiant(CliqueUnicast& net, const RoutingDemand& demand, Rng& rng) {
-  check_payload_widths(demand);
   const int n = net.n();
-  std::vector<int> relay_of(demand.messages.size());
+  check_demand(demand, n);
+  const int w = demand.payload_bits;
+  const int addr = bits_for(static_cast<std::uint64_t>(n));
+  CC_REQUIRE(w + addr <= 64, "valiant records (address | payload) must fit 64 bits");
+  const std::uint64_t mask = (1ULL << w) - 1;  // w <= 63, since addr >= 1
+  // Hop 1: every message travels to a uniform relay as (destination | payload).
+  RoutingDemand hop;
+  hop.payload_bits = addr + w;
+  hop.messages.reserve(demand.messages.size());
   {
     // Randomized schedules are still oblivious: the draws depend on the rng
     // stream and n, never on payloads, so Rng is deliberately not a taint
     // source and this sink stays quiet.
     oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("route_valiant relay draws"));
-    for (auto& r : relay_of) r = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+    for (const auto& m : demand.messages) {
+      const int relay = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+      hop.messages.push_back(
+          RoutedMessage{m.source, relay, (static_cast<std::uint64_t>(m.dest) << w) | m.payload});
+    }
   }
-  return run_relay_plan(net, demand, relay_of);
+  const RoutingResult first = route_direct(net, hop);
+  // Hop 2: every relay forwards (source | payload) to the destination.
+  hop.messages.clear();
+  for (int r = 0; r < n; ++r) {
+    for (const auto& [source, record] : first.delivered[static_cast<std::size_t>(r)]) {
+      hop.messages.push_back(RoutedMessage{r, static_cast<int>(record >> w),
+                                           (static_cast<std::uint64_t>(source) << w) |
+                                               (record & mask)});
+    }
+  }
+  RoutingResult result = route_direct(net, hop);
+  for (auto& inbox : result.delivered) {
+    for (auto& [source, payload] : inbox) {
+      source = static_cast<int>(payload >> w);
+      payload &= mask;
+    }
+  }
+  result.rounds += first.rounds;
+  return result;
 }
 
 }  // namespace cclique

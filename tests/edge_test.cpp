@@ -144,9 +144,8 @@ TEST(RoutingEdge, ZeroWidthPayloads) {
   d.payload_bits = 0;
   d.messages = {{0, 2, 0}, {1, 2, 0}, {3, 2, 0}};
   auto r = route_direct(net, d);
-  // Zero-width records vanish on the wire — direct routing cannot deliver
-  // them (documented behavior: payloads must carry at least one bit to be
-  // countable). The two-phase router preserves them via addressing.
+  // Zero-width payloads ride as one-bit records, so every router delivers
+  // and counts them; this test checks the two-phase router.
   auto r2_net = CliqueUnicast(4, 8);
   auto r2 = route_two_phase(r2_net, d);
   EXPECT_EQ(r2.delivered[2].size(), 3u);

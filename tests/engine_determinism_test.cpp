@@ -109,7 +109,9 @@ TEST(EngineDeterminism, CommStatsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(EngineDeterminism, ModelViolationPropagatesFromWorkerThread) {
+// The per-player bandwidth check of a serial round: an over-long message
+// throws when its player's fill returns, whatever CC_THREADS says.
+TEST(EngineDeterminism, BandwidthCheckThrowsAndLeavesTheEngineUsable) {
   ScopedEnv scoped("CC_THREADS", "8");
   CliqueUnicast net(8, 4);
   const auto oversend = [&](int i, Message* box) {
@@ -124,7 +126,7 @@ TEST(EngineDeterminism, ModelViolationPropagatesFromWorkerThread) {
   EXPECT_EQ(net.stats().rounds, 1);
 }
 
-TEST(EngineDeterminism, ArenaOverflowThrowsFromWorkerThread) {
+TEST(EngineDeterminism, BandwidthCheckThrowsBeforeTheRoundCounts) {
   ScopedEnv scoped("CC_THREADS", "8");
   CliqueUnicast net(8, 4);
   EXPECT_THROW(net.round_fill(

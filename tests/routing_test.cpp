@@ -115,6 +115,74 @@ TEST(Routing, PayloadWidthValidated) {
   EXPECT_THROW(route_direct(net, d), PreconditionError);
 }
 
+// An endpoint outside [0, n) is rejected by every router before any bit
+// moves: the engine's stats stay those of a fresh engine.
+TEST(Routing, OutOfRangeEndpointsThrowBeforeAnyBitMoves) {
+  const int n = 4;
+  const CommStats fresh = CliqueUnicast(n, 8).stats();
+  for (const RoutedMessage bad : {RoutedMessage{-1, 2, 1}, RoutedMessage{1, n, 1}}) {
+    RoutingDemand d;
+    d.payload_bits = 4;
+    d.messages = {{0, 1, 3}, {2, 3, 5}, bad, {3, 0, 7}};
+    CliqueUnicast direct(n, 8), two_phase(n, 8), valiant(n, 8);
+    Rng rng(12);
+    EXPECT_THROW(route_direct(direct, d), PreconditionError);
+    EXPECT_THROW(route_two_phase(two_phase, d), PreconditionError);
+    EXPECT_THROW(route_valiant(valiant, d, rng), PreconditionError);
+    EXPECT_EQ(direct.stats(), fresh);
+    EXPECT_EQ(two_phase.stats(), fresh);
+    EXPECT_EQ(valiant.stats(), fresh);
+  }
+}
+
+// The two-phase router ships one positional stream per (source,
+// destination) pair through unicast_payloads_relayed, so a call costs
+// exactly relay_cost of its record-length matrix: the schedule depends on
+// the per-pair record counts alone.
+TEST(Routing, TwoPhaseChargesRelayCostOfItsRecordMatrix) {
+  const auto check = [](int n, int b, const RoutingDemand& d) {
+    const std::size_t w = static_cast<std::size_t>(std::max(d.payload_bits, 1));
+    const std::size_t un = static_cast<std::size_t>(n);
+    LengthMatrix len(un, std::vector<std::size_t>(un, 0));
+    for (const auto& m : d.messages) {
+      const std::size_t s = static_cast<std::size_t>(m.source);
+      const std::size_t t = static_cast<std::size_t>(m.dest);
+      if (s != t) len[s][t] += w;
+    }
+    const RelayCost cost = relay_cost(len, b);
+    CliqueUnicast net(n, b);
+    const RoutingResult r = route_two_phase(net, d);
+    EXPECT_EQ(r.rounds, cost.rounds);
+    EXPECT_EQ(net.stats().rounds, cost.rounds);
+    EXPECT_EQ(net.stats().total_bits, cost.bits);
+    return cost;
+  };
+  Rng rng(13);
+  for (int n : {2, 5, 8, 16}) {
+    for (int width : {0, 1, 7, 20, 64}) {
+      for (int b : {1, 8, 32}) check(n, b, random_balanced_demand(n, 2 * n, width, rng));
+    }
+  }
+  // DESIGN.md §4a: at n = 8 and b = 8, "v sends 8 records to v + 1" and
+  // "v sends 4 each to v + 1 and v + 2" have the same per-player counts and
+  // cost the same: 2 rounds and 560 bits of 5-bit records.
+  const int n = 8;
+  RoutingDemand one_partner, two_partners;
+  one_partner.payload_bits = two_partners.payload_bits = 5;
+  for (int v = 0; v < n; ++v) {
+    for (int k = 0; k < 8; ++k) one_partner.messages.push_back({v, (v + 1) % n, 21});
+    for (int k = 0; k < 4; ++k) {
+      two_partners.messages.push_back({v, (v + 1) % n, 10});
+      two_partners.messages.push_back({v, (v + 2) % n, 11});
+    }
+  }
+  for (const RoutingDemand* d : {&one_partner, &two_partners}) {
+    const RelayCost cost = check(n, 8, *d);
+    EXPECT_EQ(cost.rounds, 2);
+    EXPECT_EQ(cost.bits, 560u);
+  }
+}
+
 // The headline property: hot-pair demands (all of one player's messages to
 // a single destination) sink the direct router but stay O(c) for the
 // two-phase router.
@@ -163,12 +231,12 @@ TEST(Routing, TwoPhaseRoundsGrowLinearlyInC) {
   EXPECT_GT(rounds[2], rounds[0]) << "more load must cost more rounds";
 }
 
-// DESIGN.md §4a, asserted directly from the per-player accounting: both
-// relay phases have per-edge load <= ceil(M/n) + 1 records when every
-// player sends and receives <= M messages. Summed over a player's n links
-// and the two phases, that caps every player's sent (and received) bits at
-// 2 * n * (ceil(M/n) + 1) * record_bits — a certificate the aggregate
-// max_edge_bits_in_round cannot give.
+// DESIGN.md §4a, asserted directly from the per-player accounting. When
+// every player sends and receives <= M records of w bits, hop 1 moves at
+// most M*w of a player's bits, and on hop 2 each of its n links carries at
+// most ceil(M*w/n) + min(M, n-1) bits. The cap below, 2 * n * (M/n + 1)
+// records of bits_for(n) + w bits per player, covers both hops here — a
+// certificate the aggregate max_edge_bits_in_round cannot give.
 TEST(Routing, TwoPhasePerPlayerLoadCertificate) {
   Rng rng(11);
   const int n = 16;
