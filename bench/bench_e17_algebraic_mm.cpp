@@ -18,6 +18,7 @@
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "linalg/f2matrix.h"
+#include "linalg/kernels.h"
 #include "linalg/mat61.h"
 #include "util/rng.h"
 
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
         const Mat61 b = Mat61::random(n, rng);
         Mat61 c;
         plan = algebraic_mm_m61(net, a, b, &c);
-        ok = c == m61_multiply_blocked(a, b);
+        ok = c == m61_multiply_kernel(a, b, KernelKind::kScalar, 1);
       }
       // Per-phase rounds come from the plan each phase was CC_CHECKed against.
       const CommStats& st = net.stats();

@@ -1,33 +1,12 @@
 #include "core/adaptive_detect.h"
 
+#include "core/turan_detect.h"
 #include "graph/sampling.h"
 #include "graph/subgraph.h"
 #include "sketch/sketch.h"
 #include "util/math_util.h"
 
 namespace cclique {
-
-namespace {
-
-// One invocation of algorithm A(G_j, k): sketch broadcasts + referee
-// reconstruction, all through the metered engine.
-ReconstructionResult run_algorithm_a(CliqueBroadcast& net, const Graph& gj, int k) {
-  const int n = gj.num_vertices();
-  std::vector<Message> payloads(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    payloads[static_cast<std::size_t>(v)] = serialize_sketch(make_sketch(gj, v, k), n);
-  }
-  int rounds_used = 0;
-  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    sketches.push_back(deserialize_sketch(board[static_cast<std::size_t>(v)], k, n));
-  }
-  return reconstruct_from_sketches(std::move(sketches), k, n);
-}
-
-}  // namespace
 
 AdaptiveDetectResult adaptive_subgraph_detect(CliqueBroadcast& net, const Graph& g,
                                               const Graph& h, Rng& rng) {

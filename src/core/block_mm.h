@@ -1,20 +1,31 @@
 // Shared [m]^3 block-decomposition machinery for distributed semiring
 // matrix products on CLIQUE-UCAST (internal to core/).
 //
-// PR 3 built the machinery for ring products (core/algebraic_mm): with
-// m = ⌊n^{1/3}⌋ and the index set [n] cut into m row intervals, C = A·B
-// splits into m³ block products C_ij ⊕= A_ik ⊗ B_kj, one triple per player,
-// shipped through the two-hop balanced relay (unicast_payloads_relayed).
-// Nothing in the decomposition, the relay schedule, or the plan accounting
-// depends on the *algebra* — only on (n, element width w, bandwidth b). This
-// header holds the geometry (BlockGrid), the data-independent length
-// matrices (relay_cost prices them), the generic protocol driver
-// (run_block_mm), and the one Ops adapter per carrier, so the ring products
-// (core/algebraic_mm), the min-plus/APSP workload (core/apsp) and the sparse
-// driver (core/sparse_mm.h) run the identical schedule. Ownership is
-// whole-row throughout: player v holds row v of A, B and C.
+// With m = ⌊n^{1/3}⌋ and [n] cut into m row intervals, C = A·B splits into
+// m³ block products C_ij ⊕= A_ik ⊗ B_kj, one triple per player, shipped
+// through the two-hop balanced relay (unicast_payloads_relayed). Player v
+// holds row v of A, B and C. The layout is written once, as two walks over
+// a triple's row slices (for_each_slice, for_each_partial_row). The length
+// matrices that relay_cost prices and the one product loop,
+// run_block_product, both follow them. The dense schedule (run_block_mm)
+// and the sparse one (run_sparse_mm, core/sparse_mm.h) differ only in the
+// slice codec run_block_product takes:
 //
-// The Ops concept the drivers consume:
+//   struct Codec {
+//     using Ops = ...;                                  // the carrier, below
+//     void encode(const Slice& s, Message* out) const;  // appends slice s
+//     // Reads slice s at *cursor into row s.block_row of *block (a bs x bs
+//     // semiring-zero matrix) and moves *cursor past it.
+//     void decode(const Slice& s, const Message& in, std::size_t* cursor,
+//                 Ops::Matrix* block) const;
+//     Ops::Matrix multiply(const Ops::Matrix& a_blk, const Ops::Matrix& b_blk) const;
+//   };
+//
+// A triple player's own rows go through the codec too, just without the
+// network (relay_phase). Aggregation ships every partial entry at
+// Ops::kWordBits in both schedules.
+//
+// The Ops concept, one adapter per carrier:
 //
 //   struct Ops {
 //     using Matrix = ...;               // Matrix(int n) = the semiring-zero
@@ -129,178 +140,192 @@ struct BlockGrid {
 
 using LengthMatrix = ::cclique::LengthMatrix;  // comm/engine.h
 
-/// Distribution-phase payload lengths in bits under whole-row ownership
-/// (player v holds row v of A, B and C): for each triple player p =
-/// (i, j, k), row owner v in I_i ships its |K_k|-wide slice of A and row
-/// owner v in K_k its |J_j|-wide slice of B — except p's own rows, which it
-/// reads directly.
-inline LengthMatrix distribute_lengths(const BlockGrid& g, int w) {
+/// One row slice of the block schedule: row `row` of operand `operand`
+/// (0 = A, 1 = B, 2 = a triple's partial block) over column interval
+/// `col_block`, i.e. columns [col_lo, col_lo + cols). It is row `block_row`
+/// of the triple player's block. Player `row` owns the row: it ships its A
+/// and B slices to the triple player and receives the partial slice back.
+struct Slice {
+  int operand;
+  int row;
+  int block_row;
+  int col_block;
+  int col_lo;
+  int cols;
+};
+
+/// Walks triple p = (i, j, k)'s distribution slices in wire order: the K_k
+/// slice of each A row in I_i, then the J_j slice of each B row in K_k.
+template <typename Fn>
+void for_each_slice(const BlockGrid& g, int p, Fn&& fn) {
+  const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
+  for (int r = g.lo(i); r < g.hi(i); ++r) fn(Slice{0, r, r - g.lo(i), k, g.lo(k), g.len(k)});
+  for (int r = g.lo(k); r < g.hi(k); ++r) fn(Slice{1, r, r - g.lo(k), j, g.lo(j), g.len(j)});
+}
+
+/// Walks triple p = (i, j, k)'s aggregation rows: the J_j-wide row of its
+/// partial block C_ij for each output row in I_i.
+template <typename Fn>
+void for_each_partial_row(const BlockGrid& g, int p, Fn&& fn) {
+  const int i = g.ti(p), j = g.tj(p);
+  for (int r = g.lo(i); r < g.hi(i); ++r) fn(Slice{2, r, r - g.lo(i), j, g.lo(j), g.len(j)});
+}
+
+/// Distribution-phase payload lengths in bits: row owner v ships triple
+/// player p the sum of bits(s) over p's slices s of row v, except p's own
+/// rows, which never touch the network.
+template <typename Bits>
+LengthMatrix slice_lengths(const BlockGrid& g, const Bits& bits) {
   // Length computation is a sink: the matrix must be a function of the grid
-  // geometry and the element width alone, never of matrix entries.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("distribute_lengths"));
+  // geometry and of what `bits` prices (the element width or the announced
+  // counts), never of matrix entries.
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("slice_lengths"));
   LengthMatrix len(static_cast<std::size_t>(g.n),
                    std::vector<std::size_t>(static_cast<std::size_t>(g.n), 0));
   for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;
-      len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          static_cast<std::size_t>(g.len(k)) * static_cast<std::size_t>(w);
-    }
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) continue;
-      len[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          static_cast<std::size_t>(g.len(j)) * static_cast<std::size_t>(w);
-    }
+    for_each_slice(g, p, [&](const Slice& s) {
+      if (s.row != p) len[static_cast<std::size_t>(s.row)][static_cast<std::size_t>(p)] += bits(s);
+    });
   }
   return len;
 }
 
-/// Aggregation-phase payload lengths: triple (i, j, k) ships one
-/// |J_j|-wide partial row slice to each output row owner in I_i.
+/// The dense schedule's distribution lengths: every slice at w bits per entry.
+inline LengthMatrix distribute_lengths(const BlockGrid& g, int w) {
+  return slice_lengths(g, [w](const Slice& s) {
+    return static_cast<std::size_t>(s.cols) * static_cast<std::size_t>(w);
+  });
+}
+
+/// Aggregation-phase payload lengths: triple player p ships each partial
+/// row at w bits per entry to the row's owner.
 inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("aggregate_lengths"));
   LengthMatrix len(static_cast<std::size_t>(g.n),
                    std::vector<std::size_t>(static_cast<std::size_t>(g.n), 0));
   for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;
-      len[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)] +=
-          static_cast<std::size_t>(g.len(j)) * static_cast<std::size_t>(w);
-    }
+    for_each_partial_row(g, p, [&](const Slice& s) {
+      if (s.row != p) {
+        len[static_cast<std::size_t>(p)][static_cast<std::size_t>(s.row)] +=
+            static_cast<std::size_t>(s.cols) * static_cast<std::size_t>(w);
+      }
+    });
   }
   return len;
 }
 
-/// The aggregation phase both product drivers end with (run_block_mm here,
-/// run_sparse_mm in core/sparse_mm.h): triple (i, j, k) ships each row
-/// slice of its partial block C_ij to the row's owner, who ⊕-combines the
-/// m contributions (one per k) into `*c`. Returns the relay rounds used;
-/// the payload lengths are exactly aggregate_lengths(g, Ops::kWordBits).
-template <typename Ops>
-int aggregate_partials(CliqueUnicast& net, const BlockGrid& g,
-                       const locality::PerPlayer<typename Ops::Matrix>& partial,
-                       typename Ops::Matrix* c) {
-  constexpr int w = Ops::kWordBits;
-  const int n = g.n;
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      if (r == p) continue;  // the triple player keeps its own row slice
-      Message& msg = payload[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
-      for (int t = 0; t < g.len(j); ++t) {
-        msg.push_uint(Ops::get(partial[p], r - g.lo(i), t), w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
+/// The dense slice codec: a slice travels as its `cols` entries at
+/// Ops::kWordBits each.
+template <typename OpsT>
+struct DenseSlices {
+  using Ops = OpsT;
+  using Matrix = typename Ops::Matrix;
+  const Matrix* operand[2];  ///< A, B
 
-  *c = typename Ops::Matrix(n);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      for (int t = 0; t < g.len(j); ++t) {
-        std::uint64_t v;
-        if (r == p) {
-          v = Ops::get(partial[p], r - g.lo(i), t);
-        } else {
-          const Message& src =
-              recv[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
-          v = src.read_uint(static_cast<std::size_t>(t) * static_cast<std::size_t>(w), w);
-        }
-        Ops::accumulate(*c, r, g.lo(j) + t, v);
-      }
+  void encode(const Slice& s, Message* out) const {
+    for (int t = 0; t < s.cols; ++t) {
+      out->push_uint(Ops::get(*operand[s.operand], s.row, s.col_lo + t), Ops::kWordBits);
     }
   }
+  void decode(const Slice& s, const Message& in, std::size_t* cursor, Matrix* block) const {
+    for (int t = 0; t < s.cols; ++t, *cursor += Ops::kWordBits) {
+      Ops::set(*block, s.block_row, t, in.read_uint(*cursor, Ops::kWordBits));
+    }
+  }
+  Matrix multiply(const Matrix& a_blk, const Matrix& b_blk) const {
+    return Ops::multiply(a_blk, b_blk);
+  }
+};
+
+/// Relays one phase's payloads. What a player addresses to itself
+/// (payload[v][v]) never touches the network: it waits in received[v][v],
+/// where the decoder reads it like any received payload.
+inline int relay_phase(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
+                       std::vector<std::vector<Message>>* received) {
+  std::vector<Message> own(payload.size());
+  for (std::size_t v = 0; v < own.size(); ++v) own[v] = std::move(payload[v][v]);
+  const int rounds = unicast_payloads_relayed(net, std::move(payload), received);
+  for (std::size_t v = 0; v < own.size(); ++v) (*received)[v][v] = std::move(own[v]);
   return rounds;
 }
 
-/// One distributed semiring product C = A ⊗ B over the grid: distribution
-/// (row owners ship block row slices to triple players through the relay),
-/// local block products, aggregation (partial row slices back to the
-/// output row owners, ⊕-accumulated). Player v holds row v of A, B and C.
-/// Per (owner, triple) pair the payload carries the A slices, then the B
-/// slices — the decode order. `plan` must be algebraic_mm_plan(n,
-/// Ops::kWordBits, net.bandwidth()) (PreconditionError before any bit moves
-/// otherwise); each phase's rounds and the total rounds/bits are CC_CHECKed
-/// against it on every run.
+/// One distributed product C = A ⊗ B over the grid through `codec` (the
+/// slice codec contract above): distribution (every slice from its row
+/// owner to its triple player), local block products (blocks padded to
+/// bs x bs with the semiring zero), and aggregation (every partial row back
+/// to its owner, ⊕-accumulated into *c). Each phase's rounds are CC_CHECKed
+/// against `plan`'s; the caller checks the total.
+template <typename Codec, typename Plan>
+void run_block_product(CliqueUnicast& net, const BlockGrid& g, const Codec& codec,
+                       const Plan& plan, typename Codec::Ops::Matrix* c) {
+  using Ops = typename Codec::Ops;
+  using Matrix = typename Ops::Matrix;
+  constexpr int w = Ops::kWordBits;
+  const std::size_t n = static_cast<std::size_t>(g.n);
+
+  // ---- Distribution: row owners ship their slices to the triple players.
+  std::vector<std::vector<Message>> payload(n, std::vector<Message>(n)), recv;
+  for (int p = 0; p < g.triples(); ++p) {
+    for_each_slice(g, p, [&](const Slice& s) { codec.encode(s, &payload[s.row][p]); });
+  }
+  const int distribute_rounds = relay_phase(net, std::move(payload), &recv);
+  CC_CHECK(distribute_rounds == plan.distribute_rounds,
+           "block product distribution left the planned schedule");
+
+  // ---- Local block products. Each triple player's partial block is its
+  // private state until the aggregation ships it out (ownership-tagged).
+  locality::PerPlayer<Matrix> partial(g.triples(),
+                                      CC_LOCALITY_SITE("triple player's block product"));
+  for (int p = 0; p < g.triples(); ++p) {
+    Matrix block[2] = {Matrix(g.bs), Matrix(g.bs)};
+    std::vector<std::size_t> cursor(n, 0);
+    for_each_slice(g, p, [&](const Slice& s) {
+      codec.decode(s, recv[p][s.row], &cursor[s.row], &block[s.operand]);
+    });
+    partial[p] = codec.multiply(block[0], block[1]);
+  }
+
+  // ---- Aggregation: partial rows travel to their output row owners.
+  payload.assign(n, std::vector<Message>(n));
+  for (int p = 0; p < g.triples(); ++p) {
+    for_each_partial_row(g, p, [&](const Slice& s) {
+      for (int t = 0; t < s.cols; ++t) {
+        payload[p][s.row].push_uint(Ops::get(partial[p], s.block_row, t), w);
+      }
+    });
+  }
+  const int aggregate_rounds = relay_phase(net, std::move(payload), &recv);
+  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
+           "block product aggregation left the planned schedule");
+  *c = Matrix(g.n);
+  for (int p = 0; p < g.triples(); ++p) {
+    for_each_partial_row(g, p, [&](const Slice& s) {
+      for (int t = 0; t < s.cols; ++t) {
+        Ops::accumulate(*c, s.row, s.col_lo + t,
+                        recv[s.row][p].read_uint(static_cast<std::size_t>(t) * w, w));
+      }
+    });
+  }
+}
+
+/// One dense distributed semiring product C = A ⊗ B: every slice ships at
+/// Ops::kWordBits per entry. Player v holds row v of A, B and C. `plan` must
+/// be algebraic_mm_plan(n, Ops::kWordBits, net.bandwidth())
+/// (PreconditionError before any bit moves otherwise); each phase's rounds
+/// and the total rounds/bits are CC_CHECKed against it on every run.
 template <typename Ops>
 void run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
                   const typename Ops::Matrix& b, typename Ops::Matrix* c,
                   const AlgebraicMmPlan& plan) {
-  using Matrix = typename Ops::Matrix;
-  constexpr int w = Ops::kWordBits;
   const int n = a.n();
   CC_REQUIRE(net.n() == n, "one player per matrix row");
   CC_REQUIRE(b.n() == n, "size mismatch");
   CC_REQUIRE(c != nullptr, "output matrix required");
-  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() && plan.word_bits == w,
+  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() &&
+                 plan.word_bits == Ops::kWordBits,
              "plan priced for another engine or carrier");
-  const BlockGrid g(n);
   const ChargedSince charged(net.stats());
-
-  // ---- Distribution: row owners ship block row slices to triple players.
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int r = g.lo(i); r < g.hi(i); ++r) {
-      if (r == p) continue;  // the triple player reads its own rows directly
-      Message& msg = payload[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
-      for (int col = g.lo(k); col < g.hi(k); ++col) msg.push_uint(Ops::get(a, r, col), w);
-    }
-    for (int r = g.lo(k); r < g.hi(k); ++r) {
-      if (r == p) continue;
-      Message& msg = payload[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)];
-      for (int col = g.lo(j); col < g.hi(j); ++col) msg.push_uint(Ops::get(b, r, col), w);
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int distribute_rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
-  CC_CHECK(distribute_rounds == plan.distribute_rounds,
-           "block MM distribution left the planned schedule");
-
-  // ---- Local block products (blocks padded to bs x bs with the semiring
-  // zero — Matrix(n)'s fill — so padding rows/columns contribute nothing).
-  // Each triple player's block product is its private state until the
-  // aggregation hop ships the partial entries out (ownership-tagged).
-  // Decode mirrors the build exactly: same (triple, row) iteration order,
-  // one sequential cursor per source row owner.
-  locality::PerPlayer<Matrix> partial(
-      g.triples(), CC_LOCALITY_SITE("triple player's block product"));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    Matrix ablk(g.bs), bblk(g.bs);
-    std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    auto load = [&](const Matrix& src_mat, Matrix* blk, int row_t, int col_t) {
-      for (int r = g.lo(row_t); r < g.hi(row_t); ++r) {
-        const Message& src = recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)];
-        std::size_t& off = cur[static_cast<std::size_t>(r)];
-        for (int t = 0; t < g.len(col_t); ++t) {
-          std::uint64_t v;
-          if (r == p) {
-            v = Ops::get(src_mat, r, g.lo(col_t) + t);
-          } else {
-            v = src.read_uint(off, w);
-            off += static_cast<std::size_t>(w);
-          }
-          Ops::set(*blk, r - g.lo(row_t), t, v);
-        }
-      }
-    };
-    load(a, &ablk, i, k);
-    load(b, &bblk, k, j);
-    partial[p] = Ops::multiply(ablk, bblk);
-  }
-
-  // ---- Aggregation: partial row slices travel to the output row owners.
-  const int aggregate_rounds = aggregate_partials<Ops>(net, g, partial, c);
-  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
-           "block MM aggregation left the planned schedule");
+  run_block_product(net, BlockGrid(n), DenseSlices<Ops>{{&a, &b}}, plan, c);
   charged.check(plan.total_rounds, plan.total_bits, "block MM left the planned schedule");
 }
 

@@ -63,36 +63,17 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfil
   plan.announce_rounds = announce.rounds;
   plan.announce_bits = announce.bits;
 
-  // Distribution: row owner v ships, per triple (i, j, k) it serves, its
-  // declared count of (index, value) pairs — index_bits + w bits each.
-  const std::size_t pair_bits =
-      static_cast<std::size_t>(plan.index_bits + word_bits);
-  blockmm::LengthMatrix dist(
-      static_cast<std::size_t>(n),
-      std::vector<std::size_t>(static_cast<std::size_t>(n), 0));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;
-      dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          profile.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(k)] *
-          pair_bits;
-    }
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) continue;
-      dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +=
-          profile.b_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(j)] *
-          pair_bits;
-    }
-  }
-  const RelayCost dc = relay_cost(dist, bandwidth);
+  // Distribution: each slice ships its declared count of (index, value)
+  // pairs, index_bits + w bits each.
+  const std::size_t pair_bits = static_cast<std::size_t>(plan.index_bits + word_bits);
+  const RelayCost dc = relay_cost(
+      blockmm::slice_lengths(
+          g, [&](const blockmm::Slice& s) { return slice_nnz(profile, s) * pair_bits; }),
+      bandwidth);
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
   // without a second announcement; see sparse_mm.h).
-  const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
-  const RelayCost ac = relay_cost(agg, bandwidth);
+  const RelayCost ac = relay_cost(blockmm::aggregate_lengths(g, word_bits), bandwidth);
 
   plan.distribute_rounds = dc.rounds;
   plan.aggregate_rounds = ac.rounds;

@@ -3,10 +3,11 @@
 // The dense schedule (core/algebraic_mm, core/block_mm.h) ships every block
 // entry at full width — Θ(n^{4/3} · w) bits per player regardless of the
 // input. On sparse operands almost all of that traffic carries the implicit
-// zero. This module runs the same [m]^3 decomposition and two-hop relay,
-// but each row owner ships only its *explicit* entries as (local-index,
-// value) pairs, so per-block payload lengths are proportional to the
-// declared nnz counts instead of the dense block widths.
+// zero. This module runs the same [m]^3 decomposition through the same
+// product loop (blockmm::run_block_product) with another slice codec,
+// SparseSlices: each row owner ships only its *explicit* entries as
+// (local-index, value) pairs, so per-block payload lengths are proportional
+// to the declared nnz counts instead of the dense block widths.
 //
 // That makes the schedule *data-dependent* — exactly what the oblivious
 // guard exists to police. The contract (DESIGN.md §2.7–2.8, following the
@@ -31,18 +32,17 @@
 //
 // Aggregation stays dense-width: the output's sparsity is fill-in dependent
 // (a product of sparse blocks need not be sparse, and pricing it would need
-// a second declared announcement of *output* structure), so partial blocks
-// travel at w bits per entry exactly like the dense schedule. The sparse
-// win is the distribution phase plus nothing else — which is why the
-// crossover (sparse_backend_preferred) is a genuine tradeoff and not a
-// foregone conclusion. run_routed_square is the one place that rule is
-// applied: counting and APSP route every product through it.
+// a second declared announcement of *output* structure), so
+// run_block_product ships partial blocks at w bits per entry in both
+// schedules. The sparse win is the distribution phase plus nothing else —
+// which is why the crossover (sparse_backend_preferred) is a genuine
+// tradeoff and not a foregone conclusion. run_routed_square is the one place
+// that rule is applied: counting and APSP route every product through it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "analysis/locality_guard.h"
 #include "analysis/oblivious_guard.h"
 #include "comm/clique_unicast.h"
 #include "core/algebraic_mm.h"
@@ -127,13 +127,59 @@ inline bool sparse_backend_preferred(const SparseMmPlan& sparse,
 int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
                          int count_bits);
 
+/// The announced entry count of distribution slice s: how many pairs its
+/// row owner ships for it.
+inline std::size_t slice_nnz(const SparseNnzProfile& profile, const blockmm::Slice& s) {
+  const std::vector<std::size_t>& counts = s.operand == 0 ? profile.a_block_nnz
+                                                          : profile.b_block_nnz;
+  return counts[static_cast<std::size_t>(s.row) * static_cast<std::size_t>(profile.grid) +
+                static_cast<std::size_t>(s.col_block)];
+}
+
+/// The sparse slice codec (the contract is in core/block_mm.h): a slice
+/// travels as its explicit entries, one (local column index, value) pair
+/// each in CSR column order. The announced count bounds every read, and the
+/// decoder fills the A block like the B block, so the local product hands
+/// Csr61::from_dense of the A block to Ops::spmm. That CSR is the one the
+/// pairs describe, because an explicit entry never equals the implicit zero.
+template <typename OpsT>
+struct SparseSlices {
+  using Ops = OpsT;
+  using Matrix = typename Ops::Matrix;
+  const Csr61* operand[2];  ///< A, B
+  const SparseMmPlan* plan;
+
+  // Executor-side CSR reads are sanctioned: source_touch is free outside
+  // sinks; only *planning* on structure needs the declared dependence.
+  void encode(const blockmm::Slice& s, Message* out) const {
+    const Csr61& x = *operand[s.operand];
+    for (std::size_t e = x.row_ptr()[s.row]; e < x.row_ptr()[s.row + 1]; ++e) {
+      const int col = x.cols()[e] - s.col_lo;
+      if (col < 0 || col >= s.cols) continue;
+      out->push_uint(static_cast<std::uint64_t>(col), plan->index_bits);
+      out->push_uint(x.vals()[e], Ops::kWordBits);
+    }
+  }
+  void decode(const blockmm::Slice& s, const Message& in, std::size_t* cursor,
+              Matrix* block) const {
+    for (std::size_t t = slice_nnz(plan->profile, s); t > 0; --t) {
+      const int col = static_cast<int>(in.read_uint(*cursor, plan->index_bits));
+      *cursor += static_cast<std::size_t>(plan->index_bits);
+      Ops::set(*block, s.block_row, col, in.read_uint(*cursor, Ops::kWordBits));
+      *cursor += Ops::kWordBits;
+    }
+  }
+  Matrix multiply(const Matrix& a_blk, const Matrix& b_blk) const {
+    return Ops::spmm(Csr61::from_dense(a_blk), b_blk);
+  }
+};
+
 /// One sparse distributed product C = A ⊗ B over a sparse carrier's Ops
-/// (core/block_mm.h: kRing and spmm included). Phases: announce counts;
-/// relay each owner's explicit (local-index, value) pairs per block (A
-/// pairs before B pairs per (owner, triple), CSR column order within each
-/// block — the decode order); local sparse·dense block products;
-/// dense-width aggregation (blockmm::aggregate_partials, shared with
-/// run_block_mm). `plan` must be sparse_mm_plan(n, Ops::kWordBits,
+/// (core/block_mm.h: kRing and spmm included). Phases: announce the counts
+/// (run_nnz_announcement); then run_block_product through SparseSlices, which
+/// relays each owner's explicit pairs per slice, runs the local sparse·dense
+/// block products and aggregates the partial rows at dense width like
+/// run_block_mm. `plan` must be sparse_mm_plan(n, Ops::kWordBits,
 /// net.bandwidth(), profile) of a profile that describes the operands
 /// (block_nnz_counts, row by row), else PreconditionError before any bit
 /// moves; each phase's rounds and the total rounds/bits are CC_CHECKed
@@ -141,141 +187,27 @@ int run_nnz_announcement(CliqueUnicast& net, const SparseNnzProfile& profile,
 template <typename Ops>
 void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                    typename Ops::Matrix* c, const SparseMmPlan& plan) {
-  using Matrix = typename Ops::Matrix;
-  constexpr int w = Ops::kWordBits;
   const int n = a.n();
   CC_REQUIRE(net.n() == n, "one player per matrix row");
   CC_REQUIRE(b.n() == n, "size mismatch");
   CC_REQUIRE(c != nullptr, "output matrix required");
   CC_REQUIRE(a.ring() == Ops::kRing && b.ring() == Ops::kRing,
              "CSR ring does not match the Ops carrier");
-  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() && plan.word_bits == w,
+  CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() &&
+                 plan.word_bits == Ops::kWordBits,
              "plan priced for another engine or carrier");
   const blockmm::BlockGrid g(n);
   // Each row owner checks its rows against the profile it will announce, so
   // a plan priced for other operands fails here instead of mid-product.
-  const SparseNnzProfile& profile = plan.profile;
-  CC_REQUIRE(profile.n == n && profile.grid == g.m &&
-                 block_nnz_counts(a, g) == profile.a_block_nnz &&
-                 block_nnz_counts(b, g) == profile.b_block_nnz,
+  CC_REQUIRE(plan.profile.n == n && plan.profile.grid == g.m &&
+                 block_nnz_counts(a, g) == plan.profile.a_block_nnz &&
+                 block_nnz_counts(b, g) == plan.profile.b_block_nnz,
              "profile does not describe the operands");
-  const int m = g.m;
-  const int index_bits = plan.index_bits;
   const ChargedSince charged(net.stats());
-
-  // ---- Phase 1: make the declared profile common knowledge.
-  const int announce_rounds = run_nnz_announcement(net, profile, plan.count_bits);
+  const int announce_rounds = run_nnz_announcement(net, plan.profile, plan.count_bits);
   CC_CHECK(announce_rounds == plan.announce_rounds,
            "announcement left the planned schedule");
-
-  // ---- Phase 2: row owners relay their explicit entries per block.
-  // Executor-side CSR reads are sanctioned: source_touch is free outside
-  // sinks — only *planning* on structure needs the declared dependence.
-  const std::size_t* arp = a.row_ptr();
-  const int* acols = a.cols();
-  const std::uint64_t* avals = a.vals();
-  const std::size_t* brp = b.row_ptr();
-  const int* bcols = b.cols();
-  const std::uint64_t* bvals = b.vals();
-  std::vector<std::vector<Message>> payload(
-      static_cast<std::size_t>(n), std::vector<Message>(static_cast<std::size_t>(n)));
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      if (v == p) continue;  // the triple player reads its own row directly
-      Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-      for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
-        if (acols[e] < g.lo(k) || acols[e] >= g.hi(k)) continue;
-        msg.push_uint(static_cast<std::uint64_t>(acols[e] - g.lo(k)), index_bits);
-        msg.push_uint(avals[e], w);
-      }
-    }
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) continue;
-      Message& msg = payload[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-      for (std::size_t e = brp[v]; e < brp[v + 1]; ++e) {
-        if (bcols[e] < g.lo(j) || bcols[e] >= g.hi(j)) continue;
-        msg.push_uint(static_cast<std::uint64_t>(bcols[e] - g.lo(j)), index_bits);
-        msg.push_uint(bvals[e], w);
-      }
-    }
-  }
-  std::vector<std::vector<Message>> recv;
-  const int distribute_rounds = unicast_payloads_relayed(net, std::move(payload), &recv);
-  CC_CHECK(distribute_rounds == plan.distribute_rounds,
-           "sparse MM distribution left the planned schedule");
-
-  // ---- Local sparse block products: each triple assembles its A block as
-  // a bs x bs CSR and its B block dense (padded with the semiring zero),
-  // then runs the sparse·dense kernel. Decode mirrors the build: announced
-  // counts bound every read, one sequential cursor per source owner.
-  locality::PerPlayer<Matrix> partial(
-      g.triples(), CC_LOCALITY_SITE("triple player's sparse block product"));
-  const std::size_t pair_bits = static_cast<std::size_t>(index_bits + w);
-  for (int p = 0; p < g.triples(); ++p) {
-    const int i = g.ti(p), j = g.tj(p), k = g.tk(p);
-    std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-    std::vector<std::size_t> row_ptr(static_cast<std::size_t>(g.bs) + 1, 0);
-    std::vector<int> cols;
-    std::vector<std::uint64_t> vals;
-    for (int v = g.lo(i); v < g.hi(i); ++v) {
-      const std::size_t cnt =
-          profile.a_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                              static_cast<std::size_t>(k)];
-      if (v == p) {
-        for (std::size_t e = arp[v]; e < arp[v + 1]; ++e) {
-          if (acols[e] < g.lo(k) || acols[e] >= g.hi(k)) continue;
-          cols.push_back(acols[e] - g.lo(k));
-          vals.push_back(avals[e]);
-        }
-      } else {
-        const Message& src =
-            recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];
-        std::size_t& off = cur[static_cast<std::size_t>(v)];
-        for (std::size_t t = 0; t < cnt; ++t) {
-          cols.push_back(static_cast<int>(src.read_uint(off, index_bits)));
-          vals.push_back(src.read_uint(off + static_cast<std::size_t>(index_bits), w));
-          off += pair_bits;
-        }
-      }
-      row_ptr[static_cast<std::size_t>(v - g.lo(i)) + 1] = cols.size();
-    }
-    for (int r = g.len(i); r < g.bs; ++r) {
-      row_ptr[static_cast<std::size_t>(r) + 1] = cols.size();  // padding rows
-    }
-    const Csr61 ablk(g.bs, Ops::kRing, std::move(row_ptr), std::move(cols),
-                     std::move(vals));
-    Matrix bblk(g.bs);
-    for (int v = g.lo(k); v < g.hi(k); ++v) {
-      if (v == p) {
-        for (std::size_t e = brp[v]; e < brp[v + 1]; ++e) {
-          if (bcols[e] < g.lo(j) || bcols[e] >= g.hi(j)) continue;
-          Ops::set(bblk, v - g.lo(k), bcols[e] - g.lo(j), bvals[e]);
-        }
-      } else {
-        const std::size_t cnt =
-            profile.b_block_nnz[static_cast<std::size_t>(v) * static_cast<std::size_t>(m) +
-                                static_cast<std::size_t>(j)];
-        const Message& src =
-            recv[static_cast<std::size_t>(p)][static_cast<std::size_t>(v)];
-        std::size_t& off = cur[static_cast<std::size_t>(v)];
-        for (std::size_t t = 0; t < cnt; ++t) {
-          const int idx = static_cast<int>(src.read_uint(off, index_bits));
-          Ops::set(bblk, v - g.lo(k), idx,
-                   src.read_uint(off + static_cast<std::size_t>(index_bits), w));
-          off += pair_bits;
-        }
-      }
-    }
-    partial[p] = Ops::spmm(ablk, bblk);
-  }
-
-  // ---- Phase 3: dense-width aggregation, the dense driver's own phase
-  // (output sparsity is fill-in dependent and deliberately unpriced; see
-  // header comment).
-  const int aggregate_rounds = blockmm::aggregate_partials<Ops>(net, g, partial, c);
-  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
-           "sparse MM aggregation left the planned schedule");
+  blockmm::run_block_product(net, g, SparseSlices<Ops>{{&a, &b}, &plan}, plan, c);
   charged.check(plan.total_rounds, plan.total_bits, "sparse MM left the planned schedule");
 }
 

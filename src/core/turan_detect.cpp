@@ -7,6 +7,22 @@
 
 namespace cclique {
 
+ReconstructionResult run_algorithm_a(CliqueBroadcast& net, const Graph& g, int k) {
+  const int n = g.num_vertices();
+  std::vector<Message> payloads(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    payloads[static_cast<std::size_t>(v)] = serialize_sketch(make_sketch(g, v, k), n);
+  }
+  int rounds_used = 0;
+  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
+  std::vector<NodeSketch> sketches;
+  sketches.reserve(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    sketches.push_back(deserialize_sketch(board[static_cast<std::size_t>(v)], k, n));
+  }
+  return reconstruct_from_sketches(std::move(sketches), k, n);
+}
+
 TuranDetectResult turan_subgraph_detect(CliqueBroadcast& net, const Graph& g,
                                         const Graph& h) {
   const int n = g.num_vertices();
@@ -15,22 +31,7 @@ TuranDetectResult turan_subgraph_detect(CliqueBroadcast& net, const Graph& g,
   result.degeneracy_cap = degeneracy_cap_if_h_free(static_cast<std::uint64_t>(n), h);
   const int k = result.degeneracy_cap;
 
-  // One logical round of [2]'s algorithm A, chunked at b bits.
-  std::vector<Message> payloads(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    payloads[static_cast<std::size_t>(v)] = serialize_sketch(make_sketch(g, v, k), n);
-  }
-  int rounds_used = 0;
-  const std::vector<Message> board = broadcast_payloads(net, std::move(payloads), &rounds_used);
-
-  // Referee-side reconstruction (every node runs the same deterministic
-  // computation on the blackboard contents).
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    sketches.push_back(deserialize_sketch(board[static_cast<std::size_t>(v)], k, n));
-  }
-  ReconstructionResult rec = reconstruct_from_sketches(std::move(sketches), k, n);
+  ReconstructionResult rec = run_algorithm_a(net, g, k);
   result.reconstructed = rec.success;
   if (rec.success) {
     result.embedding = find_subgraph(rec.graph, h);

@@ -16,6 +16,7 @@
 
 #include "comm/clique_broadcast.h"
 #include "graph/graph.h"
+#include "sketch/sketch.h"
 
 namespace cclique {
 
@@ -31,6 +32,12 @@ struct TuranDetectResult {
   bool reconstructed = false;
   CommStats stats;
 };
+
+/// One invocation of [2]'s algorithm A(g, k): every node broadcasts its
+/// sketch with parameter k, chunked at b bits, and every node then runs the
+/// referee reconstruction on the blackboard. Theorem 7 runs it once;
+/// Theorem 9 (core/adaptive_detect) runs it per level and guess.
+ReconstructionResult run_algorithm_a(CliqueBroadcast& net, const Graph& g, int k);
 
 /// Runs Theorem 7's protocol for pattern `h` on input graph `g` (node i of
 /// the broadcast clique holds the edges incident to vertex i).

@@ -1,7 +1,5 @@
 #include "linalg/mat61.h"
 
-#include "linalg/kernels.h"
-
 namespace cclique {
 
 Mat61::Mat61(int n) : n_(n) {
@@ -52,17 +50,6 @@ Mat61 m61_multiply_schoolbook(const Mat61& a, const Mat61& b) {
       out.set(i, j, acc);
     }
   }
-  return out;
-}
-
-Mat61 m61_multiply_blocked(const Mat61& a, const Mat61& b) {
-  CC_REQUIRE(a.n() == b.n(), "size mismatch");
-  Mat61 out(a.n());
-  if (a.n() == 0) return out;
-  // The panel logic lives in linalg/kernels (m61_mm_rows_scalar) so the
-  // dispatch layer's threaded/vectorized variants share one definition of
-  // "the scalar kernel".
-  m61_mm_rows_scalar(a.data(), b.data(), out.mutable_data(), a.n(), 0, a.n());
   return out;
 }
 

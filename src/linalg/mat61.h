@@ -6,9 +6,9 @@
 // 4-cycles via trace(A^4)) then need exact small-integer arithmetic, which
 // F_{2^61-1} provides for free as long as the true values stay below p.
 // This module is the local numeric substrate of core/algebraic_mm: a
-// row-major dense matrix of reduced field elements plus two local product
-// kernels — a per-entry schoolbook reference and the cache-blocked
-// lazy-reduction kernel the protocol actually calls.
+// row-major dense matrix of reduced field elements plus a per-entry
+// schoolbook reference product. The local kernels the protocol calls live in
+// linalg/kernels.h.
 #pragma once
 
 #include <cstdint>
@@ -105,14 +105,8 @@ class Mat61 {
 };
 
 /// Schoolbook product with one modular reduction per elementary product —
-/// the reference the blocked kernel is tested against. O(n^3) reductions.
+/// the reference the local kernels (linalg/kernels.h) are tested against.
+/// O(n^3) reductions.
 Mat61 m61_multiply_schoolbook(const Mat61& a, const Mat61& b);
-
-/// Cache-blocked product: i-k-j loop order streaming contiguous rows of B,
-/// k split into panels of 32 with lazy 128-bit accumulation — products of
-/// reduced elements are < 2^122, so a 32-deep panel sum stays < 2^127 and
-/// needs only one reduce128 per output per panel (~32x fewer reductions
-/// than schoolbook). This is the local kernel of core/algebraic_mm.
-Mat61 m61_multiply_blocked(const Mat61& a, const Mat61& b);
 
 }  // namespace cclique

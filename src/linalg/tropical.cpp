@@ -1,7 +1,5 @@
 #include "linalg/tropical.h"
 
-#include "linalg/kernels.h"
-
 namespace cclique {
 
 TropicalMat::TropicalMat(int n) : n_(n) {
@@ -59,17 +57,6 @@ TropicalMat tropical_multiply_schoolbook(const TropicalMat& a, const TropicalMat
       out.set(i, j, best);
     }
   }
-  return out;
-}
-
-TropicalMat tropical_multiply_blocked(const TropicalMat& a, const TropicalMat& b) {
-  CC_REQUIRE(a.n() == b.n(), "size mismatch");
-  TropicalMat out(a.n());
-  if (a.n() == 0) return out;
-  // The row-streaming logic lives in linalg/kernels (tropical_mm_rows_scalar)
-  // so the dispatch layer's threaded/vectorized variants share one
-  // definition of "the scalar kernel".
-  tropical_mm_rows_scalar(a.data(), b.data(), out.mutable_data(), a.n(), 0, a.n());
   return out;
 }
 

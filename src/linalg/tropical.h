@@ -141,18 +141,9 @@ class TropicalMat {
 };
 
 /// Schoolbook distance product C_ij = min_k (A_ik + B_kj) with one explicit
-/// saturating add + min per elementary step — the reference the blocked
-/// kernel is tested against. O(n^3) time, cache-oblivious per-entry order.
+/// saturating add + min per elementary step — the reference the local
+/// kernels (linalg/kernels.h) are tested against. O(n^3) time,
+/// cache-oblivious per-entry order.
 TropicalMat tropical_multiply_schoolbook(const TropicalMat& a, const TropicalMat& b);
-
-/// Cache-blocked distance product: i-k-j loop order streaming contiguous
-/// rows of B into a row accumulator, mirroring m61_multiply_blocked. The
-/// (min, +) fold needs no lazy-reduction panels (min is idempotent and a
-/// saturated sum can never win against an accumulator that is <= kInf), so
-/// the kernel's speedups are the stream order, the row accumulator, and
-/// skipping +infinity A-entries outright (every lane of an unreachable
-/// block row is a no-op — the common case for sparse one-step matrices).
-/// This is the local kernel of core/apsp.
-TropicalMat tropical_multiply_blocked(const TropicalMat& a, const TropicalMat& b);
 
 }  // namespace cclique

@@ -15,6 +15,7 @@
 #include "core/apsp.h"
 #include "core/sparse_mm.h"
 #include "graph/generators.h"
+#include "linalg/kernels.h"
 #include "linalg/sparse.h"
 #include "linalg/tropical.h"
 #include "scoped_env.h"
@@ -77,8 +78,8 @@ TEST(Tropical, IdentityIsMultiplicativeIdentity) {
     const TropicalMat id = TropicalMat::identity(n);
     EXPECT_EQ(tropical_multiply_schoolbook(id, a), a) << "n=" << n;
     EXPECT_EQ(tropical_multiply_schoolbook(a, id), a) << "n=" << n;
-    EXPECT_EQ(tropical_multiply_blocked(id, a), a) << "n=" << n;
-    EXPECT_EQ(tropical_multiply_blocked(a, id), a) << "n=" << n;
+    EXPECT_EQ(tropical_multiply_kernel(id, a, KernelKind::kScalar, 1), a) << "n=" << n;
+    EXPECT_EQ(tropical_multiply_kernel(a, id, KernelKind::kScalar, 1), a) << "n=" << n;
   }
 }
 
@@ -90,7 +91,8 @@ TEST(Tropical, BlockedKernelMatchesSchoolbook) {
     for (double inf_prob : {0.0, 0.3, 0.9, 1.0}) {
       const TropicalMat a = TropicalMat::random(n, rng, kTropicalInf, inf_prob);
       const TropicalMat b = TropicalMat::random(n, rng, kTropicalInf, inf_prob);
-      EXPECT_EQ(tropical_multiply_blocked(a, b), tropical_multiply_schoolbook(a, b))
+      EXPECT_EQ(tropical_multiply_kernel(a, b, KernelKind::kScalar, 1),
+                tropical_multiply_schoolbook(a, b))
           << "n=" << n << " inf_prob=" << inf_prob;
     }
   }

@@ -236,20 +236,6 @@ TEST(KernelDispatchProtocol, AlgebraicMmAndApspStatsAreKernelIndependent) {
   }
 }
 
-/// The blocked multiply wrappers (the pre-dispatch public API) must agree
-/// with the kernel layer they now delegate to.
-TEST(KernelDispatchProtocol, BlockedWrappersDelegateToScalarKernels) {
-  Rng rng(11);
-  const Mat61 a = Mat61::random(37, rng);
-  const Mat61 b = Mat61::random(37, rng);
-  EXPECT_EQ(m61_multiply_blocked(a, b),
-            m61_multiply_kernel(a, b, KernelKind::kScalar, 1));
-  const TropicalMat ta = TropicalMat::random(37, rng, 1u << 12, 0.3);
-  const TropicalMat tb = TropicalMat::random(37, rng, 1u << 12, 0.3);
-  EXPECT_EQ(tropical_multiply_blocked(ta, tb),
-            tropical_multiply_kernel(ta, tb, KernelKind::kScalar, 1));
-}
-
 /// AVX2 coverage notice: on hosts without AVX2 the vector half of the grid
 /// is unreachable; make that visible as a skip instead of silently passing.
 TEST(KernelDispatchProtocol, Avx2GridActuallyRanOnThisHost) {

@@ -5,6 +5,7 @@
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "linalg/f2matrix.h"
+#include "linalg/kernels.h"
 #include "linalg/mat61.h"
 #include "util/rng.h"
 
@@ -192,7 +193,7 @@ TEST_P(Mat61BlockedTest, BlockedMatchesSchoolbook) {
   Rng rng(200 + n);
   const Mat61 a = Mat61::random(n, rng);
   const Mat61 b = Mat61::random(n, rng);
-  EXPECT_EQ(m61_multiply_blocked(a, b), m61_multiply_schoolbook(a, b));
+  EXPECT_EQ(m61_multiply_kernel(a, b, KernelKind::kScalar, 1), m61_multiply_schoolbook(a, b));
 }
 
 // Sizes straddle the k-panel depth (32) so the lazy-reduction folds at the
@@ -208,7 +209,7 @@ TEST(Mat61, BlockedSurvivesMaximalEntries) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) a.set(i, j, Mersenne61::kP - 1);
   }
-  EXPECT_EQ(m61_multiply_blocked(a, a), m61_multiply_schoolbook(a, a));
+  EXPECT_EQ(m61_multiply_kernel(a, a, KernelKind::kScalar, 1), m61_multiply_schoolbook(a, a));
 }
 
 TEST(Mat61, AdjacencySymmetricZeroDiagonal) {

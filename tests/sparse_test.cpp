@@ -2,18 +2,22 @@
 // (linalg/sparse), the sparse local kernels and their CC_THREADS
 // determinism (linalg/kernels), the nnz-declared sparse MM schedule with
 // its announcement phase and crossover rule (core/sparse_mm), the
-// backend-routed counting entry points (the APSP backends are tested in
-// apsp_test), the O(n + m) G(n, p) edge sampler, and the oblivious-guard
-// contract around declared nnz dependence.
+// direction of every block product's traffic, dense and sparse, against its
+// plan's length matrices (core/block_mm.h), the backend-routed counting
+// entry points (the APSP backends are tested in apsp_test), the O(n + m)
+// G(n, p) edge sampler, and the oblivious-guard contract around declared
+// nnz dependence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/oblivious_guard.h"
 #include "core/algebraic_mm.h"
+#include "core/apsp.h"
 #include "core/block_mm.h"
 #include "core/sparse_mm.h"
 #include "graph/generators.h"
@@ -341,6 +345,111 @@ TEST(SparseMm, AnnouncementRejectsCountsItCannotCarry) {
   EXPECT_EQ(net.stats(), CliqueUnicast(n, 64).stats());
   // The plan's own field width carries every count.
   EXPECT_EQ(run_nnz_announcement(net, profile, plan.count_bits), plan.announce_rounds);
+}
+
+// ------------------------------------------------------ block product layout
+
+/// Relays zero-filled payloads of lengths `len` (len[v][p] bits from v to p).
+void relay_zero_payloads(CliqueUnicast& net, const LengthMatrix& len) {
+  std::vector<std::vector<Message>> payload(len.size()), recv;
+  for (std::size_t v = 0; v < len.size(); ++v) {
+    for (const std::size_t bits : len[v]) payload[v].emplace_back(bits);
+  }
+  unicast_payloads_relayed(net, std::move(payload), &recv);
+}
+
+/// The sparse plan's distribution lengths: each slice's announced pairs.
+LengthMatrix sparse_distribution(const blockmm::BlockGrid& g, const SparseMmPlan& plan) {
+  const auto pair_bits = static_cast<std::size_t>(plan.index_bits + plan.word_bits);
+  return blockmm::slice_lengths(
+      g, [&](const blockmm::Slice& s) { return slice_nnz(plan.profile, s) * pair_bits; });
+}
+
+TEST(BlockProduct, ShipsExactlyItsPlannedLengths) {
+  // Transposing a length matrix leaves relay_cost unchanged, so the plan's
+  // rounds and bits cannot tell a slice shipped from its row owner to the
+  // triple player from one shipped the other way. The cut and per-player
+  // counters can: every product's whole CommStats must equal a fresh
+  // engine's with the same cut that relays zero payloads of the plan's
+  // distribution lengths, then of its aggregation lengths (after the
+  // announcement, on the sparse schedule).
+  Rng rng(2701);
+  for (int n : {1, 2, 3, 7, 8, 9, 26, 27, 28, 64}) {
+    const blockmm::BlockGrid g(n);
+    std::vector<int> cut(static_cast<std::size_t>(n));
+    for (int& side : cut) side = rng.coin() ? 1 : 0;
+    for (int b : {1, 60, 61, 64, 4096}) {
+      auto expect_planned = [&](const char* product, const CliqueUnicast& net,
+                                const LengthMatrix& distribution, int w,
+                                const SparseMmPlan* sparse) {
+        SCOPED_TRACE(std::string(product) + " n=" + std::to_string(n) +
+                     " b=" + std::to_string(b));
+        CliqueUnicast twin(n, b);
+        twin.set_cut(cut);
+        if (sparse != nullptr) run_nnz_announcement(twin, sparse->profile, sparse->count_bits);
+        relay_zero_payloads(twin, distribution);
+        relay_zero_payloads(twin, blockmm::aggregate_lengths(g, w));
+        const CommStats& got = net.stats();
+        const CommStats& want = twin.stats();
+        EXPECT_EQ(got.rounds, want.rounds);
+        EXPECT_EQ(got.total_bits, want.total_bits);
+        EXPECT_EQ(got.total_messages, want.total_messages);
+        EXPECT_EQ(got.cut_bits, want.cut_bits);
+        EXPECT_EQ(got.max_edge_bits_in_round, want.max_edge_bits_in_round);
+        EXPECT_EQ(got.per_player_sent_bits, want.per_player_sent_bits);
+        EXPECT_EQ(got.per_player_recv_bits, want.per_player_recv_bits);
+      };
+      {
+        const F2Matrix x = F2Matrix::random(n, rng), y = F2Matrix::random(n, rng);
+        CliqueUnicast net(n, b);
+        net.set_cut(cut);
+        F2Matrix c;
+        algebraic_mm_f2(net, x, y, &c);
+        EXPECT_EQ(c, f2_multiply_naive(x, y));
+        expect_planned("dense F2", net, blockmm::distribute_lengths(g, 1), 1, nullptr);
+      }
+      {
+        const Mat61 x = Mat61::random(n, rng), y = Mat61::random(n, rng);
+        CliqueUnicast net(n, b);
+        net.set_cut(cut);
+        Mat61 c;
+        algebraic_mm_m61(net, x, y, &c);
+        EXPECT_EQ(c, m61_multiply_schoolbook(x, y));
+        expect_planned("dense M61", net, blockmm::distribute_lengths(g, 61), 61, nullptr);
+      }
+      {
+        const TropicalMat x = TropicalMat::random(n, rng, 1000, 0.3);
+        const TropicalMat y = TropicalMat::random(n, rng, 1000, 0.3);
+        CliqueUnicast net(n, b);
+        net.set_cut(cut);
+        TropicalMat c;
+        min_plus_mm(net, x, y, &c);
+        EXPECT_EQ(c, tropical_multiply_schoolbook(x, y));
+        expect_planned("dense min-plus", net, blockmm::distribute_lengths(g, 61), 61, nullptr);
+      }
+      {
+        const Mat61 x = sparse_random_m61(n, 0.2, rng), y = sparse_random_m61(n, 0.2, rng);
+        CliqueUnicast net(n, b);
+        net.set_cut(cut);
+        Mat61 c;
+        const SparseMmPlan plan =
+            sparse_mm_m61(net, Csr61::from_dense(x), Csr61::from_dense(y), &c);
+        EXPECT_EQ(c, m61_multiply_schoolbook(x, y));
+        expect_planned("sparse M61", net, sparse_distribution(g, plan), 61, &plan);
+      }
+      {
+        const TropicalMat x = sparse_random_tropical(n, 0.2, rng);
+        const TropicalMat y = sparse_random_tropical(n, 0.2, rng);
+        CliqueUnicast net(n, b);
+        net.set_cut(cut);
+        TropicalMat c;
+        const SparseMmPlan plan =
+            sparse_min_plus_mm(net, Csr61::from_dense(x), Csr61::from_dense(y), &c);
+        EXPECT_EQ(c, tropical_multiply_schoolbook(x, y));
+        expect_planned("sparse min-plus", net, sparse_distribution(g, plan), 61, &plan);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- backend routing

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-drift and markdown link checks (run by the CI `docs` job).
 
-Three checks, all offline:
+Four checks, all offline:
 
 1. Bench-table drift: every `bench_e*` target registered in
    bench/CMakeLists.txt (the CCLIQUE_BENCHES list) must be mentioned in
@@ -19,14 +19,28 @@ Three checks, all offline:
    named in README.md — a knob that ships undocumented is invisible to
    users and to the CI matrix.
 
+4. Stale code names: every backticked snake_case or CamelCase name in
+   README.md and DESIGN.md must appear as an identifier in the code of
+   src/, bench/, tests/, tools/, perfbench/ or examples/ (C++ comments do
+   not count). A name may be qualified (`ns::name`), templated
+   (`name<Ops>`) or called (`name(a, b)`); a `bench_eN` shorthand passes
+   when it prefixes a registered target, as in check 1. ROADMAP.md is
+   exempt: it names removed and planned APIs on purpose.
+
 Exit status 0 when clean, 1 with one line per finding otherwise.
-Usage: python3 tools/check_docs.py  (from anywhere inside the repo)
+Usage:
+  python3 tools/check_docs.py              (from anywhere inside the repo)
+  python3 tools/check_docs.py --self-test  (check 4 must flag one planted
+                                            stale name and nothing else)
 """
 import os
 import re
 import sys
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import lint_common as lc  # noqa: E402
+
+REPO = lc.REPO
 LINK_CHECKED_DOCS = ["README.md", "DESIGN.md", "ROADMAP.md"]
 BENCH_TABLE_DOC = "README.md"
 
@@ -117,16 +131,99 @@ def check_env_knobs():
     return problems
 
 
-def main():
-    problems = check_bench_table() + check_links() + check_env_knobs()
+CODE_NAME_DOCS = ["README.md", "DESIGN.md"]
+CODE_DIRS = ["src", "bench", "tests", "tools", "perfbench", "examples"]
+CODE_SUFFIXES = (".h", ".cpp", ".py", ".txt", ".sh")
+BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+# An optional ns:: qualifier, the name, then optional <...> and (...).
+CODE_NAME_RE = re.compile(r"(?:\w+::)*(\w+)(?:<[^`]*>)?(?:\([^`]*\))?")
+SNAKE_RE = re.compile(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+")
+CAMEL_RE = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
+
+
+def code_identifiers():
+    """Every identifier-shaped token in the code directories."""
+    names = set()
+    for top in CODE_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO, top)):
+            for name in filenames:
+                if not name.endswith(CODE_SUFFIXES):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    text = f.read()
+                if name.endswith((".h", ".cpp")):
+                    text = lc.strip_comments(text)
+                names.update(re.findall(r"[A-Za-z_]\w*", text))
+    return names
+
+
+def stale_code_names(doc, text, identifiers, targets):
+    """Findings for the backticked code names in `text` that no code has."""
+    problems = []
+    for span in BACKTICK_RE.findall(text):
+        m = CODE_NAME_RE.fullmatch(span.strip())
+        if m is None:
+            continue
+        name = m.group(1)
+        if not (SNAKE_RE.fullmatch(name) or CAMEL_RE.fullmatch(name)):
+            continue
+        if name in identifiers:
+            continue
+        if name.startswith("bench_e") and any(
+            t == name or t.startswith(name + "_") for t in targets
+        ):
+            continue
+        problems.append(
+            f"{doc}: names `{span}`, but no code in {', '.join(CODE_DIRS)} "
+            "defines or uses it — stale after a refactor?"
+        )
+    return problems
+
+
+def check_code_names():
+    identifiers, targets = code_identifiers(), bench_targets()
+    problems = []
+    for doc in CODE_NAME_DOCS:
+        with open(os.path.join(REPO, doc), encoding="utf-8") as f:
+            problems += stale_code_names(doc, f.read(), identifiers, targets)
+    return problems
+
+
+def self_test():
+    """Check 4 must flag exactly one planted stale name in a synthetic doc."""
+    identifiers, targets = code_identifiers(), bench_targets()
+    # Built at run time so the planted name never appears in tools/ itself.
+    planted = "_".join(["stale", "name", "planted", "by", "self", "test"])
+    if planted in identifiers:
+        print("docs self-test FAILED: the planted name exists in the code")
+        return 1
+    # Live names (qualified, templated, called, CamelCase, a bench shorthand)
+    # come from tools/ so a library rename cannot break the self-test.
+    text = (
+        "Check 4 is `docs::stale_code_names<Doc>(doc, text)`, beside the "
+        "`TokenFrontend` of cc_oblivious.py; `bench_e17` is a shorthand, and "
+        f"`n`, `CC_THREADS` and `tools/check_docs.py` are no code names. `{planted}(x)` is gone."
+    )
+    problems = stale_code_names("planted.md", text, identifiers, targets)
+    if len(problems) != 1 or planted not in problems[0]:
+        print(f"docs self-test FAILED: expected one finding for `{planted}`, got {problems}")
+        return 1
+    print("docs self-test: ok (one planted stale code name caught)")
+    return 0
+
+
+def main(argv):
+    if argv == ["--self-test"]:
+        return self_test()
+    problems = check_bench_table() + check_links() + check_env_knobs() + check_code_names()
     for p in problems:
         print(f"docs-drift: {p}", file=sys.stderr)
     if problems:
         print(f"docs-drift: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("docs-drift: bench table, markdown links, and env knobs are clean")
+    print("docs-drift: bench table, markdown links, env knobs and code names are clean")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
