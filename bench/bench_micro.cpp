@@ -196,7 +196,7 @@ void BM_ApspEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(apsp_run(net, g, weights));
   }
 }
-BENCHMARK(BM_ApspEndToEnd)->Arg(32)->Arg(64);
+BENCHMARK(BM_ApspEndToEnd)->Arg(32)->Arg(64)->Arg(216)->Arg(343);
 
 }  // namespace
 

@@ -134,58 +134,56 @@ AllGatherCost all_gather_cost(int n, int width, int bandwidth) {
   return cost;
 }
 
-namespace {
-
-/// The relay's two hops, from one walk of for_each_relay_chunk:
-/// load[0][v*n + t] bits travel v -> t and load[1][t*n + p] bits travel
-/// t -> p (a relay's own chunks stay put), hop h in ceil(max load / b)
-/// rounds. relay_cost prices these tables and the executor charges them.
-struct RelayHops {
-  std::vector<std::uint64_t> load[2];
-  int rounds[2] = {0, 0};
-  std::uint64_t bits = 0;
-};
-
-RelayHops relay_hops(const LengthMatrix& len, int bandwidth) {
+RelaySchedule relay_cost(LengthMatrix len, int bandwidth) {
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
   CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
   const std::size_t n = len.size();
-  RelayHops hops;
+  RelaySchedule schedule;
   std::uint64_t peak[2] = {0, 0};
-  for (std::vector<std::uint64_t>& load : hops.load) load.assign(n * n, 0);
+  for (LengthMatrix& load : schedule.hop_load) load.assign(n, std::vector<std::size_t>(n, 0));
+  LengthMatrix& out = schedule.hop_load[0];
+  LengthMatrix& in = schedule.hop_load[1];
   for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
                                 std::size_t clen) {
-    if (t != v) peak[0] = std::max(peak[0], hops.load[0][v * n + t] += clen);
-    if (t != p) peak[1] = std::max(peak[1], hops.load[1][t * n + p] += clen);
-    hops.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
+    if (t != v) peak[0] = std::max<std::uint64_t>(peak[0], out[v][t] += clen);
+    if (t != p) peak[1] = std::max<std::uint64_t>(peak[1], in[t][p] += clen);
+    schedule.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
   });
   for (int h : {0, 1}) {
-    hops.rounds[h] = static_cast<int>(ceil_div(peak[h], static_cast<std::uint64_t>(bandwidth)));
+    schedule.hop_rounds[h] =
+        static_cast<int>(ceil_div(peak[h], static_cast<std::uint64_t>(bandwidth)));
   }
-  return hops;
+  schedule.bandwidth = bandwidth;
+  schedule.len = std::move(len);
+  return schedule;
 }
 
-}  // namespace
-
-RelayCost relay_cost(const LengthMatrix& len, int bandwidth) {
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
-  const RelayHops hops = relay_hops(len, bandwidth);
-  return {hops.rounds[0] + hops.rounds[1], hops.bits};
-}
-
-int unicast_payloads_relayed(CliqueUnicast& net, Payloads payload, Payloads* received) {
+int unicast_payloads_relayed(CliqueUnicast& net, Payloads payload, Payloads* received,
+                             const RelaySchedule& schedule) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("unicast_payloads_relayed stream lengths"));
   CC_REQUIRE(received != nullptr, "received matrix required");
   const std::size_t n = static_cast<std::size_t>(net.n());
-  const RelayHops hops = relay_hops(lengths_of(payload, n), net.bandwidth());
-  LengthMatrix stream(n);  // each hop is one stream of its per-edge loads
-  for (int h : {0, 1}) {
-    for (std::size_t v = 0; v < n; ++v) {
-      stream[v].assign(hops.load[h].data() + v * n, hops.load[h].data() + (v + 1) * n);
+  CC_REQUIRE(schedule.len.size() == n && schedule.bandwidth == net.bandwidth(),
+             "relay schedule priced for another engine");
+  // The length check is the run's certificate: payloads of exactly the
+  // priced lengths walk into exactly the kept hop tables.
+  CC_REQUIRE(payload.size() == n, "payload matrix must be n x n");
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(payload[v].size() == n, "payload matrix must be n x n");
+    for (std::size_t p = 0; p < n; ++p) {
+      CC_REQUIRE(payload[v][p].size_bits() == schedule.len[v][p],
+                 "payload length differs from its relay schedule");
     }
-    net.core_.charge_stream(stream, hops.rounds[h]);
   }
+  for (int h : {0, 1}) net.core_.charge_stream(schedule.hop_load[h], schedule.hop_rounds[h]);
   hand_over(payload, received);
-  return hops.rounds[0] + hops.rounds[1];
+  return schedule.rounds();
+}
+
+int unicast_payloads_relayed(CliqueUnicast& net, Payloads payload, Payloads* received) {
+  const std::size_t n = static_cast<std::size_t>(net.n());
+  const RelaySchedule schedule = relay_cost(lengths_of(payload, n), net.bandwidth());
+  return unicast_payloads_relayed(net, std::move(payload), received, schedule);
 }
 
 }  // namespace cclique

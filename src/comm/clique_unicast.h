@@ -9,7 +9,10 @@
 // the engine's reused outboxes (callbacks run serially in player order, and
 // a failed round commits nothing) and commit through one charge_stream
 // call, and the forwarding transports below charge their streams in closed
-// form and hand each payload over once.
+// form and hand each payload over once. The relayed transport's schedule
+// is a value, RelaySchedule: relay_cost walks it once, a plan keeps it,
+// and every run of the plan charges the kept tables after checking each
+// payload's length against them.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,8 @@
 #include "util/check.h"
 
 namespace cclique {
+
+struct RelaySchedule;  // below, with the relayed transport
 
 /// Player i's message for an all-gather: append at most `width` bits to
 /// `out` (initially empty), or leave it empty.
@@ -78,7 +83,8 @@ class CliqueUnicast {
   friend int unicast_payloads(CliqueUnicast&, std::vector<std::vector<Message>>,
                               std::vector<std::vector<Message>>*);
   friend int unicast_payloads_relayed(CliqueUnicast&, std::vector<std::vector<Message>>,
-                                      std::vector<std::vector<Message>>*);
+                                      std::vector<std::vector<Message>>*,
+                                      const RelaySchedule&);
   friend std::vector<Message> all_gather(CliqueUnicast&, int, const GatherFillFn&);
 
   EngineCore core_;
@@ -160,41 +166,63 @@ void for_each_relay_chunk(const LengthMatrix& len, Fn&& fn) {
   }
 }
 
-/// The schedule of one unicast_payloads_relayed call (both hops).
-struct RelayCost {
-  int rounds = 0;
+/// The walked schedule of one unicast_payloads_relayed call: the payload
+/// lengths it prices, each hop's per-edge loads as a stream length matrix
+/// ready for EngineCore::charge_stream (hop_load[0][v][t] bits travel
+/// v -> relay t, hop_load[1][t][p] bits travel t -> p; a relay's own chunks
+/// stay put), each hop's rounds ceil(max load / b), and the bits of both
+/// hops. relay_cost builds it; a plan keeps it, so a run charges the tables
+/// instead of walking the lengths again.
+struct RelaySchedule {
+  int bandwidth = 0;
+  LengthMatrix len;
+  LengthMatrix hop_load[2];
+  int hop_rounds[2] = {0, 0};
   std::uint64_t bits = 0;
+
+  int rounds() const { return hop_rounds[0] + hop_rounds[1]; }
 };
 
-/// Prices unicast_payloads_relayed from its length matrix alone by summing
-/// for_each_relay_chunk into the hop loads the executor charges; the
-/// *_plan functions use it. Preconditions (CC_REQUIRE): the walk's, and
-/// bandwidth >= 1.
-RelayCost relay_cost(const LengthMatrix& len, int bandwidth);
+/// Prices unicast_payloads_relayed from its length matrix alone: one walk
+/// of for_each_relay_chunk sums every chunk into the two hop-load tables.
+/// Plans (the *_plan functions) call it and keep the result.
+/// Preconditions (CC_REQUIRE): the walk's, and bandwidth >= 1.
+RelaySchedule relay_cost(LengthMatrix len, int bandwidth);
 
 /// Delivers a payload matrix through the deterministic two-hop relay
 /// schedule (oblivious Valiant-style balancing; the same idea as the
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
 /// chunk of for_each_relay_chunk travels source -> relay t -> destination.
-/// No relay computes on what it holds, so one walk yields both hops' loads,
-/// each hop is charged as one stream and payload[v][p] is handed to p once.
-/// Per-edge load per hop is ~(per-player total)/n instead of the largest
-/// single payload, which is what turns the skewed block-distribution demand
-/// of the algebraic MM protocol into its O(n^{1/3}) round bound.
+/// No relay computes on what it holds, so the whole delivery is `schedule`:
+/// each hop's table is charged as one stream and payload[v][p] is handed
+/// to p once. Per-edge load per hop is ~(per-player total)/n instead of
+/// the largest single payload, which is what turns the skewed
+/// block-distribution demand of the algebraic MM protocol into its
+/// O(n^{1/3}) round bound.
 ///
 /// Contract: the *length* matrix of `payload` must be globally known (a
 /// data-independent function of the protocol's parameters, never of input
 /// values) — every charge is computed from the lengths, so data-dependent
 /// lengths would leak information outside the accounting.
-/// received must be non-null and payload[v][v] empty (CC_REQUIRE). On
-/// return received[r][v] holds payload[v][r], moved in as in
-/// unicast_payloads. Returns the number of rounds used (both hops).
+/// Preconditions (CC_REQUIRE, all checked before any bit moves): received
+/// is non-null, `schedule` was priced for this engine (n and bandwidth),
+/// and payload is n x n with payload[v][p] exactly schedule.len[v][p] bits
+/// — so the diagonal is empty and the charged tables are the walk of these
+/// very payloads. On return received[r][v] holds payload[v][r], moved in
+/// as in unicast_payloads. Returns schedule.rounds().
 ///
 /// Cost: with per-player total load <= M bits, each hop's per-edge load is
 /// <= ceil(M/n) + (payload count) remainder bits, so the delivery takes
 /// ~2·ceil(M/(n·b)) rounds versus direct chunking's ceil(max single
 /// payload / b) — the skew-flattening the block-MM protocols ride
-/// (DESIGN.md §2.2/§2.4). relay_cost gives the exact cost from the lengths.
+/// (DESIGN.md §2.2/§2.4).
+int unicast_payloads_relayed(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
+                             std::vector<std::vector<Message>>* received,
+                             const RelaySchedule& schedule);
+
+/// The unplanned form, for callers whose lengths no plan priced (the
+/// router): builds relay_cost of the payload lengths at net.bandwidth()
+/// and delivers through the form above. Same preconditions and result.
 int unicast_payloads_relayed(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
                              std::vector<std::vector<Message>>* received);
 

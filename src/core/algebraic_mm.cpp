@@ -137,20 +137,19 @@ AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
   plan.block = g.bs;
   plan.word_bits = word_bits;
   plan.bandwidth = bandwidth;
-  const blockmm::LengthMatrix dist = blockmm::distribute_lengths(g, word_bits);
-  const blockmm::LengthMatrix agg = blockmm::aggregate_lengths(g, word_bits);
-  const RelayCost dc = relay_cost(dist, bandwidth);
-  const RelayCost ac = relay_cost(agg, bandwidth);
-  plan.distribute_rounds = dc.rounds;
-  plan.aggregate_rounds = ac.rounds;
-  plan.total_rounds = dc.rounds + ac.rounds;
-  plan.total_bits = dc.bits + ac.bits;
-  for (int v = 0; v < n; ++v) {
+  plan.distribute = std::make_shared<const RelaySchedule>(
+      relay_cost(blockmm::distribute_lengths(g, word_bits), bandwidth));
+  plan.aggregate = std::make_shared<const RelaySchedule>(
+      relay_cost(blockmm::aggregate_lengths(g, word_bits), bandwidth));
+  plan.distribute_rounds = plan.distribute->rounds();
+  plan.aggregate_rounds = plan.aggregate->rounds();
+  plan.total_rounds = plan.distribute_rounds + plan.aggregate_rounds;
+  plan.total_bits = plan.distribute->bits + plan.aggregate->bits;
+  const blockmm::LengthMatrix& dist = plan.distribute->len;
+  const blockmm::LengthMatrix& agg = plan.aggregate->len;
+  for (std::size_t v = 0; v < dist.size(); ++v) {
     std::uint64_t send = 0;
-    for (int p = 0; p < n; ++p) {
-      send += dist[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] +
-              agg[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-    }
+    for (std::size_t p = 0; p < dist.size(); ++p) send += dist[v][p] + agg[v][p];
     plan.max_player_send_bits = std::max(plan.max_player_send_bits, send);
   }
   const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(n)));

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "comm/clique_unicast.h"
 #include "graph/graph.h"
@@ -47,7 +48,10 @@ namespace cclique {
 /// The data-independent cost schedule of one distributed product — a pure
 /// function of (n, word_bits, bandwidth), shared by every semiring the
 /// block driver runs (the min-plus product of core/apsp reuses this struct
-/// verbatim at word_bits = 61).
+/// verbatim at word_bits = 61). It keeps the two relay schedules it priced,
+/// which every run of the plan charges without walking them again; they
+/// are shared, so copying a plan (into an ApspPlan, a CountingArtifactPlan
+/// or a ServingPlan) copies no tables.
 struct AlgebraicMmPlan {
   int n = 0;
   int grid = 0;        ///< m: block grid dimension; one triple of [m]^3 per player
@@ -63,6 +67,8 @@ struct AlgebraicMmPlan {
   /// 6 · n^{1/3} · w / b (three per-player loads of ~2n^{4/3}w bits, each
   /// spread over n links and two hops).
   double series_rounds = 0;
+  std::shared_ptr<const RelaySchedule> distribute;  ///< the slices' relay (relay_cost)
+  std::shared_ptr<const RelaySchedule> aggregate;   ///< the partial rows' relay
 };
 
 /// Computes the exact round/bit schedule for an n x n product with

@@ -23,18 +23,24 @@
 //
 // A triple player's own rows go through the codec too, just without the
 // network (relay_phase). Aggregation ships every partial entry at
-// Ops::kWordBits in both schedules.
+// Ops::kWordBits in both schedules. Each phase relays through the schedule
+// its plan kept (RelaySchedule, comm/clique_unicast.h), and every payload
+// is presized from that schedule's lengths before the first slice lands.
 //
-// The Ops concept, one adapter per carrier:
+// The Ops concept, one adapter per carrier. The two row hooks move entries
+// [col, col + cols) of row i as consecutive kWordBits-bit words (the wire
+// format of one row slice) after one bounds check per row. A decoder
+// stores a slice by ⊕-accumulating it into a semiring-zero row, since
+// zero ⊕ v = v:
 //
 //   struct Ops {
 //     using Matrix = ...;               // Matrix(int n) = the semiring-zero
 //                                       // matrix (additive identity entries:
 //                                       // 0 for rings, +inf for min-plus)
 //     static constexpr int kWordBits;   // serialized bits per element
-//     static std::uint64_t get(const Matrix&, int i, int j);   // < 2^kWordBits
-//     static void set(Matrix&, int i, int j, std::uint64_t v);
-//     static void accumulate(Matrix&, int i, int j, std::uint64_t v);  // ⊕=
+//     static void push_row(const Matrix&, int i, int col, int cols, Message* out);
+//     static void accumulate_row(const Message& in, std::size_t pos, int i,
+//                                int col, int cols, Matrix* m);  // ⊕=
 //     static Matrix multiply(const Matrix&, const Matrix&);    // local ⊗
 //     // Sparse carriers only (run_sparse_mm, run_routed_square):
 //     static constexpr SparseRing kRing;                       // CSR ring
@@ -50,6 +56,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/locality_guard.h"
@@ -66,43 +73,94 @@
 namespace cclique {
 namespace blockmm {
 
-/// GF(2): one bit per element, XOR accumulation.
+/// Checks that columns [col, col + cols) of a row lie inside an n-column
+/// matrix: the one bounds check of a row hook.
+inline void require_row_span(int n, int i, int col, int cols) {
+  CC_REQUIRE(i >= 0 && i < n && col >= 0 && cols >= 0 && col <= n - cols,
+             "row slice out of range");
+}
+
+/// Entries [col, col + cols) of row i of a row-major matrix, writable.
+template <typename Matrix>
+std::uint64_t* mutable_row_span(Matrix* m, int i, int col, int cols) {
+  require_row_span(m->n(), i, col, cols);
+  return m->mutable_data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(m->n()) +
+         static_cast<std::size_t>(col);
+}
+
+/// GF(2): one bit per element, XOR accumulation. A row slice is read out of
+/// the packed row up to 64 columns at a time.
 struct F2Ops {
   using Matrix = F2Matrix;
   static constexpr int kWordBits = 1;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j) ? 1 : 0; }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, (v & 1ULL) != 0); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) {
-    if ((v & 1ULL) != 0) m.set(i, j, !m.get(i, j));
+  static void push_row(const Matrix& m, int i, int col, int cols, Message* out) {
+    require_row_span(m.n(), i, col, cols);
+    const std::vector<std::uint64_t>& row = m.row(i);
+    for (int t = 0; t < cols; t += 64) {
+      const int at = col + t, off = at & 63, take = std::min(64, cols - t);
+      std::uint64_t bits = row[static_cast<std::size_t>(at >> 6)] >> off;
+      if (off + take > 64) bits |= row[static_cast<std::size_t>(at >> 6) + 1] << (64 - off);
+      out->push_uint(bits, take);
+    }
+  }
+  static void accumulate_row(const Message& in, std::size_t pos, int i, int col, int cols,
+                             Matrix* m) {
+    require_row_span(m->n(), i, col, cols);
+    std::vector<std::uint64_t>& row = m->mutable_row(i);
+    in.read_words(pos, static_cast<std::size_t>(cols), kWordBits, [&](std::uint64_t bit) {
+      row[static_cast<std::size_t>(col >> 6)] ^= bit << (col & 63);
+      ++col;
+    });
   }
   static Matrix multiply(const Matrix& a, const Matrix& b) {
     return f2_multiply_naive(a, b);
   }
 };
 
-/// F_{2^61-1}: 61-bit words, field addition.
+/// F_{2^61-1}: 61-bit words, field addition. A received word is reduced
+/// before it is added, as Mat61::set reduces what it stores.
 struct M61Ops {
   using Matrix = Mat61;
   static constexpr int kWordBits = 61;
   static constexpr SparseRing kRing = SparseRing::kM61;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.add_at(i, j, v); }
+  static void push_row(const Matrix& m, int i, int col, int cols, Message* out) {
+    require_row_span(m.n(), i, col, cols);
+    out->push_words(m.row(i) + col, static_cast<std::size_t>(cols), kWordBits);
+  }
+  static void accumulate_row(const Message& in, std::size_t pos, int i, int col, int cols,
+                             Matrix* m) {
+    std::uint64_t* e = mutable_row_span(m, i, col, cols);
+    in.read_words(pos, static_cast<std::size_t>(cols), kWordBits, [&](std::uint64_t v) {
+      *e = Mersenne61::add(*e, Mersenne61::reduce(v));
+      ++e;
+    });
+  }
   static Matrix multiply(const Matrix& a, const Matrix& b) {
     return m61_multiply_dispatch(a, b);
   }
   static Matrix spmm(const Csr61& a, const Matrix& b) { return m61_spmm_dispatch(a, b); }
 };
 
-/// (min, +): 61-bit words (kTropicalInf = all-ones round-trips through
-/// push_uint/read_uint unchanged), min accumulation.
+/// (min, +): 61-bit words (kTropicalInf = all-ones round-trips through the
+/// wire unchanged), min accumulation. A received word is checked against
+/// kTropicalInf, as TropicalMat::set checks what it stores.
 struct TropicalOps {
   using Matrix = TropicalMat;
   static constexpr int kWordBits = 61;
   static constexpr SparseRing kRing = SparseRing::kTropical;
-  static std::uint64_t get(const Matrix& m, int i, int j) { return m.get(i, j); }
-  static void set(Matrix& m, int i, int j, std::uint64_t v) { m.set(i, j, v); }
-  static void accumulate(Matrix& m, int i, int j, std::uint64_t v) { m.min_at(i, j, v); }
+  static void push_row(const Matrix& m, int i, int col, int cols, Message* out) {
+    require_row_span(m.n(), i, col, cols);
+    out->push_words(m.row(i) + col, static_cast<std::size_t>(cols), kWordBits);
+  }
+  static void accumulate_row(const Message& in, std::size_t pos, int i, int col, int cols,
+                             Matrix* m) {
+    std::uint64_t* e = mutable_row_span(m, i, col, cols);
+    in.read_words(pos, static_cast<std::size_t>(cols), kWordBits, [&](std::uint64_t v) {
+      CC_REQUIRE(v <= kTropicalInf, "tropical entry exceeds the 61-bit carrier");
+      if (v < *e) *e = v;
+      ++e;
+    });
+  }
   static Matrix multiply(const Matrix& a, const Matrix& b) {
     return tropical_multiply_dispatch(a, b);
   }
@@ -215,7 +273,7 @@ inline LengthMatrix aggregate_lengths(const BlockGrid& g, int w) {
 }
 
 /// The dense slice codec: a slice travels as its `cols` entries at
-/// Ops::kWordBits each.
+/// Ops::kWordBits each, moved by the row hooks.
 template <typename OpsT>
 struct DenseSlices {
   using Ops = OpsT;
@@ -223,54 +281,69 @@ struct DenseSlices {
   const Matrix* operand[2];  ///< A, B
 
   void encode(const Slice& s, Message* out) const {
-    for (int t = 0; t < s.cols; ++t) {
-      out->push_uint(Ops::get(*operand[s.operand], s.row, s.col_lo + t), Ops::kWordBits);
-    }
+    Ops::push_row(*operand[s.operand], s.row, s.col_lo, s.cols, out);
   }
   void decode(const Slice& s, const Message& in, std::size_t* cursor, Matrix* block) const {
-    for (int t = 0; t < s.cols; ++t, *cursor += Ops::kWordBits) {
-      Ops::set(*block, s.block_row, t, in.read_uint(*cursor, Ops::kWordBits));
-    }
+    Ops::accumulate_row(in, *cursor, s.block_row, 0, s.cols, block);
+    *cursor += static_cast<std::size_t>(s.cols) * Ops::kWordBits;
   }
   Matrix multiply(const Matrix& a_blk, const Matrix& b_blk) const {
     return Ops::multiply(a_blk, b_blk);
   }
 };
 
-/// Relays one phase's payloads. What a player addresses to itself
-/// (payload[v][v]) never touches the network: it waits in received[v][v],
-/// where the decoder reads it like any received payload.
-inline int relay_phase(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
-                       std::vector<std::vector<Message>>* received) {
+/// Whether `schedule` exists and was priced (relay_cost) for `net`'s n and
+/// bandwidth — what a product needs before it sizes any payload from it.
+inline bool priced_for(const std::shared_ptr<const RelaySchedule>& schedule,
+                       const CliqueUnicast& net) {
+  return schedule && schedule->len.size() == static_cast<std::size_t>(net.n()) &&
+         schedule->bandwidth == net.bandwidth();
+}
+
+/// Relays one phase's payloads through the schedule its plan kept. What a
+/// player addresses to itself (payload[v][v]) never touches the network:
+/// it waits in received[v][v], where the decoder reads it like any
+/// received payload.
+inline void relay_phase(CliqueUnicast& net, std::vector<std::vector<Message>> payload,
+                        std::vector<std::vector<Message>>* received,
+                        const RelaySchedule& schedule) {
   std::vector<Message> own(payload.size());
   for (std::size_t v = 0; v < own.size(); ++v) own[v] = std::move(payload[v][v]);
-  const int rounds = unicast_payloads_relayed(net, std::move(payload), received);
+  unicast_payloads_relayed(net, std::move(payload), received, schedule);
   for (std::size_t v = 0; v < own.size(); ++v) (*received)[v][v] = std::move(own[v]);
-  return rounds;
+}
+
+/// An n x n matrix of empty payloads, each with room for the bits
+/// `schedule` prices on its pair.
+inline std::vector<std::vector<Message>> presized_payloads(const RelaySchedule& schedule) {
+  const std::size_t n = schedule.len.size();
+  std::vector<std::vector<Message>> payload(n, std::vector<Message>(n));
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t p = 0; p < n; ++p) payload[v][p].reserve_bits(schedule.len[v][p]);
+  }
+  return payload;
 }
 
 /// One distributed product C = A ⊗ B over the grid through `codec` (the
 /// slice codec contract above): distribution (every slice from its row
 /// owner to its triple player), local block products (blocks padded to
 /// bs x bs with the semiring zero), and aggregation (every partial row back
-/// to its owner, ⊕-accumulated into *c). Each phase's rounds are CC_CHECKed
-/// against `plan`'s; the caller checks the total.
+/// to its owner, ⊕-accumulated into *c). Each phase relays through the
+/// schedule `plan` kept (plan.distribute, plan.aggregate), whose length
+/// check certifies the phase; the caller checks the total.
 template <typename Codec, typename Plan>
 void run_block_product(CliqueUnicast& net, const BlockGrid& g, const Codec& codec,
                        const Plan& plan, typename Codec::Ops::Matrix* c) {
   using Ops = typename Codec::Ops;
   using Matrix = typename Ops::Matrix;
-  constexpr int w = Ops::kWordBits;
   const std::size_t n = static_cast<std::size_t>(g.n);
 
   // ---- Distribution: row owners ship their slices to the triple players.
-  std::vector<std::vector<Message>> payload(n, std::vector<Message>(n)), recv;
+  std::vector<std::vector<Message>> payload = presized_payloads(*plan.distribute), recv;
   for (int p = 0; p < g.triples(); ++p) {
     for_each_slice(g, p, [&](const Slice& s) { codec.encode(s, &payload[s.row][p]); });
   }
-  const int distribute_rounds = relay_phase(net, std::move(payload), &recv);
-  CC_CHECK(distribute_rounds == plan.distribute_rounds,
-           "block product distribution left the planned schedule");
+  relay_phase(net, std::move(payload), &recv, *plan.distribute);
 
   // ---- Local block products. Each triple player's partial block is its
   // private state until the aggregation ships it out (ownership-tagged).
@@ -285,34 +358,29 @@ void run_block_product(CliqueUnicast& net, const BlockGrid& g, const Codec& code
     partial[p] = codec.multiply(block[0], block[1]);
   }
 
-  // ---- Aggregation: partial rows travel to their output row owners.
-  payload.assign(n, std::vector<Message>(n));
+  // ---- Aggregation: partial rows travel to their output row owners, one
+  // row per (triple, owner) pair.
+  payload = presized_payloads(*plan.aggregate);
   for (int p = 0; p < g.triples(); ++p) {
     for_each_partial_row(g, p, [&](const Slice& s) {
-      for (int t = 0; t < s.cols; ++t) {
-        payload[p][s.row].push_uint(Ops::get(partial[p], s.block_row, t), w);
-      }
+      Ops::push_row(partial[p], s.block_row, 0, s.cols, &payload[p][s.row]);
     });
   }
-  const int aggregate_rounds = relay_phase(net, std::move(payload), &recv);
-  CC_CHECK(aggregate_rounds == plan.aggregate_rounds,
-           "block product aggregation left the planned schedule");
+  relay_phase(net, std::move(payload), &recv, *plan.aggregate);
   *c = Matrix(g.n);
   for (int p = 0; p < g.triples(); ++p) {
     for_each_partial_row(g, p, [&](const Slice& s) {
-      for (int t = 0; t < s.cols; ++t) {
-        Ops::accumulate(*c, s.row, s.col_lo + t,
-                        recv[s.row][p].read_uint(static_cast<std::size_t>(t) * w, w));
-      }
+      Ops::accumulate_row(recv[s.row][p], 0, s.row, s.col_lo, s.cols, c);
     });
   }
 }
 
 /// One dense distributed semiring product C = A ⊗ B: every slice ships at
 /// Ops::kWordBits per entry. Player v holds row v of A, B and C. `plan` must
-/// be algebraic_mm_plan(n, Ops::kWordBits, net.bandwidth())
-/// (PreconditionError before any bit moves otherwise); each phase's rounds
-/// and the total rounds/bits are CC_CHECKed against it on every run.
+/// be algebraic_mm_plan(n, Ops::kWordBits, net.bandwidth()), schedules
+/// included (PreconditionError before any bit moves otherwise); each phase
+/// relays through the plan's schedule and the total rounds/bits are
+/// CC_CHECKed against it on every run.
 template <typename Ops>
 void run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
                   const typename Ops::Matrix& b, typename Ops::Matrix* c,
@@ -324,6 +392,8 @@ void run_block_mm(CliqueUnicast& net, const typename Ops::Matrix& a,
   CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() &&
                  plan.word_bits == Ops::kWordBits,
              "plan priced for another engine or carrier");
+  CC_REQUIRE(priced_for(plan.distribute, net) && priced_for(plan.aggregate, net),
+             "plan carries no relay schedules for this engine");
   const ChargedSince charged(net.stats());
   run_block_product(net, BlockGrid(n), DenseSlices<Ops>{{&a, &b}}, plan, c);
   charged.check(plan.total_rounds, plan.total_bits, "block MM left the planned schedule");

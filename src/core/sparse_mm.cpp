@@ -66,19 +66,20 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfil
   // Distribution: each slice ships its declared count of (index, value)
   // pairs, index_bits + w bits each.
   const std::size_t pair_bits = static_cast<std::size_t>(plan.index_bits + word_bits);
-  const RelayCost dc = relay_cost(
+  plan.distribute = std::make_shared<const RelaySchedule>(relay_cost(
       blockmm::slice_lengths(
           g, [&](const blockmm::Slice& s) { return slice_nnz(profile, s) * pair_bits; }),
-      bandwidth);
+      bandwidth));
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
   // without a second announcement; see sparse_mm.h).
-  const RelayCost ac = relay_cost(blockmm::aggregate_lengths(g, word_bits), bandwidth);
+  plan.aggregate = std::make_shared<const RelaySchedule>(
+      relay_cost(blockmm::aggregate_lengths(g, word_bits), bandwidth));
 
-  plan.distribute_rounds = dc.rounds;
-  plan.aggregate_rounds = ac.rounds;
-  plan.total_rounds = plan.announce_rounds + dc.rounds + ac.rounds;
-  plan.total_bits = plan.announce_bits + dc.bits + ac.bits;
+  plan.distribute_rounds = plan.distribute->rounds();
+  plan.aggregate_rounds = plan.aggregate->rounds();
+  plan.total_rounds = plan.announce_rounds + plan.distribute_rounds + plan.aggregate_rounds;
+  plan.total_bits = plan.announce_bits + plan.distribute->bits + plan.aggregate->bits;
   plan.profile = std::move(profile);
   return plan;
 }

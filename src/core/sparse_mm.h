@@ -27,8 +27,11 @@
 //     input, not a hidden oracle.
 //  3. The run is *checked*: sparse_mm_plan() prices all three phases
 //     (announce, distribute, aggregate) from (n, w, b) plus the declared
-//     profile, and run_sparse_mm CC_CHECKs each phase's rounds and the
-//     total bits against it on every run, like every other plan in the repo.
+//     profile and keeps both relay schedules it walked. run_sparse_mm
+//     CC_CHECKs the announcement's rounds and the total rounds and bits
+//     against it on every run, like every other plan in the repo, and each
+//     relayed phase charges its kept schedule only after every payload's
+//     length matched it (unicast_payloads_relayed).
 //
 // Aggregation stays dense-width: the output's sparsity is fill-in dependent
 // (a product of sparse blocks need not be sparse, and pricing it would need
@@ -41,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/oblivious_guard.h"
@@ -81,7 +85,9 @@ std::vector<std::size_t> block_nnz_counts(const Csr61& x, const blockmm::BlockGr
 SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b);
 
 /// The nnz-dependent cost schedule of one sparse product: a pure function
-/// of (n, word_bits, bandwidth) and the declared profile, which it keeps.
+/// of (n, word_bits, bandwidth) and the declared profile, which it keeps,
+/// together with the two relay schedules it priced (shared, so copying a
+/// plan copies no tables).
 struct SparseMmPlan {
   int n = 0;
   int grid = 0;        ///< m: block grid dimension
@@ -97,6 +103,8 @@ struct SparseMmPlan {
   int total_rounds = 0;
   std::uint64_t announce_bits = 0;
   std::uint64_t total_bits = 0;  ///< all three phases
+  std::shared_ptr<const RelaySchedule> distribute;  ///< the pairs' relay (relay_cost)
+  std::shared_ptr<const RelaySchedule> aggregate;   ///< the partial rows' relay
 };
 
 /// Prices the three-phase sparse schedule for the declared profile and
@@ -165,7 +173,7 @@ struct SparseSlices {
     for (std::size_t t = slice_nnz(plan->profile, s); t > 0; --t) {
       const int col = static_cast<int>(in.read_uint(*cursor, plan->index_bits));
       *cursor += static_cast<std::size_t>(plan->index_bits);
-      Ops::set(*block, s.block_row, col, in.read_uint(*cursor, Ops::kWordBits));
+      block->set(s.block_row, col, in.read_uint(*cursor, Ops::kWordBits));
       *cursor += Ops::kWordBits;
     }
   }
@@ -180,10 +188,11 @@ struct SparseSlices {
 /// relays each owner's explicit pairs per slice, runs the local sparse·dense
 /// block products and aggregates the partial rows at dense width like
 /// run_block_mm. `plan` must be sparse_mm_plan(n, Ops::kWordBits,
-/// net.bandwidth(), profile) of a profile that describes the operands
-/// (block_nnz_counts, row by row), else PreconditionError before any bit
-/// moves; each phase's rounds and the total rounds/bits are CC_CHECKed
-/// against it.
+/// net.bandwidth(), profile), schedules included, of a profile that
+/// describes the operands (block_nnz_counts, row by row), else
+/// PreconditionError before any bit moves; the announcement's rounds and
+/// the total rounds/bits are CC_CHECKed against it, and each relayed phase
+/// runs on the plan's schedule.
 template <typename Ops>
 void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
                    typename Ops::Matrix* c, const SparseMmPlan& plan) {
@@ -196,6 +205,8 @@ void run_sparse_mm(CliqueUnicast& net, const Csr61& a, const Csr61& b,
   CC_REQUIRE(plan.n == n && plan.bandwidth == net.bandwidth() &&
                  plan.word_bits == Ops::kWordBits,
              "plan priced for another engine or carrier");
+  CC_REQUIRE(blockmm::priced_for(plan.distribute, net) && blockmm::priced_for(plan.aggregate, net),
+             "plan carries no relay schedules for this engine");
   const blockmm::BlockGrid g(n);
   // Each row owner checks its rows against the profile it will announce, so
   // a plan priced for other operands fails here instead of mid-product.

@@ -51,16 +51,6 @@ class Mat61 {
           static_cast<std::size_t>(j)] = Mersenne61::reduce(v);
   }
 
-  /// Adds v (mod p) into entry (i, j) — the accumulation primitive of the
-  /// distributed aggregation phase.
-  void add_at(int i, int j, std::uint64_t v) {
-    check(i, j);
-    std::uint64_t& e =
-        data_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
-              static_cast<std::size_t>(j)];
-    e = Mersenne61::add(e, Mersenne61::reduce(v));
-  }
-
   bool operator==(const Mat61& o) const { return n_ == o.n_ && data_ == o.data_; }
   bool operator!=(const Mat61& o) const { return !(*this == o); }
 

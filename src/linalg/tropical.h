@@ -80,8 +80,7 @@ class TropicalMat {
           static_cast<std::size_t>(j)] = v;
   }
 
-  /// Entry (i, j) = min(entry, v) — the ⊕-accumulation primitive of the
-  /// distributed aggregation phase (the tropical analogue of Mat61::add_at).
+  /// Entry (i, j) = min(entry, v): the ⊕-accumulation of one entry.
   void min_at(int i, int j, std::uint64_t v) {
     check(i, j);
     CC_REQUIRE(v <= kTropicalInf, "tropical entry exceeds the 61-bit carrier");

@@ -9,9 +9,16 @@
 // demand). Copying deep-copies; moving hands the words over and leaves the
 // source empty. clear() keeps the capacity, so the engines' outbox slots
 // are refilled round after round without reallocating.
+//
+// Fields are packed least-significant bit first, so a w-bit field may
+// straddle two words. push_words and read_words move a run of equal-width
+// fields with one bounds check: they write and read exactly the bits of the
+// matching push_uint and read_uint sequence, which is how the block-product
+// codecs ship whole matrix row slices.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,6 +104,29 @@ class BitVec {
     nbits_ += static_cast<std::size_t>(width);
   }
 
+  /// Appends `count` fields of `width` bits, src[0] first: exactly the bits
+  /// of push_uint(src[k], width) for k = 0, 1, ..., count - 1, so bits of a
+  /// value above `width` are dropped. One bounds check and at most one
+  /// reallocation for the whole run. width must be in [1, 64].
+  void push_words(const std::uint64_t* src, std::size_t count, int width) {
+    CC_REQUIRE(width >= 1 && width <= 64, "push_words width out of range");
+    CC_REQUIRE(count <= (std::numeric_limits<std::size_t>::max() - nbits_) /
+                            static_cast<std::size_t>(width),
+               "push_words run too long");
+    const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    grow_for(count * static_cast<std::size_t>(width));
+    std::uint64_t* w = words_.data();
+    std::size_t pos = nbits_;
+    for (std::size_t k = 0; k < count; ++k, pos += static_cast<std::size_t>(width)) {
+      const std::uint64_t value = src[k] & mask;
+      const std::size_t word = pos >> 6;
+      const int off = static_cast<int>(pos & 63);
+      w[word] |= value << off;
+      if (off + width > 64) w[word + 1] = value >> (64 - off);
+    }
+    nbits_ = pos;
+  }
+
   /// Appends all bits of `other`.
   void append(const BitVec& other) { append_slice(other, 0, other.nbits_); }
 
@@ -126,6 +156,26 @@ class BitVec {
     if (off + width > 64) out |= w[word + 1] << (64 - off);
     if (width < 64) out &= (1ULL << width) - 1;
     return out;
+  }
+
+  /// Reads `count` fields of `width` bits starting at bit `pos` and hands
+  /// each to fn(value) in order: exactly the values of read_uint(pos +
+  /// k*width, width) for k = 0, 1, ..., count - 1, after one bounds check.
+  /// width must be in [1, 64] and the run must end by size_bits().
+  template <typename Fn>
+  void read_words(std::size_t pos, std::size_t count, int width, Fn&& fn) const {
+    CC_REQUIRE(width >= 1 && width <= 64, "read_words width out of range");
+    CC_REQUIRE(pos <= nbits_ && count <= (nbits_ - pos) / static_cast<std::size_t>(width),
+               "read_words out of range");
+    const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    const std::uint64_t* w = words_.data();
+    for (std::size_t k = 0; k < count; ++k, pos += static_cast<std::size_t>(width)) {
+      const std::size_t word = pos >> 6;
+      const int off = static_cast<int>(pos & 63);
+      std::uint64_t out = w[word] >> off;
+      if (off + width > 64) out |= w[word + 1] << (64 - off);
+      fn(out & mask);
+    }
   }
 
   bool operator==(const BitVec& other) const {

@@ -14,11 +14,14 @@
 
 #include "comm/clique_unicast.h"
 #include "core/algebraic_mm.h"
+#include "core/block_mm.h"
 #include "core/mm_triangle.h"
+#include "core/sparse_mm.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
 #include "linalg/f2matrix.h"
 #include "linalg/mat61.h"
+#include "linalg/sparse.h"
 #include "scoped_env.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -40,8 +43,8 @@ LengthMatrix lengths_of(const Payloads& payload) {
 /// relay_cost must price exactly what one unicast_payloads_relayed call
 /// charged `net` (a fresh engine).
 void expect_priced_by_relay_cost(const CliqueUnicast& net, const Payloads& payload) {
-  const RelayCost cost = relay_cost(lengths_of(payload), net.bandwidth());
-  EXPECT_EQ(cost.rounds, net.stats().rounds);
+  const RelaySchedule cost = relay_cost(lengths_of(payload), net.bandwidth());
+  EXPECT_EQ(cost.rounds(), net.stats().rounds);
   EXPECT_EQ(cost.bits, net.stats().total_bits);
 }
 
@@ -283,6 +286,74 @@ TEST(RelayChunkWalk, RelayCostRejectsWhatTheExecutorRejects) {
   EXPECT_THROW(relay_cost(wide, 8), PreconditionError);
   EXPECT_THROW(relay_cost(self, 8), PreconditionError);
   EXPECT_THROW(relay_cost(square, 0), PreconditionError);
+}
+
+TEST(RelaySchedule, RejectsWhatItWasNotPricedForBeforeAnyBitMoves) {
+  // The planned relay charges the tables its schedule kept, so it must
+  // refuse payloads the schedule did not price, and a product must refuse a
+  // plan without schedules: each throws before any bit moves, leaving the
+  // engine's stats a fresh engine's.
+  const int n = 8, b = 16;
+  const LengthMatrix len = blockmm::distribute_lengths(blockmm::BlockGrid(n), 61);
+  const RelaySchedule schedule = relay_cost(len, b);
+  const auto zero_payloads = [&] {
+    Payloads payload(len.size());
+    for (std::size_t v = 0; v < len.size(); ++v) {
+      for (const std::size_t bits : len[v]) payload[v].emplace_back(bits);
+    }
+    return payload;
+  };
+  ASSERT_GT(len[0][1], 0u);
+  const CommStats fresh = CliqueUnicast(n, b).stats();
+  CliqueUnicast net(n, b);
+  net.set_cut({0, 1, 0, 1, 0, 1, 0, 1});
+  Payloads got;
+  Payloads longer = zero_payloads(), shorter = zero_payloads(), self = zero_payloads();
+  longer[0][1].push_bit(true);
+  shorter[0][1] = Message(len[0][1] - 1);
+  self[3][3].push_bit(false);
+  EXPECT_THROW(unicast_payloads_relayed(net, longer, &got, schedule), PreconditionError);
+  EXPECT_THROW(unicast_payloads_relayed(net, shorter, &got, schedule), PreconditionError);
+  EXPECT_THROW(unicast_payloads_relayed(net, self, &got, schedule), PreconditionError);
+  EXPECT_THROW(unicast_payloads_relayed(net, zero_payloads(), &got, relay_cost(len, b + 1)),
+               PreconditionError);
+  const LengthMatrix other_n = blockmm::distribute_lengths(blockmm::BlockGrid(n + 1), 61);
+  EXPECT_THROW(unicast_payloads_relayed(net, zero_payloads(), &got, relay_cost(other_n, b)),
+               PreconditionError);
+  EXPECT_THROW(unicast_payloads_relayed(net, zero_payloads(), nullptr, schedule),
+               PreconditionError);
+
+  Rng rng(2802);
+  const Mat61 a = Mat61::random(n, rng);
+  const Csr61 sa = Csr61::from_dense(a);
+  Mat61 c;
+  EXPECT_THROW(blockmm::run_block_mm<blockmm::M61Ops>(net, a, a, &c, AlgebraicMmPlan{}),
+               PreconditionError);
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, SparseMmPlan{}),
+               PreconditionError);
+  // A plan priced for this engine that lost a schedule, or holds one
+  // priced for another n or bandwidth, is refused too.
+  const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, b);
+  AlgebraicMmPlan lost = dense, wrong_n = dense, wrong_b = dense;
+  lost.aggregate.reset();
+  wrong_n.distribute = algebraic_mm_plan(n + 1, 61, b).distribute;
+  wrong_b.aggregate = algebraic_mm_plan(n, 61, b + 1).aggregate;
+  for (const AlgebraicMmPlan* plan : {&lost, &wrong_n, &wrong_b}) {
+    EXPECT_THROW(blockmm::run_block_mm<blockmm::M61Ops>(net, a, a, &c, *plan),
+                 PreconditionError);
+  }
+  SparseMmPlan sparse = sparse_mm_plan(n, 61, b, declared_nnz_profile(sa, sa));
+  sparse.distribute.reset();
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, sparse), PreconditionError);
+  sparse.distribute = dense.distribute;
+  sparse.aggregate = algebraic_mm_plan(n + 1, 61, b).aggregate;
+  EXPECT_THROW(run_sparse_mm<blockmm::M61Ops>(net, sa, sa, &c, sparse), PreconditionError);
+  EXPECT_EQ(net.stats(), fresh);
+
+  // The payloads it priced go through and cost exactly the schedule.
+  EXPECT_EQ(unicast_payloads_relayed(net, zero_payloads(), &got, schedule), schedule.rounds());
+  EXPECT_EQ(net.stats().rounds, schedule.rounds());
+  EXPECT_EQ(net.stats().total_bits, schedule.bits);
 }
 
 class AlgebraicMmSizes : public ::testing::TestWithParam<int> {};

@@ -149,11 +149,11 @@ TEST(Routing, TwoPhaseChargesRelayCostOfItsRecordMatrix) {
       const std::size_t t = static_cast<std::size_t>(m.dest);
       if (s != t) len[s][t] += w;
     }
-    const RelayCost cost = relay_cost(len, b);
+    const RelaySchedule cost = relay_cost(len, b);
     CliqueUnicast net(n, b);
     const RoutingResult r = route_two_phase(net, d);
-    EXPECT_EQ(r.rounds, cost.rounds);
-    EXPECT_EQ(net.stats().rounds, cost.rounds);
+    EXPECT_EQ(r.rounds, cost.rounds());
+    EXPECT_EQ(net.stats().rounds, cost.rounds());
     EXPECT_EQ(net.stats().total_bits, cost.bits);
     return cost;
   };
@@ -177,8 +177,8 @@ TEST(Routing, TwoPhaseChargesRelayCostOfItsRecordMatrix) {
     }
   }
   for (const RoutingDemand* d : {&one_partner, &two_partners}) {
-    const RelayCost cost = check(n, 8, *d);
-    EXPECT_EQ(cost.rounds, 2);
+    const RelaySchedule cost = check(n, 8, *d);
+    EXPECT_EQ(cost.rounds(), 2);
     EXPECT_EQ(cost.bits, 560u);
   }
 }

@@ -9,6 +9,12 @@
 // below n, one hot sender), the MM distribute and aggregate geometries,
 // broadcasts, and all-gathers of short and empty messages.
 //
+// The relay has two forms: the planned one charges a RelaySchedule that
+// relay_cost priced from the length matrix up front, as a block-product
+// plan keeps it, and the three-argument one prices its payloads' lengths
+// itself. Both run on the same payloads and cut as the chunked twin, and
+// each must match it.
+//
 // A round_fill round commits through the same meter (charge_stream(len, 1),
 // or charge_board(len, 1) on the blackboard), so the twins compare R
 // metered rounds against one closed-form charge of R rounds. The RoundTally
@@ -20,7 +26,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chunked_transports.h"
@@ -74,30 +83,51 @@ void expect_same_stats(const CommStats& metered, const CommStats& chunked) {
   EXPECT_EQ(metered.per_player_recv_bits, chunked.per_player_recv_bits);
 }
 
-using UnicastTransport = int (*)(CliqueUnicast&, Payloads, Payloads*);
+using UnicastTransport = std::function<int(CliqueUnicast&, Payloads, Payloads*)>;
 using ChunkedTransport = int (*)(CliqueUnicast&, const Payloads&, Payloads*);
 
-/// Runs `metered` and its chunked twin on random payloads of lengths `len`,
-/// each on a fresh engine with the same cut; both must charge the same and
-/// deliver payload[v][p] to received[p][v].
-void expect_unicast_twins(UnicastTransport metered, ChunkedTransport chunked,
-                          const LengthMatrix& len, int bandwidth, Rng& rng) {
+/// Runs each `metered` transport and the chunked twin on the same random
+/// payloads of lengths `len`, each on a fresh engine with the same cut;
+/// every transport must charge what the twin charged and deliver
+/// payload[v][p] to received[p][v].
+void expect_unicast_twins(const std::vector<UnicastTransport>& metered,
+                          ChunkedTransport chunked, const LengthMatrix& len, int bandwidth,
+                          Rng& rng) {
   const int n = static_cast<int>(len.size());
   const Payloads payload = random_payloads(len, rng);
   const std::vector<int> cut = random_cut(n, rng);
-  CliqueUnicast net(n, bandwidth), twin(n, bandwidth);
-  net.set_cut(cut);
+  CliqueUnicast twin(n, bandwidth);
   twin.set_cut(cut);
-  Payloads got, twin_got;
-  EXPECT_EQ(metered(net, payload, &got), chunked(twin, payload, &twin_got));
-  expect_same_stats(net.stats(), twin.stats());
-  ASSERT_EQ(got.size(), len.size());
-  for (std::size_t p = 0; p < len.size(); ++p) {
-    for (std::size_t v = 0; v < len.size(); ++v) {
-      EXPECT_EQ(got[p][v], twin_got[p][v]) << "payload " << v << " -> " << p;
-      EXPECT_EQ(got[p][v], payload[v][p]) << "payload " << v << " -> " << p;
+  Payloads twin_got;
+  const int twin_rounds = chunked(twin, payload, &twin_got);
+  for (std::size_t form = 0; form < metered.size(); ++form) {
+    SCOPED_TRACE("transport form " + std::to_string(form));
+    CliqueUnicast net(n, bandwidth);
+    net.set_cut(cut);
+    Payloads got;
+    EXPECT_EQ(metered[form](net, payload, &got), twin_rounds);
+    expect_same_stats(net.stats(), twin.stats());
+    ASSERT_EQ(got.size(), len.size());
+    for (std::size_t p = 0; p < len.size(); ++p) {
+      for (std::size_t v = 0; v < len.size(); ++v) {
+        EXPECT_EQ(got[p][v], twin_got[p][v]) << "payload " << v << " -> " << p;
+        EXPECT_EQ(got[p][v], payload[v][p]) << "payload " << v << " -> " << p;
+      }
     }
   }
+}
+
+/// Both forms of the relay for payloads of lengths `len` at bandwidth b:
+/// the three-argument form, and the planned form on relay_cost(len, b),
+/// priced before any payload exists.
+std::vector<UnicastTransport> relay_forms(const LengthMatrix& len, int b) {
+  const auto schedule = std::make_shared<const RelaySchedule>(relay_cost(len, b));
+  return {[](CliqueUnicast& net, Payloads payload, Payloads* received) {
+            return unicast_payloads_relayed(net, std::move(payload), received);
+          },
+          [schedule](CliqueUnicast& net, Payloads payload, Payloads* received) {
+            return unicast_payloads_relayed(net, std::move(payload), received, *schedule);
+          }};
 }
 
 /// Random n x n lengths in four shapes: 0 mixes empty pairs, lengths below
@@ -136,7 +166,7 @@ TEST(TransportOracle, DirectUnicastMatchesChunkedOnRandomLengths) {
       for (int shape = 0; shape < 4; ++shape) {
         SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b) +
                      " shape=" + std::to_string(shape));
-        expect_unicast_twins(&unicast_payloads, &chunked::unicast_payloads,
+        expect_unicast_twins({&unicast_payloads}, &chunked::unicast_payloads,
                              random_lengths(n, shape, rng), b, rng);
       }
     }
@@ -150,8 +180,9 @@ TEST(TransportOracle, RelayedUnicastMatchesChunkedOnRandomLengths) {
       for (int shape = 0; shape < 4; ++shape) {
         SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b) +
                      " shape=" + std::to_string(shape));
-        expect_unicast_twins(&unicast_payloads_relayed, &chunked::unicast_payloads_relayed,
-                             random_lengths(n, shape, rng), b, rng);
+        const LengthMatrix len = random_lengths(n, shape, rng);
+        expect_unicast_twins(relay_forms(len, b), &chunked::unicast_payloads_relayed, len, b,
+                             rng);
       }
     }
   }
@@ -165,10 +196,11 @@ TEST(TransportOracle, RelayedUnicastMatchesChunkedOnMmGeometries) {
     const blockmm::BlockGrid g(n);
     for (int w : {1, 61}) {
       SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w));
-      expect_unicast_twins(&unicast_payloads_relayed, &chunked::unicast_payloads_relayed,
-                           blockmm::distribute_lengths(g, w), 64, rng);
-      expect_unicast_twins(&unicast_payloads_relayed, &chunked::unicast_payloads_relayed,
-                           blockmm::aggregate_lengths(g, w), 64, rng);
+      for (const LengthMatrix& len :
+           {blockmm::distribute_lengths(g, w), blockmm::aggregate_lengths(g, w)}) {
+        expect_unicast_twins(relay_forms(len, 64), &chunked::unicast_payloads_relayed, len, 64,
+                             rng);
+      }
     }
   }
 }

@@ -1,9 +1,11 @@
 // Unit tests for the util substrate: bit vectors, PRNG, field, math.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/bitvec.h"
 #include "util/check.h"
@@ -141,6 +143,66 @@ TEST(BitVec, OwnsItsBitsThroughMoveCopyAndClear) {
   slot.clear();
   fill(slot);
   EXPECT_EQ(slot.to_string(), bits);
+}
+
+// The bulk packers are the wire format of every dense block-product slice,
+// and the baselines pin only lengths, so these pin the bits: a bulk append
+// writes exactly what the matching push_uint sequence writes, from every
+// start offset within a word, and a bulk read returns exactly what the
+// matching read_uint sequence returns.
+TEST(BitVec, BulkWordsMatchTheirPushUintAndReadUintSequences) {
+  Rng rng(2801);
+  const std::size_t kCount = 9;  // enough fields to straddle several words
+  for (int width : {1, 2, 7, 32, 61, 63, 64}) {
+    const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    for (int start = 0; start < 64; ++start) {
+      SCOPED_TRACE("width=" + std::to_string(width) + " start=" + std::to_string(start));
+      // Full 64-bit values: the bits above `width` must be dropped.
+      std::vector<std::uint64_t> values(kCount);
+      for (std::uint64_t& v : values) v = rng.next_u64() | ~mask;
+      const std::uint64_t prefix = rng.next_u64(), tail = rng.next_u64();
+      BitVec bulk, single;
+      bulk.push_uint(prefix, start);
+      single.push_uint(prefix, start);
+      bulk.push_words(values.data(), values.size(), width);
+      for (const std::uint64_t v : values) single.push_uint(v, width);
+      ASSERT_EQ(bulk.size_bits(), static_cast<std::size_t>(start) + kCount * width);
+      EXPECT_EQ(bulk.to_string(), single.to_string());
+      // Appends after a bulk run land where they would after push_uint.
+      bulk.push_uint(tail, 13);
+      single.push_uint(tail, 13);
+      EXPECT_EQ(bulk.to_string(), single.to_string());
+
+      std::vector<std::uint64_t> read;
+      single.read_words(static_cast<std::size_t>(start), kCount, width,
+                        [&](std::uint64_t v) { read.push_back(v); });
+      ASSERT_EQ(read.size(), kCount);
+      for (std::size_t k = 0; k < kCount; ++k) {
+        EXPECT_EQ(read[k], single.read_uint(static_cast<std::size_t>(start) + k * width, width));
+        EXPECT_EQ(read[k], values[k] & mask);
+      }
+    }
+  }
+}
+
+TEST(BitVec, BulkWordsRejectBadWidthsAndReadsPastTheEnd) {
+  const std::uint64_t words[2] = {5, 6};
+  BitVec v;
+  EXPECT_THROW(v.push_words(words, 2, 0), PreconditionError);
+  EXPECT_THROW(v.push_words(words, 2, 65), PreconditionError);
+  EXPECT_TRUE(v.empty());  // a rejected run appends nothing
+  v.push_words(words, 2, 7);
+  ASSERT_EQ(v.size_bits(), 14u);
+  std::size_t calls = 0;
+  const auto count = [&](std::uint64_t) { ++calls; };
+  EXPECT_THROW(v.read_words(0, 1, 0, count), PreconditionError);
+  EXPECT_THROW(v.read_words(0, 1, 65, count), PreconditionError);
+  EXPECT_THROW(v.read_words(1, 2, 7, count), PreconditionError);  // one bit past the end
+  EXPECT_THROW(v.read_words(15, 0, 7, count), PreconditionError);  // starts past the end
+  EXPECT_EQ(calls, 0u);  // a rejected read hands nothing over
+  v.read_words(14, 0, 7, count);
+  v.read_words(0, 2, 7, count);
+  EXPECT_EQ(calls, 2u);
 }
 
 TEST(BitReader, ExhaustionThrows) {

@@ -15,9 +15,10 @@ value copied out of a source before the sink opens). Five checks:
    function of entry values.
 
 2. Payload-sized message: inside an engine callback lambda (an argument of
-   `.round_fill(` / `all_gather(`), a `push_uint` width argument or an
-   `append_slice` offset/length argument derives from a payload accessor —
-   the emitted *length* leaks payload.
+   `.round_fill(` / `all_gather(`), a `push_uint` width argument, a
+   `push_words` count or width argument, or an `append_slice`
+   offset/length argument derives from a payload accessor — the emitted
+   *length* leaks payload.
 
 3. Branch on payload in a callback: an `if` condition inside an engine
    callback reads a payload accessor, so whether (or what) a player sends
@@ -278,10 +279,11 @@ def scan_file(path):
                 )
 
     for body, body_off in callbacks:
-        for m in re.finditer(r"\.(push_uint|append_slice)\s*\(", body):
+        for m in re.finditer(r"\.(push_uint|push_words|append_slice)\s*\(", body):
             paren = m.end() - 1
             args = lc.split_top_level_args(body[paren + 1 : lc.match_brace(body, paren) - 1])
             # push_uint(value, width): the *width* is the emitted length.
+            # push_words(src, count, width): count * width bits are emitted.
             # append_slice(src, offset, len): offset and len size the slice.
             for arg in args[1:]:
                 if PAYLOAD_READ_RE.search(arg):

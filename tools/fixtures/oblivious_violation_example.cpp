@@ -64,6 +64,9 @@ void planted_oblivious_violations(CliqueUnicast& net, const Mat61& payload) {
           // the message *length* leaks the value even if the bits do not.
           box[0].push_uint(0, static_cast<int>(payload.get(i, 1) % 61));
         }
+        // check 2, bulk form: the run's word count is a payload entry, so
+        // the length of the row slice leaks it.
+        box[1].push_words(payload.row(i), payload.get(i, 2) % 4, 1);
       },
       [](int, const std::vector<Message>&) {});
 }
