@@ -6,7 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include "comm/clique_unicast.h"
+#include "core/algebraic_mm.h"
 #include "core/apsp.h"
+#include "core/sparse_mm.h"
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/ruzsa_szemeredi.h"
@@ -14,6 +16,7 @@
 #include "linalg/f2matrix.h"
 #include "linalg/kernels.h"
 #include "linalg/mat61.h"
+#include "linalg/sparse.h"
 #include "linalg/tropical.h"
 #include "routing/router.h"
 #include "sketch/sketch.h"
@@ -197,6 +200,52 @@ void BM_ApspEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApspEndToEnd)->Arg(32)->Arg(64)->Arg(216)->Arg(343);
+
+// ------------------------------------------------------------ relay pricing
+//
+// relay_cost on the length matrices the products price: the dense
+// distribution (which algebraic_mm_plan prices once per geometry, so this
+// is its cold first call) and a count_sparse distribution, whose
+// profile-dependent lengths every sparse product prices again. Each
+// iteration includes one copy of the n x n length matrix, which relay_cost
+// takes by value.
+
+/// gnp(n, 5.5/n): the middle of count_sparse's average-degree range [3, 8].
+Graph sparse_count_graph(int n) {
+  Rng rng(11);
+  return gnp(n, 5.5 / n, rng);
+}
+
+enum class RelayLengths { kDenseDistribution, kSparseProfile };
+
+void BM_RelayCost(benchmark::State& state, RelayLengths kind) {
+  const int n = static_cast<int>(state.range(0));
+  LengthMatrix len = algebraic_mm_plan(n, 61, 64).distribute->len;
+  if (kind == RelayLengths::kSparseProfile) {
+    const Csr61 sa = Csr61::from_dense(Mat61::adjacency(sparse_count_graph(n)));
+    len = sparse_mm_plan(n, 61, 64, declared_nnz_profile(sa, sa)).distribute->len;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(relay_cost(len, 64));
+  }
+}
+BENCHMARK_CAPTURE(BM_RelayCost, dense_distribution, RelayLengths::kDenseDistribution)
+    ->Arg(125)->Arg(216)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RelayCost, sparse_profile, RelayLengths::kSparseProfile)
+    ->Arg(125)->Unit(benchmark::kMicrosecond);
+
+// perfbench's count_sparse op: exact 4-cycle counting with the backend the
+// crossover picks (the sparse one at this density), on one engine reused
+// across iterations.
+void BM_FourCycleCountAuto(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const Graph g = sparse_count_graph(n);
+  CliqueUnicast net(n, 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(four_cycle_count_algebraic(net, g, CountBackend::kAuto));
+  }
+}
+BENCHMARK(BM_FourCycleCountAuto)->Arg(125)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

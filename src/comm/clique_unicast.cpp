@@ -138,17 +138,61 @@ RelaySchedule relay_cost(LengthMatrix len, int bandwidth) {
   oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("relay_cost"));
   CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
   const std::size_t n = len.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(len[v].size() == n && len[v][v] == 0,
+               "relay lengths must be square with an empty diagonal");
+  }
   RelaySchedule schedule;
+  LengthMatrix& out = schedule.hop_load[0];  // out[v][t]: v -> relay t
+  LengthMatrix& in = schedule.hop_load[1];   // in[t][p]: relay t -> p
+  out.assign(n, std::vector<std::size_t>(n, 0));
+  in.assign(n, std::vector<std::size_t>(n, 0));
+  // Every chunk of an L-bit payload carries floor(L/n) base bits, so each
+  // relay gets the same base load from a source and sends the same to a
+  // destination: one add per payload to each of two sums. The L mod n
+  // one-bit-heavier chunks come from heavy[r], the chunk indices c at which
+  // floor(r·(c+1)/n) steps up, built the first time remainder r occurs;
+  // chunk c of payload v -> p rides relay (c - v - p) mod n.
+  std::vector<std::size_t> out_base(n, 0), in_base(n, 0);
+  std::vector<std::vector<std::uint32_t>> heavy(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t p = 0; p < n; ++p) {
+      if (len[v][p] == 0) continue;
+      const std::size_t base = len[v][p] / n, rem = len[v][p] - base * n;
+      out_base[v] += base;
+      in_base[p] += base;
+      if (rem == 0) continue;
+      std::vector<std::uint32_t>& chunks = heavy[rem];
+      if (chunks.empty()) {
+        for (std::size_t c = 0, acc = 0; c < n; ++c) {
+          acc += rem;
+          if (acc >= n) {
+            acc -= n;
+            chunks.push_back(static_cast<std::uint32_t>(c));
+          }
+        }
+      }
+      const std::size_t shift = (2 * n - v - p) % n;  // chunk 0's relay
+      std::vector<std::size_t>& to_relay = out[v];
+      for (const std::uint32_t c : chunks) {
+        const std::size_t t = c + shift < n ? c + shift : c + shift - n;
+        ++to_relay[t];
+        ++in[t][p];
+      }
+    }
+  }
+  // The base sums go onto every relay but a player's own: relay v sends
+  // nothing to itself on hop 1, and relay p nothing to itself on hop 2.
   std::uint64_t peak[2] = {0, 0};
-  for (LengthMatrix& load : schedule.hop_load) load.assign(n, std::vector<std::size_t>(n, 0));
-  LengthMatrix& out = schedule.hop_load[0];
-  LengthMatrix& in = schedule.hop_load[1];
-  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
-                                std::size_t clen) {
-    if (t != v) peak[0] = std::max<std::uint64_t>(peak[0], out[v][t] += clen);
-    if (t != p) peak[1] = std::max<std::uint64_t>(peak[1], in[t][p] += clen);
-    schedule.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
-  });
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t t = 0; t < n; ++t) {
+      out[v][t] = v == t ? 0 : out[v][t] + out_base[v];
+      in[v][t] = v == t ? 0 : in[v][t] + in_base[t];
+      peak[0] = std::max<std::uint64_t>(peak[0], out[v][t]);
+      peak[1] = std::max<std::uint64_t>(peak[1], in[v][t]);
+      schedule.bits += out[v][t] + in[v][t];
+    }
+  }
   for (int h : {0, 1}) {
     schedule.hop_rounds[h] =
         static_cast<int>(ceil_div(peak[h], static_cast<std::uint64_t>(bandwidth)));
@@ -166,7 +210,7 @@ int unicast_payloads_relayed(CliqueUnicast& net, Payloads payload, Payloads* rec
   CC_REQUIRE(schedule.len.size() == n && schedule.bandwidth == net.bandwidth(),
              "relay schedule priced for another engine");
   // The length check is the run's certificate: payloads of exactly the
-  // priced lengths walk into exactly the kept hop tables.
+  // priced lengths split into exactly the kept hop tables.
   CC_REQUIRE(payload.size() == n, "payload matrix must be n x n");
   for (std::size_t v = 0; v < n; ++v) {
     CC_REQUIRE(payload[v].size() == n, "payload matrix must be n x n");

@@ -10,9 +10,9 @@
 // a failed round commits nothing) and commit through one charge_stream
 // call, and the forwarding transports below charge their streams in closed
 // form and hand each payload over once. The relayed transport's schedule
-// is a value, RelaySchedule: relay_cost walks it once, a plan keeps it,
-// and every run of the plan charges the kept tables after checking each
-// payload's length against them.
+// is a value, RelaySchedule: relay_cost prices it in closed form, a plan
+// keeps it, and every run of the plan charges the kept tables after
+// checking each payload's length against them.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "comm/engine.h"
 #include "comm/model.h"
-#include "util/check.h"
 
 namespace cclique {
 
@@ -135,44 +134,23 @@ struct AllGatherCost {
 /// Preconditions: n >= 1, width >= 0, bandwidth >= 1.
 AllGatherCost all_gather_cost(int n, int width, int bandwidth);
 
-/// The relayed delivery's chunk schedule, written once. A len-bit v -> p
-/// payload splits n ways, chunk c being bits [len*c/n, len*(c+1)/n) (sizes
-/// differ by at most one bit), and chunk c travels via relay
-/// t = (c - v - p) mod n. The (v + p) rotation spreads the one-bit-heavier
-/// remainder chunks of equal-length payloads across relays; an identity map
-/// piles them up (~4x the ideal hop load in the MM distribution phase).
-/// Calls fn(v, p, t, lo, clen) for each non-empty chunk in (v, p, c) order,
-/// all ascending: bits [lo, lo + clen) of the v -> p payload go via relay t.
-/// Stores nothing and divides once per payload, never per chunk.
-/// Precondition (CC_REQUIRE): len is square with an all-zero diagonal.
-template <typename Fn>
-void for_each_relay_chunk(const LengthMatrix& len, Fn&& fn) {
-  const std::size_t n = len.size();
-  for (std::size_t v = 0; v < n; ++v) {
-    CC_REQUIRE(len[v].size() == n && len[v][v] == 0,
-               "relay lengths must be square with an empty diagonal");
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::size_t total = len[v][p], base = total / n, rem = total % n;
-      std::size_t lo = 0, acc = 0, t = (2 * n - v - p) % n;  // chunk 0's relay
-      while (lo < total) {  // at most n chunks
-        acc += rem;  // rem·(c+1) mod n, once the carry below is taken
-        const std::size_t clen = base + (acc >= n ? 1 : 0);
-        if (acc >= n) acc -= n;
-        if (clen != 0) fn(v, p, t, lo, clen);
-        lo += clen;
-        t = t + 1 == n ? 0 : t + 1;
-      }
-    }
-  }
-}
-
-/// The walked schedule of one unicast_payloads_relayed call: the payload
-/// lengths it prices, each hop's per-edge loads as a stream length matrix
-/// ready for EngineCore::charge_stream (hop_load[0][v][t] bits travel
-/// v -> relay t, hop_load[1][t][p] bits travel t -> p; a relay's own chunks
-/// stay put), each hop's rounds ceil(max load / b), and the bits of both
-/// hops. relay_cost builds it; a plan keeps it, so a run charges the tables
-/// instead of walking the lengths again.
+/// The relayed delivery's chunk schedule. A len-bit v -> p payload splits
+/// n ways, chunk c being bits [len*c/n, len*(c+1)/n): every chunk carries
+/// floor(len/n) base bits, and the len mod n chunks c at which
+/// (len mod n)*(c+1)/n steps up carry one bit more. Chunk c travels via
+/// relay t = (c - v - p) mod n. The (v + p) rotation spreads the
+/// one-bit-heavier remainder chunks of equal-length payloads across relays;
+/// an identity map piles them up (~4x the ideal hop load in the MM
+/// distribution phase).
+///
+/// RelaySchedule is that schedule priced for one unicast_payloads_relayed
+/// call: the payload lengths it prices, each hop's per-edge loads as a
+/// stream length matrix ready for EngineCore::charge_stream
+/// (hop_load[0][v][t] bits travel v -> relay t, hop_load[1][t][p] bits
+/// travel t -> p; a relay's own chunks stay put), each hop's rounds
+/// ceil(max load / b), and the bits of both hops. relay_cost builds it; a
+/// plan keeps it, so a run charges the tables instead of pricing the
+/// lengths again.
 struct RelaySchedule {
   int bandwidth = 0;
   LengthMatrix len;
@@ -183,16 +161,18 @@ struct RelaySchedule {
   int rounds() const { return hop_rounds[0] + hop_rounds[1]; }
 };
 
-/// Prices unicast_payloads_relayed from its length matrix alone: one walk
-/// of for_each_relay_chunk sums every chunk into the two hop-load tables.
+/// Prices unicast_payloads_relayed from its length matrix alone, in closed
+/// form and O(n^2 + sum of len mod n) work; tests/chunked_transports.h
+/// walks the same schedule chunk by chunk as the oracle this must match.
 /// Plans (the *_plan functions) call it and keep the result.
-/// Preconditions (CC_REQUIRE): the walk's, and bandwidth >= 1.
+/// Preconditions (CC_REQUIRE, checked before any table is built): len is
+/// square with an all-zero diagonal, and bandwidth >= 1.
 RelaySchedule relay_cost(LengthMatrix len, int bandwidth);
 
 /// Delivers a payload matrix through the deterministic two-hop relay
 /// schedule (oblivious Valiant-style balancing; the same idea as the
 /// message-level router of DESIGN.md §4a, lifted to bit streams): every
-/// chunk of for_each_relay_chunk travels source -> relay t -> destination.
+/// chunk of the schedule above travels source -> relay t -> destination.
 /// No relay computes on what it holds, so the whole delivery is `schedule`:
 /// each hop's table is charged as one stream and payload[v][p] is handed
 /// to p once. Per-edge load per hop is ~(per-player total)/n instead of
@@ -207,8 +187,8 @@ RelaySchedule relay_cost(LengthMatrix len, int bandwidth);
 /// Preconditions (CC_REQUIRE, all checked before any bit moves): received
 /// is non-null, `schedule` was priced for this engine (n and bandwidth),
 /// and payload is n x n with payload[v][p] exactly schedule.len[v][p] bits
-/// — so the diagonal is empty and the charged tables are the walk of these
-/// very payloads. On return received[r][v] holds payload[v][r], moved in
+/// — so the diagonal is empty and the charged tables are the schedule of
+/// these very payloads. On return received[r][v] holds payload[v][r], moved in
 /// as in unicast_payloads. Returns schedule.rounds().
 ///
 /// Cost: with per-player total load <= M bits, each hop's per-edge load is

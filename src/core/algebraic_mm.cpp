@@ -1,6 +1,9 @@
 #include "core/algebraic_mm.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "analysis/locality_guard.h"
@@ -122,17 +125,11 @@ AlgebraicCountResult run_counting(CliqueUnicast& net, const Graph& g, CountBacke
   return out;
 }
 
-}  // namespace
-
-AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
-  // Plan functions are length sinks: the schedule is a function of
-  // (n, w, b) alone, and the guard proves no payload read sneaks in.
-  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("algebraic_mm_plan"));
-  CC_REQUIRE(word_bits >= 1 && word_bits <= 64, "word width out of range");
-  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
-  const blockmm::BlockGrid g(n);
+/// Prices the dense product on grid g: both relay schedules and every
+/// field they determine.
+AlgebraicMmPlan price_plan(const blockmm::BlockGrid& g, int word_bits, int bandwidth) {
   AlgebraicMmPlan plan;
-  plan.n = n;
+  plan.n = g.n;
   plan.grid = g.m;
   plan.block = g.bs;
   plan.word_bits = word_bits;
@@ -152,10 +149,37 @@ AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
     for (std::size_t p = 0; p < dist.size(); ++p) send += dist[v][p] + agg[v][p];
     plan.max_player_send_bits = std::max(plan.max_player_send_bits, send);
   }
-  const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(n)));
+  const double cbrt_n = static_cast<double>(icbrt(static_cast<std::uint64_t>(g.n)));
   plan.series_rounds = 6.0 * cbrt_n * static_cast<double>(word_bits) /
                        static_cast<double>(bandwidth);
   return plan;
+}
+
+}  // namespace
+
+AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth) {
+  // Plan functions are length sinks: the schedule is a function of
+  // (n, w, b) alone, and the guard proves no payload read sneaks in.
+  oblivious::SinkScope sink(CC_OBLIVIOUS_SITE("algebraic_mm_plan"));
+  CC_REQUIRE(word_bits >= 1 && word_bits <= 64, "word width out of range");
+  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
+  const blockmm::BlockGrid g(n);
+  // Pricing under the lock prices each geometry once however many threads
+  // ask for it.
+  static std::mutex mutex;
+  static std::vector<AlgebraicMmPlan> memo;  // most recently used first
+  std::lock_guard<std::mutex> lock(mutex);
+  const auto hit = std::find_if(memo.begin(), memo.end(), [&](const AlgebraicMmPlan& plan) {
+    return plan.n == n && plan.word_bits == word_bits && plan.bandwidth == bandwidth;
+  });
+  if (hit != memo.end()) {
+    std::rotate(memo.begin(), hit, hit + 1);
+  } else {
+    AlgebraicMmPlan plan = price_plan(g, word_bits, bandwidth);
+    if (memo.size() == kRelayScheduleMemoCapacity) memo.pop_back();
+    memo.insert(memo.begin(), std::move(plan));
+  }
+  return memo.front();
 }
 
 AlgebraicMmPlan algebraic_mm_f2(CliqueUnicast& net, const F2Matrix& a,

@@ -18,8 +18,8 @@
 // Θ(n^{1/3} · w) bits per hop, i.e. O(n^{1/3} · w / b) rounds at per-edge
 // bandwidth b — the O(n^{1/3}) round bound for constant-size words. The
 // round schedule is data-independent, so algebraic_mm_plan() predicts it
-// exactly; the protocol CC_CHECKs its measured rounds and bits against the
-// plan on every run.
+// exactly and prices each (n, w, b) once per process; the protocol
+// CC_CHECKs its measured rounds and bits against the plan on every run.
 //
 // The decomposition itself is algebra-agnostic and lives in the shared
 // driver core/block_mm.h; this module instantiates it for the two rings
@@ -35,6 +35,7 @@
 // arithmetic as long as the traces stay below p = 2^61 − 1.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -48,10 +49,10 @@ namespace cclique {
 /// The data-independent cost schedule of one distributed product — a pure
 /// function of (n, word_bits, bandwidth), shared by every semiring the
 /// block driver runs (the min-plus product of core/apsp reuses this struct
-/// verbatim at word_bits = 61). It keeps the two relay schedules it priced,
-/// which every run of the plan charges without walking them again; they
-/// are shared, so copying a plan (into an ApspPlan, a CountingArtifactPlan
-/// or a ServingPlan) copies no tables.
+/// verbatim at word_bits = 61). It keeps the two relay schedules of its
+/// geometry, which every run of the plan charges without pricing them
+/// again; they are shared, so copying a plan (into an ApspPlan, a
+/// CountingArtifactPlan or a ServingPlan) copies no tables.
 struct AlgebraicMmPlan {
   int n = 0;
   int grid = 0;        ///< m: block grid dimension; one triple of [m]^3 per player
@@ -71,8 +72,20 @@ struct AlgebraicMmPlan {
   std::shared_ptr<const RelaySchedule> aggregate;   ///< the partial rows' relay
 };
 
+/// How many (n, word_bits, bandwidth) geometries algebraic_mm_plan keeps
+/// priced. A process runs a handful of geometries (one per perfbench
+/// workload, a few per bench sweep), and an n = 343 entry holds ~5.6 MB of
+/// tables.
+inline constexpr std::size_t kRelayScheduleMemoCapacity = 8;
+
 /// Computes the exact round/bit schedule for an n x n product with
-/// word_bits-bit elements at the given per-edge bandwidth.
+/// word_bits-bit elements at the given per-edge bandwidth. The two relay
+/// schedules depend on (n, word_bits, bandwidth) alone, so each geometry is
+/// priced once per process: a memo keeps the kRelayScheduleMemoCapacity most
+/// recently used geometries (one mutex, least recently used evicted), and
+/// every plan of a kept geometry shares its two schedules. Preconditions
+/// (CC_REQUIRE, before the memo is consulted): n >= 1, word_bits in
+/// [1, 64], bandwidth >= 1.
 AlgebraicMmPlan algebraic_mm_plan(int n, int word_bits, int bandwidth);
 
 /// Distributed C = A·B over GF(2) (word-packed F2Matrix; 1 bit/element).

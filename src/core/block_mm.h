@@ -26,6 +26,9 @@
 // Ops::kWordBits in both schedules. Each phase relays through the schedule
 // its plan kept (RelaySchedule, comm/clique_unicast.h), and every payload
 // is presized from that schedule's lengths before the first slice lands.
+// The length matrices below depend on the grid, w and (for the sparse
+// distribution) the announced counts alone, so algebraic_mm_plan prices
+// the dense pair once per (n, w, b) and every plan shares it.
 //
 // The Ops concept, one adapter per carrier. The two row hooks move entries
 // [col, col + cols) of row i as consecutive kWordBits-bit words (the wire

@@ -100,7 +100,7 @@ std::vector<std::vector<std::uint32_t>> build_incident_weights(
 /// Round cap for one route_two_phase call of w-bit records when every
 /// player sends and receives at most m of them. The call ships one
 /// positional stream per (source, destination) pair through the two-hop
-/// relay (comm/clique_unicast.h, for_each_relay_chunk). The relay splits an
+/// relay (comm/clique_unicast.h, RelaySchedule). The relay splits an
 /// L-bit stream v -> p into n chunks of at most ceil(L/n) bits and sends
 /// exactly one of them over each hop-1 edge v -> t and one over each hop-2
 /// edge t -> p. So hop-1 edge v -> t carries at most

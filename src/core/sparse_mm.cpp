@@ -72,9 +72,9 @@ SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfil
       bandwidth));
 
   // Aggregation: dense widths (fill-in makes output structure unpriceable
-  // without a second announcement; see sparse_mm.h).
-  plan.aggregate = std::make_shared<const RelaySchedule>(
-      relay_cost(blockmm::aggregate_lengths(g, word_bits), bandwidth));
+  // without a second announcement; see sparse_mm.h), so it is the dense
+  // plan's schedule, priced once per geometry.
+  plan.aggregate = algebraic_mm_plan(n, word_bits, bandwidth).aggregate;
 
   plan.distribute_rounds = plan.distribute->rounds();
   plan.aggregate_rounds = plan.aggregate->rounds();

@@ -27,7 +27,7 @@
 //     input, not a hidden oracle.
 //  3. The run is *checked*: sparse_mm_plan() prices all three phases
 //     (announce, distribute, aggregate) from (n, w, b) plus the declared
-//     profile and keeps both relay schedules it walked. run_sparse_mm
+//     profile and keeps both relay schedules. run_sparse_mm
 //     CC_CHECKs the announcement's rounds and the total rounds and bits
 //     against it on every run, like every other plan in the repo, and each
 //     relayed phase charges its kept schedule only after every payload's
@@ -86,8 +86,8 @@ SparseNnzProfile declared_nnz_profile(const Csr61& a, const Csr61& b);
 
 /// The nnz-dependent cost schedule of one sparse product: a pure function
 /// of (n, word_bits, bandwidth) and the declared profile, which it keeps,
-/// together with the two relay schedules it priced (shared, so copying a
-/// plan copies no tables).
+/// together with its two relay schedules (shared, so copying a plan copies
+/// no tables).
 struct SparseMmPlan {
   int n = 0;
   int grid = 0;        ///< m: block grid dimension
@@ -104,12 +104,15 @@ struct SparseMmPlan {
   std::uint64_t announce_bits = 0;
   std::uint64_t total_bits = 0;  ///< all three phases
   std::shared_ptr<const RelaySchedule> distribute;  ///< the pairs' relay (relay_cost)
-  std::shared_ptr<const RelaySchedule> aggregate;   ///< the partial rows' relay
+  std::shared_ptr<const RelaySchedule> aggregate;   ///< algebraic_mm_plan's aggregate
 };
 
 /// Prices the three-phase sparse schedule for the declared profile and
-/// keeps the profile in the plan. Preconditions: profile matches
-/// (n, BlockGrid(n).m); word_bits in [1, 64]; bandwidth >= 1.
+/// keeps the profile in the plan. Only the distribution depends on the
+/// profile, so only it is priced here (relay_cost); the aggregation
+/// schedule comes from algebraic_mm_plan(n, word_bits, bandwidth).
+/// Preconditions: profile matches (n, BlockGrid(n).m); word_bits in
+/// [1, 64]; bandwidth >= 1.
 SparseMmPlan sparse_mm_plan(int n, int word_bits, int bandwidth, SparseNnzProfile profile);
 
 /// The adaptive-protocol crossover rule (DESIGN.md §2.8): both branches of

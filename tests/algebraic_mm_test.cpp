@@ -1,21 +1,28 @@
 // Tests for the distributed algebraic matrix-multiplication protocol
 // (core/algebraic_mm) and its transport substrate, the two-hop balanced
-// relay (unicast_payloads_relayed, its chunk walk and relay_cost, which
-// must price every length matrix exactly): correctness over both rings, exact
-// agreement between the measured schedule and the data-independent plan,
-// the O(n^{1/3}) round series at perfect cubes, exact triangle / 4-cycle
-// counts against brute force, and scheduler-independence of the stats.
+// relay (unicast_payloads_relayed, the chunk walk of its test oracle and
+// relay_cost, which must price every length matrix exactly): correctness
+// over both rings, exact agreement between the measured schedule and the
+// data-independent plan, the memo that prices each plan geometry once per
+// process (shared by every plan, equal to a fresh pricing, least recently
+// used evicted, safe across threads), the O(n^{1/3}) round series at
+// perfect cubes, exact triangle / 4-cycle counts against brute force, and
+// scheduler-independence of the stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "chunked_transports.h"
 #include "comm/clique_unicast.h"
 #include "core/algebraic_mm.h"
+#include "core/apsp.h"
 #include "core/block_mm.h"
 #include "core/mm_triangle.h"
+#include "core/query_service.h"
 #include "core/sparse_mm.h"
 #include "graph/generators.h"
 #include "graph/subgraph.h"
@@ -24,6 +31,7 @@
 #include "linalg/sparse.h"
 #include "scoped_env.h"
 #include "util/check.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace cclique {
@@ -234,8 +242,8 @@ TEST(RelayChunkWalk, ChunksTileEachPayloadAcrossDistinctRelays) {
     };
     std::vector<Seen> seen(nn * nn);
     std::size_t last_pair = 0;
-    for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t lo,
-                                  std::size_t clen) {
+    chunked::for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t,
+                                           std::size_t lo, std::size_t clen) {
       ASSERT_LT(t, nn);
       ASSERT_GT(clen, 0u);
       const std::size_t pair = v * nn + p;
@@ -354,6 +362,152 @@ TEST(RelaySchedule, RejectsWhatItWasNotPricedForBeforeAnyBitMoves) {
   EXPECT_EQ(unicast_payloads_relayed(net, zero_payloads(), &got, schedule), schedule.rounds());
   EXPECT_EQ(net.stats().rounds, schedule.rounds());
   EXPECT_EQ(net.stats().total_bits, schedule.bits);
+}
+
+/// One public geometry of the dense product.
+struct Geometry {
+  int n;
+  int w;
+  int b;
+};
+
+/// `count` geometries no other test prices (bandwidths from 1000 up), small
+/// enough to price in microseconds: n in {2, 5} x w in {1, 61} at each
+/// bandwidth, so for each of n, w and b some pair of geometries differs in
+/// it alone, and a memo that ignored it would hand out another's plan.
+std::vector<Geometry> fresh_geometries(std::size_t count, int first_bandwidth) {
+  std::vector<Geometry> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    keys.push_back({i % 2 == 0 ? 2 : 5, i / 2 % 2 == 0 ? 1 : 61,
+                    first_bandwidth + static_cast<int>(i / 4)});
+  }
+  return keys;
+}
+
+/// A plan must equal one priced from scratch: both schedules against a
+/// fresh relay_cost of the geometry's length matrices, and every field.
+void expect_priced_afresh(const AlgebraicMmPlan& plan, const Geometry& k) {
+  SCOPED_TRACE("n=" + std::to_string(k.n) + " w=" + std::to_string(k.w) +
+               " b=" + std::to_string(k.b));
+  const blockmm::BlockGrid g(k.n);
+  const RelaySchedule distribute = relay_cost(blockmm::distribute_lengths(g, k.w), k.b);
+  const RelaySchedule aggregate = relay_cost(blockmm::aggregate_lengths(g, k.w), k.b);
+  ASSERT_TRUE(plan.distribute && plan.aggregate);
+  chunked::expect_same_schedule(*plan.distribute, distribute);
+  chunked::expect_same_schedule(*plan.aggregate, aggregate);
+  std::uint64_t heaviest = 0;
+  for (std::size_t v = 0; v < distribute.len.size(); ++v) {
+    std::uint64_t send = 0;
+    for (std::size_t p = 0; p < distribute.len.size(); ++p) {
+      send += distribute.len[v][p] + aggregate.len[v][p];
+    }
+    heaviest = std::max(heaviest, send);
+  }
+  EXPECT_EQ(plan.n, k.n);
+  EXPECT_EQ(plan.grid, g.m);
+  EXPECT_EQ(plan.block, g.bs);
+  EXPECT_EQ(plan.word_bits, k.w);
+  EXPECT_EQ(plan.bandwidth, k.b);
+  EXPECT_EQ(plan.distribute_rounds, distribute.rounds());
+  EXPECT_EQ(plan.aggregate_rounds, aggregate.rounds());
+  EXPECT_EQ(plan.total_rounds, distribute.rounds() + aggregate.rounds());
+  EXPECT_EQ(plan.total_bits, distribute.bits + aggregate.bits);
+  EXPECT_EQ(plan.max_player_send_bits, heaviest);
+  EXPECT_EQ(plan.series_rounds, 6.0 * static_cast<double>(icbrt(static_cast<std::uint64_t>(k.n))) *
+                                    k.w / k.b);
+}
+
+AlgebraicMmPlan plan_of(const Geometry& k) { return algebraic_mm_plan(k.n, k.w, k.b); }
+
+TEST(RelayScheduleMemo, EveryPlanOfOneGeometrySharesItsSchedules) {
+  // The schedules depend on (n, w, b) alone, so a process prices each
+  // geometry once: every plan built on the dense product's geometry, and
+  // the sparse plan's aggregation, hold the same two tables.
+  const int n = 27, b = 64;
+  const AlgebraicMmPlan dense = algebraic_mm_plan(n, 61, b);
+  const AlgebraicMmPlan again = algebraic_mm_plan(n, 61, b);
+  EXPECT_EQ(again.distribute, dense.distribute);
+  EXPECT_EQ(again.aggregate, dense.aggregate);
+  Rng rng(2901);
+  const Csr61 sa = Csr61::from_dense(Mat61::adjacency(gnp(n, 0.1, rng)));
+  EXPECT_EQ(sparse_mm_plan(n, 61, b, declared_nnz_profile(sa, sa)).aggregate, dense.aggregate);
+  const ServingPlan serving = serving_plan(n, b, {true, true, true}, {});
+  for (const AlgebraicMmPlan& plan :
+       {apsp_plan(n, b).product, counting_artifacts_plan(n, b).product, serving.apsp.product,
+        serving.counting.product, serving.hops.product}) {
+    EXPECT_EQ(plan.distribute, dense.distribute);
+    EXPECT_EQ(plan.aggregate, dense.aggregate);
+  }
+}
+
+TEST(RelayScheduleMemo, MatchesFreshPricingPastItsCapacity) {
+  // More geometries than the memo keeps, twice in the same order: the
+  // second pass finds each one evicted and prices it again. Every plan,
+  // first priced, re-priced or found, equals a fresh pricing.
+  const std::vector<Geometry> keys = fresh_geometries(2 * kRelayScheduleMemoCapacity + 3, 1000);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Geometry& k : keys) {
+      const AlgebraicMmPlan plan = plan_of(k);
+      expect_priced_afresh(plan, k);
+      const AlgebraicMmPlan found = plan_of(k);
+      EXPECT_EQ(found.distribute, plan.distribute);
+      EXPECT_EQ(found.aggregate, plan.aggregate);
+      expect_priced_afresh(found, k);
+    }
+  }
+}
+
+TEST(RelayScheduleMemo, EvictsTheLeastRecentlyUsedGeometry) {
+  // Fill the memo, touch the oldest geometry, add one more: the second
+  // oldest goes, the touched one stays.
+  const std::vector<Geometry> keys = fresh_geometries(kRelayScheduleMemoCapacity + 1, 2000);
+  std::vector<AlgebraicMmPlan> first;
+  for (std::size_t i = 0; i < kRelayScheduleMemoCapacity; ++i) first.push_back(plan_of(keys[i]));
+  EXPECT_EQ(plan_of(keys[0]).distribute, first[0].distribute);
+  plan_of(keys.back());
+  EXPECT_EQ(plan_of(keys[0]).distribute, first[0].distribute);
+  const AlgebraicMmPlan repriced = plan_of(keys[1]);
+  EXPECT_NE(repriced.distribute, first[1].distribute);
+  EXPECT_NE(repriced.aggregate, first[1].aggregate);
+  expect_priced_afresh(repriced, keys[1]);
+}
+
+TEST(RelayScheduleMemo, RejectedGeometriesCacheNothing) {
+  // Hold a geometry as the least recently used of a full memo; a rejected
+  // call that cached anything would push it out.
+  const std::vector<Geometry> keys = fresh_geometries(kRelayScheduleMemoCapacity, 3000);
+  const AlgebraicMmPlan oldest = plan_of(keys[0]);
+  for (std::size_t i = 1; i < keys.size(); ++i) plan_of(keys[i]);
+  EXPECT_THROW(algebraic_mm_plan(8, 0, 64), PreconditionError);
+  EXPECT_THROW(algebraic_mm_plan(8, 65, 64), PreconditionError);
+  EXPECT_THROW(algebraic_mm_plan(8, 61, 0), PreconditionError);
+  EXPECT_THROW(algebraic_mm_plan(0, 61, 64), PreconditionError);
+  const AlgebraicMmPlan found = plan_of(keys[0]);
+  EXPECT_EQ(found.distribute, oldest.distribute);
+  EXPECT_EQ(found.aggregate, oldest.aggregate);
+}
+
+TEST(RelayScheduleMemo, ThreadsPricingInterleavedGeometriesGetEqualSchedules) {
+  // Eight threads walk one list of more geometries than the memo keeps,
+  // each from its own offset, so hits, misses and evictions interleave;
+  // every plan any thread got equals a fresh pricing.
+  const std::vector<Geometry> keys = fresh_geometries(2 * kRelayScheduleMemoCapacity, 4000);
+  const std::size_t threads = 8, rounds = 3;
+  std::vector<std::vector<AlgebraicMmPlan>> got(threads);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = 0; i < rounds * keys.size(); ++i) {
+        got[t].push_back(plan_of(keys[(t + i) % keys.size()]));
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (std::size_t t = 0; t < threads; ++t) {
+    for (std::size_t i = 0; i < got[t].size(); ++i) {
+      expect_priced_afresh(got[t][i], keys[(t + i) % keys.size()]);
+    }
+  }
 }
 
 class AlgebraicMmSizes : public ::testing::TestWithParam<int> {};

@@ -1,20 +1,26 @@
 // The chunked transports: reference twins of the four forwarding transports
 // (unicast_payloads, unicast_payloads_relayed, broadcast_payloads and
 // all_gather) that re-enact every round through the engines' round_fill,
-// b bits per edge per round, and reassemble each payload from the wire.
+// b bits per edge per round, and reassemble each payload from the wire,
+// plus the twin of relay_cost that walks the relay schedule chunk by chunk.
 //
 // The library's transports charge a whole stream in closed form
 // (EngineCore::charge_stream / charge_board) and hand each payload over
-// once. These twins are the oracle they must match: run both on two fresh
-// engines and every CommStats field and every delivered payload must be
-// equal (tests/transport_oracle_test.cpp). The relayed twin also re-proves,
-// on every call, that for_each_relay_chunk tiles each payload: hop-1
-// assembly, relay regrouping and reassembly are three walks of it, and
-// both hops are chunked unicast deliveries.
+// once, and relay_cost prices the relay's hop loads in closed form. These
+// twins are the oracle they must match: run both on two fresh engines and
+// every CommStats field and every delivered payload must be equal, and
+// relay_cost must equal the walk's tables, rounds and bits
+// (tests/transport_oracle_test.cpp). The relayed twin also re-proves, on
+// every call, that the walk tiles each payload: hop-1 assembly, relay
+// regrouping and reassembly are three walks of it, and both hops are
+// chunked unicast deliveries.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/locality_guard.h"
@@ -27,6 +33,72 @@ namespace cclique {
 namespace chunked {
 
 using Payloads = std::vector<std::vector<Message>>;
+
+/// The relay's chunk schedule (comm/clique_unicast.h, RelaySchedule) as a
+/// walk: calls fn(v, p, t, lo, clen) for each non-empty chunk in (v, p, c)
+/// order, all ascending, so bits [lo, lo + clen) of the v -> p payload go
+/// via relay t = (c - v - p) mod n. Chunk c is bits [L*c/n, L*(c+1)/n) of
+/// an L-bit payload; the split remainder is carried incrementally, one
+/// division per payload. Precondition (CC_REQUIRE): len is square with an
+/// all-zero diagonal.
+template <typename Fn>
+void for_each_relay_chunk(const LengthMatrix& len, Fn&& fn) {
+  const std::size_t n = len.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    CC_REQUIRE(len[v].size() == n && len[v][v] == 0,
+               "relay lengths must be square with an empty diagonal");
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::size_t total = len[v][p], base = total / n, rem = total % n;
+      std::size_t lo = 0, acc = 0, t = (2 * n - v - p) % n;  // chunk 0's relay
+      while (lo < total) {  // at most n chunks
+        acc += rem;  // rem·(c+1) mod n, once the carry below is taken
+        const std::size_t clen = base + (acc >= n ? 1 : 0);
+        if (acc >= n) acc -= n;
+        if (clen != 0) fn(v, p, t, lo, clen);
+        lo += clen;
+        t = t + 1 == n ? 0 : t + 1;
+      }
+    }
+  }
+}
+
+/// relay_cost, walked: every chunk summed into the two hop-load tables (a
+/// relay's own chunks stay put), each hop's rounds from its largest load.
+inline RelaySchedule relay_cost(LengthMatrix len, int bandwidth) {
+  CC_REQUIRE(bandwidth >= 1, "bandwidth must be positive");
+  const std::size_t n = len.size();
+  RelaySchedule schedule;
+  for (LengthMatrix& load : schedule.hop_load) load.assign(n, std::vector<std::size_t>(n, 0));
+  LengthMatrix& out = schedule.hop_load[0];
+  LengthMatrix& in = schedule.hop_load[1];
+  std::size_t peak[2] = {0, 0};
+  for_each_relay_chunk(len, [&](std::size_t v, std::size_t p, std::size_t t, std::size_t,
+                                std::size_t clen) {
+    if (t != v) peak[0] = std::max(peak[0], out[v][t] += clen);
+    if (t != p) peak[1] = std::max(peak[1], in[t][p] += clen);
+    schedule.bits += (t != v ? clen : 0) + (t != p ? clen : 0);
+  });
+  for (int h : {0, 1}) {
+    schedule.hop_rounds[h] =
+        static_cast<int>((peak[h] + static_cast<std::size_t>(bandwidth) - 1) /
+                         static_cast<std::size_t>(bandwidth));
+  }
+  schedule.bandwidth = bandwidth;
+  schedule.len = std::move(len);
+  return schedule;
+}
+
+/// Two relay schedules agree on every field: the lengths, both hop-load
+/// tables, both hops' rounds and the bits.
+inline void expect_same_schedule(const RelaySchedule& got, const RelaySchedule& want) {
+  EXPECT_EQ(got.bandwidth, want.bandwidth);
+  EXPECT_EQ(got.len, want.len);
+  EXPECT_EQ(got.hop_load[0], want.hop_load[0]);
+  EXPECT_EQ(got.hop_load[1], want.hop_load[1]);
+  EXPECT_EQ(got.hop_rounds[0], want.hop_rounds[0]);
+  EXPECT_EQ(got.hop_rounds[1], want.hop_rounds[1]);
+  EXPECT_EQ(got.bits, want.bits);
+}
 
 /// unicast_payloads, one chunked round_fill per round.
 inline int unicast_payloads(CliqueUnicast& net, const Payloads& payload, Payloads* received) {

@@ -13,7 +13,11 @@
 // relay_cost priced from the length matrix up front, as a block-product
 // plan keeps it, and the three-argument one prices its payloads' lengths
 // itself. Both run on the same payloads and cut as the chunked twin, and
-// each must match it.
+// each must match it. relay_cost prices in closed form, so every relayed
+// case also checks it against the chunk walk (chunked::relay_cost) on
+// every hop-load entry, both hops' rounds and the bits, including lengths
+// at each edge of the n-way split and count_sparse's profile-dependent
+// distribution.
 //
 // A round_fill round commits through the same meter (charge_stream(len, 1),
 // or charge_board(len, 1) on the blackboard), so the twins compare R
@@ -38,7 +42,10 @@
 #include "comm/congest.h"
 #include "comm/engine.h"
 #include "core/block_mm.h"
+#include "core/sparse_mm.h"
 #include "graph/generators.h"
+#include "linalg/mat61.h"
+#include "linalg/sparse.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -119,9 +126,10 @@ void expect_unicast_twins(const std::vector<UnicastTransport>& metered,
 
 /// Both forms of the relay for payloads of lengths `len` at bandwidth b:
 /// the three-argument form, and the planned form on relay_cost(len, b),
-/// priced before any payload exists.
+/// priced before any payload exists and checked against the walk.
 std::vector<UnicastTransport> relay_forms(const LengthMatrix& len, int b) {
   const auto schedule = std::make_shared<const RelaySchedule>(relay_cost(len, b));
+  chunked::expect_same_schedule(*schedule, chunked::relay_cost(len, b));
   return {[](CliqueUnicast& net, Payloads payload, Payloads* received) {
             return unicast_payloads_relayed(net, std::move(payload), received);
           },
@@ -130,11 +138,15 @@ std::vector<UnicastTransport> relay_forms(const LengthMatrix& len, int b) {
           }};
 }
 
-/// Random n x n lengths in four shapes: 0 mixes empty pairs, lengths below
+/// Random n x n lengths in five shapes: 0 mixes empty pairs, lengths below
 /// n and multi-chunk streams, with every third row all-zero; 1 keeps every
 /// length below n (most relay chunks empty); 2 has one hot sender whose
 /// payloads are far longer than everyone else's; 3 is one length on every
-/// pair, whose remainder chunks the relay rotation spreads.
+/// pair, whose remainder chunks the relay rotation spreads; 4 draws every
+/// length from the edges of the n-way split, {0, 1, n-1, n, n+1, 2n-1, 2n,
+/// 2n+1}, where the base bits and the remainder chunks trade places.
+const int kLengthShapes = 5;
+
 LengthMatrix random_lengths(int n, int shape, Rng& rng) {
   const std::size_t nn = static_cast<std::size_t>(n);
   const std::uint64_t n64 = static_cast<std::uint64_t>(n);
@@ -150,8 +162,12 @@ LengthMatrix random_lengths(int n, int shape, Rng& rng) {
         bits = rng.uniform(n64);
       } else if (shape == 2) {
         bits = v == nn / 2 ? 6 * n64 + rng.uniform(3 * n64) : rng.uniform(3);
-      } else {
+      } else if (shape == 3) {
         bits = 2 * n64 + 1;
+      } else {
+        const std::uint64_t edges[] = {0, 1, n64 - 1, n64, n64 + 1, 2 * n64 - 1, 2 * n64,
+                                       2 * n64 + 1};
+        bits = edges[rng.uniform(8)];
       }
       len[v][p] = static_cast<std::size_t>(bits);
     }
@@ -163,7 +179,7 @@ TEST(TransportOracle, DirectUnicastMatchesChunkedOnRandomLengths) {
   Rng rng(2301);
   for (int n : kSizes) {
     for (int b : kBandwidths) {
-      for (int shape = 0; shape < 4; ++shape) {
+      for (int shape = 0; shape < kLengthShapes; ++shape) {
         SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b) +
                      " shape=" + std::to_string(shape));
         expect_unicast_twins({&unicast_payloads}, &chunked::unicast_payloads,
@@ -175,16 +191,31 @@ TEST(TransportOracle, DirectUnicastMatchesChunkedOnRandomLengths) {
 
 TEST(TransportOracle, RelayedUnicastMatchesChunkedOnRandomLengths) {
   Rng rng(2302);
+  const auto expect_relayed = [&](const LengthMatrix& len, int b) {
+    expect_unicast_twins(relay_forms(len, b), &chunked::unicast_payloads_relayed, len, b, rng);
+  };
   for (int n : kSizes) {
     for (int b : kBandwidths) {
-      for (int shape = 0; shape < 4; ++shape) {
+      for (int shape = 0; shape < kLengthShapes; ++shape) {
         SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b) +
                      " shape=" + std::to_string(shape));
-        const LengthMatrix len = random_lengths(n, shape, rng);
-        expect_unicast_twins(relay_forms(len, b), &chunked::unicast_payloads_relayed, len, b,
-                             rng);
+        expect_relayed(random_lengths(n, shape, rng), b);
       }
     }
+  }
+  // At count_sparse's n and b: the split's edge lengths, and count_sparse's
+  // own distribution, (index, value) pairs per announced entry of
+  // gnp(125, d/125) at average degree d in [3, 8], whose lengths leave a
+  // different remainder on almost every pair. The hop tables do not depend
+  // on b, and the sizes above run every bandwidth.
+  const int n = 125, b = 64;
+  SCOPED_TRACE("n=125 b=64");
+  expect_relayed(random_lengths(n, 4, rng), b);
+  for (double degree : {3.0, 5.5, 8.0}) {
+    SCOPED_TRACE("sparse profile, degree " + std::to_string(degree));
+    const Csr61 sa = Csr61::from_dense(Mat61::adjacency(gnp(n, degree / n, rng)));
+    const SparseMmPlan plan = sparse_mm_plan(n, 61, b, declared_nnz_profile(sa, sa));
+    expect_relayed(plan.distribute->len, b);
   }
 }
 
